@@ -407,19 +407,18 @@ def test_store_throughput(report, tmp_path):
     # isolates what the serving subsystem adds.
     import http.client
     import json as _json
-    import threading
     import urllib.request
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.rdf.parser import format_sparql
-    from repro.serve import BatchScheduler, EstimatorService, make_server
+    from repro.serve import ServingApp, save_checkpoint
 
     serving_texts = [
         format_sparql(q, store.dictionary) for q in serve[:600]
     ]
-    service = EstimatorService(store, framework)
+    serving_checkpoint = tmp_path / "serving-checkpoint"
+    save_checkpoint(framework, serving_checkpoint)
     serving_url = None
-    serving_addr = None
 
     def _request(text):
         # urllib opens (and tears down) a TCP connection per request —
@@ -445,26 +444,23 @@ def test_store_throughput(report, tmp_path):
             return _json.load(response)["estimates"][0]
 
     def _serving_phase(texts, clients, max_delay_ms, keep_alive=False):
-        """(qps, scheduler stats) for one fresh server + scheduler.
+        """(qps, scheduler stats) for one fresh serving stack.
 
         A fresh scheduler per phase keeps the recorded batch widths and
         latency percentiles specific to that phase instead of blending
         the sequential and concurrent workloads.
         """
-        nonlocal serving_url, serving_addr
-        scheduler = BatchScheduler(
-            framework.estimate_batch,
+        nonlocal serving_url
+        app = ServingApp(
+            snapshot_dir,
+            serving_checkpoint,
+            port=0,
             max_batch=128,
             max_delay_ms=max_delay_ms,
-        )
-        server = make_server(service, scheduler, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        host, port = server.server_address[:2]
-        serving_url = f"http://{host}:{port}/estimate"
-        serving_addr = (host, port)
+        ).start()
+        scheduler = app.scheduler
+        host, port = app.host, app.port
+        serving_url = f"{app.url}/estimate"
         _request(texts[0])  # warm up; excluded from phase stats below
         warm = scheduler.stats()["queries"]
         if clients == 1 and not keep_alive:
@@ -492,10 +488,7 @@ def test_store_throughput(report, tmp_path):
                     lambda: list(pool.map(_client, shards))
                 )
         stats = scheduler.stats()
-        server.shutdown()
-        server.server_close()
-        scheduler.close()
-        thread.join(5.0)
+        app.close()
         stats["mean_batch"] = round(
             (stats["queries"] - warm) / max(stats["batches"] - 1, 1), 2
         )

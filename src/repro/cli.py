@@ -642,29 +642,111 @@ def cmd_maintain_gc(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import os
-    import signal
+def _reshard_for_serving(snapshot: str, shards: Optional[int]):
+    """``--shards N``: re-shard *snapshot* into a scratch directory so
+    the service and every pool worker attach the sharded layout.  A
+    snapshot already sharded that way (or no ``--shards``) is served in
+    place.  Returns ``(snapshot_dir, scratch TemporaryDirectory|None)``.
+    """
     import tempfile
-    import threading
     from pathlib import Path
 
-    from repro.baselines.independence import IndependenceEstimator
+    from repro.rdf.backend import (
+        SnapshotError,
+        read_sharded_manifest,
+        snapshot_format,
+    )
+
+    if shards is None:
+        return snapshot, None
+    try:
+        already = snapshot_format(snapshot) == "repro-sharded"
+    except SnapshotError as exc:
+        raise SystemExit(f"snapshot inspection failed: {exc}")
+    if already and read_sharded_manifest(snapshot)["num_shards"] == shards:
+        return snapshot, None
+    scratch = tempfile.TemporaryDirectory(prefix="repro-shards-")
+    snapshot_dir = str(Path(scratch.name) / "snapshot")
+    try:
+        TripleStore.load_snapshot(snapshot, verify=False).save_snapshot(
+            snapshot_dir, record_source=False, shards=shards
+        )
+    except SnapshotError as exc:
+        scratch.cleanup()
+        raise SystemExit(f"re-sharding failed: {exc}")
+    print(
+        f"re-sharded {snapshot} into {shards} shard(s) at {snapshot_dir}"
+    )
+    return snapshot_dir, scratch
+
+
+def _inline_or_file(text: str) -> str:
+    """A flag value that is the content itself or a path to it."""
+    import os
+    from pathlib import Path
+
+    return Path(text).read_text() if os.path.isfile(text) else text
+
+
+def _install_serve_signals(app):
+    """SIGHUP reloads the checkpoint, SIGTERM drains and stops *app*;
+    returns the event SIGTERM sets.
+
+    Both handlers hand off to a thread: a reload takes seconds, and
+    ``app.close()`` blocks until the serving loop on this (the
+    signal-handling) thread exits.  close() stops accepting and answers
+    every accepted request first, so a TERM mid-batch drops nothing.
+    """
+    import signal
+    import threading
+
+    def _reload() -> None:
+        try:
+            summary = app.runtime.reload()
+            print(
+                "SIGHUP reload: now serving generation "
+                f"{summary['generation']} from "
+                f"{summary['checkpoint']}",
+                flush=True,
+            )
+        except Exception as exc:  # noqa: BLE001 — keep serving
+            print(
+                f"SIGHUP reload failed ({exc}); the previous "
+                "checkpoint keeps serving",
+                flush=True,
+            )
+
+    got_sigterm = threading.Event()
+
+    def _drain() -> None:
+        got_sigterm.set()
+        app.close()
+
+    def in_thread(target, name):
+        return lambda signum, frame: threading.Thread(
+            target=target, name=name, daemon=True
+        ).start()
+
+    if hasattr(signal, "SIGHUP"):
+        signal.signal(
+            signal.SIGHUP, in_thread(_reload, "repro-sighup-reload")
+        )
+    if hasattr(signal, "SIGTERM"):
+        signal.signal(
+            signal.SIGTERM, in_thread(_drain, "repro-sigterm-drain")
+        )
+    return got_sigterm
+
+
+def cmd_serve(args) -> int:
+    from repro.maintain.freshness import FreshnessPolicy
     from repro.serve import (
-        BatchScheduler,
-        CircuitBreaker,
-        EstimatorService,
         FaultSpec,
         FaultSpecError,
         FitDefaults,
-        ResilientBackend,
         ServiceError,
-        ServingRuntime,
-        ShapeManifest,
-        SupervisedPool,
+        ServingApp,
         SupervisorError,
-        make_server,
-        save_checkpoint,
     )
 
     if args.workers < 1:
@@ -673,198 +755,50 @@ def cmd_serve(args) -> int:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     fault_spec = None
     if args.faults:
-        text = args.faults
-        if os.path.isfile(text):
-            text = Path(text).read_text()
         try:
-            fault_spec = FaultSpec.from_json(text)
+            fault_spec = FaultSpec.from_json(_inline_or_file(args.faults))
         except FaultSpecError as exc:
             raise SystemExit(f"--faults: {exc}")
-    fit_defaults = FitDefaults(
-        queries_per_shape=args.fit_queries, epochs=args.fit_epochs
+    snapshot_dir, shard_tempdir = _reshard_for_serving(
+        args.snapshot, args.shards
     )
-    snapshot_dir = args.snapshot
-    shard_tempdir = None
-    if args.shards is not None:
-        from repro.rdf.backend import SnapshotError, snapshot_format
-
-        # Re-shard the snapshot into a scratch directory so the service
-        # and every pool worker attach the sharded layout.  A snapshot
-        # that is already sharded the right way is served in place.
+    try:
         try:
-            already = snapshot_format(args.snapshot) == "repro-sharded"
-        except SnapshotError as exc:
-            raise SystemExit(f"snapshot inspection failed: {exc}")
-        resharded = True
-        if already:
-            from repro.rdf.backend import read_sharded_manifest
-
-            manifest = read_sharded_manifest(args.snapshot)
-            resharded = manifest["num_shards"] != args.shards
-        if resharded:
-            shard_tempdir = tempfile.TemporaryDirectory(
-                prefix="repro-shards-"
+            app = ServingApp(
+                snapshot_dir,
+                args.checkpoint,
+                save_checkpoint=args.save_checkpoint,
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                max_batch=args.max_batch,
+                max_delay_ms=args.max_delay_ms,
+                max_queue=args.max_queue,
+                fit_defaults=FitDefaults(
+                    queries_per_shape=args.fit_queries,
+                    epochs=args.fit_epochs,
+                ),
+                request_timeout=args.request_timeout,
+                restart_budget=args.restart_budget,
+                breaker_threshold=args.breaker_threshold,
+                breaker_reset_s=args.breaker_reset_s,
+                fallback=not args.no_fallback,
+                admission=not args.no_admission,
+                freshness_policy=FreshnessPolicy(
+                    warn_after=args.freshness_warn,
+                    error_after=args.freshness_error,
+                ),
+                fault_spec=fault_spec,
+                quiet=not args.verbose,
             )
-            snapshot_dir = str(Path(shard_tempdir.name) / "snapshot")
-            try:
-                TripleStore.load_snapshot(
-                    args.snapshot, verify=False
-                ).save_snapshot(
-                    snapshot_dir, record_source=False, shards=args.shards
-                )
-            except SnapshotError as exc:
-                shard_tempdir.cleanup()
-                raise SystemExit(f"re-sharding failed: {exc}")
-            print(
-                f"re-sharded {args.snapshot} into {args.shards} "
-                f"shard(s) at {snapshot_dir}"
-            )
-    try:
-        service = EstimatorService.from_snapshot(
-            snapshot_dir, args.checkpoint, fit_defaults
-        )
-    except ServiceError as exc:
-        if shard_tempdir is not None:
-            shard_tempdir.cleanup()
-        raise SystemExit(str(exc))
-    checkpoint_dir = args.checkpoint
-    if args.save_checkpoint:
-        save_checkpoint(service.framework, args.save_checkpoint)
-        checkpoint_dir = args.save_checkpoint
-        print(f"checkpoint written to {args.save_checkpoint}")
-    pool = None
-    tempdir = None
-    try:
-        if args.workers > 1:
-            if checkpoint_dir is None:
-                # Workers rebuild the framework from disk; a startup-fit
-                # model must be checkpointed somewhere first.
-                tempdir = tempfile.TemporaryDirectory(
-                    prefix="repro-serve-"
-                )
-                checkpoint_dir = Path(tempdir.name) / "checkpoint"
-                save_checkpoint(service.framework, checkpoint_dir)
-            try:
-                pool = SupervisedPool(
-                    snapshot_dir,
-                    checkpoint_dir,
-                    args.workers,
-                    request_timeout=args.request_timeout,
-                    restart_budget=args.restart_budget,
-                    fault_spec=fault_spec,
-                )
-            except SupervisorError as exc:
-                raise SystemExit(str(exc))
-            primary = pool.estimate_batch
-            backend_faults = None  # the workers inject their own
-        else:
-            primary = service.framework.estimate_batch
-            backend_faults = fault_spec
-        fallback = None
-        if not args.no_fallback:
-            fallback = IndependenceEstimator(service.store).estimate_batch
-        backend = ResilientBackend(
-            primary,
-            fallback=fallback,
-            breaker=CircuitBreaker(
-                failure_threshold=args.breaker_threshold,
-                reset_timeout_s=args.breaker_reset_s,
-            ),
-            faults=backend_faults,
-        )
-        scheduler = BatchScheduler(
-            backend,
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            max_queue=args.max_queue,
-        )
-        if service.artifact is None and checkpoint_dir is not None:
-            # Startup-fit service whose framework we just checkpointed:
-            # adopt the freshly written artifact so /healthz reports its
-            # schema version from the start.
-            from repro.serve import load_artifact
-
-            service.artifact = load_artifact(checkpoint_dir)
-        admission = None
-        if not args.no_admission:
-            admission = (
-                service.artifact.shapes
-                if service.artifact is not None
-                and service.artifact.shapes is not None
-                else ShapeManifest.from_framework(service.framework)
-            )
-        from repro.maintain.freshness import FreshnessPolicy
-
-        runtime = ServingRuntime(
-            service,
-            scheduler,
-            backend,
-            pool=pool,
-            admission=admission,
-            artifact=service.artifact,
-            checkpoint_dir=checkpoint_dir,
-            admission_enabled=not args.no_admission,
-            freshness_policy=FreshnessPolicy(
-                warn_after=args.freshness_warn,
-                error_after=args.freshness_error,
-            ),
-        )
-        server = make_server(
-            service,
-            scheduler,
-            host=args.host,
-            port=args.port,
-            quiet=not args.verbose,
-            runtime=runtime,
-        )
-        if hasattr(signal, "SIGHUP"):
-            def _reload_async() -> None:
-                try:
-                    summary = runtime.reload()
-                    print(
-                        "SIGHUP reload: now serving generation "
-                        f"{summary['generation']} from "
-                        f"{summary['checkpoint']}",
-                        flush=True,
-                    )
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    print(
-                        f"SIGHUP reload failed ({exc}); the previous "
-                        "checkpoint keeps serving",
-                        flush=True,
-                    )
-
-            signal.signal(
-                signal.SIGHUP,
-                lambda signum, frame: threading.Thread(
-                    target=_reload_async,
-                    name="repro-sighup-reload",
-                    daemon=True,
-                ).start(),
-            )
-        # Graceful drain on SIGTERM: stop accepting (new requests on
-        # live keep-alive connections get 503), flush every in-flight
-        # scheduler batch so accepted requests still get answers, then
-        # exit 0 — a TERM mid-batch never drops queued requests.
-        got_sigterm = threading.Event()
-
-        def _on_sigterm(signum, frame) -> None:
-            got_sigterm.set()
-            server.begin_drain()
-            # shutdown() blocks until serve_forever returns, so it must
-            # run off the signal-handling (main) thread.
-            threading.Thread(
-                target=server.shutdown,
-                name="repro-sigterm-drain",
-                daemon=True,
-            ).start()
-
-        if hasattr(signal, "SIGTERM"):
-            signal.signal(signal.SIGTERM, _on_sigterm)
-        host, port = server.server_address[:2]
+        except (ServiceError, SupervisorError) as exc:
+            raise SystemExit(str(exc))
+        if args.save_checkpoint:
+            print(f"checkpoint written to {args.save_checkpoint}")
+        got_sigterm = _install_serve_signals(app)
         print(
-            f"serving {len(service.store)} triples at "
-            f"http://{host}:{port} ({args.workers} worker(s), "
+            f"serving {len(app.service.store)} triples at "
+            f"{app.url} ({args.workers} worker(s), "
             f"max_batch={args.max_batch}, "
             f"max_delay={args.max_delay_ms} ms, "
             f"fallback={'off' if args.no_fallback else 'independence'}, "
@@ -872,13 +806,11 @@ def cmd_serve(args) -> int:
             flush=True,
         )
         try:
-            server.serve_forever()
+            app.serve_forever()
         except KeyboardInterrupt:
             pass
         finally:
-            server.server_close()
-            scheduler.close()
-            drained = server.wait_inflight_drained()
+            drained = app.close()
             if got_sigterm.is_set():
                 print(
                     "SIGTERM: drained "
@@ -887,10 +819,6 @@ def cmd_serve(args) -> int:
                     flush=True,
                 )
     finally:
-        if pool is not None:
-            pool.close()
-        if tempdir is not None:
-            tempdir.cleanup()
         if shard_tempdir is not None:
             shard_tempdir.cleanup()
     return 0
@@ -950,7 +878,6 @@ _SELF_HOSTED_ACTIONS = {
 
 def cmd_replay_run(args) -> int:
     import json
-    import os
     from pathlib import Path
 
     from repro.replay import (
@@ -973,11 +900,8 @@ def cmd_replay_run(args) -> int:
         raise SystemExit(f"--trace: {exc}")
     steps = []
     if args.timeline:
-        text = args.timeline
-        if os.path.isfile(text):
-            text = Path(text).read_text()
         try:
-            steps = parse_timeline(text)
+            steps = parse_timeline(_inline_or_file(args.timeline))
         except TimelineError as exc:
             raise SystemExit(f"--timeline: {exc}")
     slo = SLO(
@@ -1459,11 +1383,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-checkpoint",
         help="write the served framework to this checkpoint directory",
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
+    from repro.serve import (
+        DEFAULT_HOST,
+        DEFAULT_PORT,
+        BatchScheduler,
+        CircuitBreaker,
+        SupervisedPool,
+    )
+
+    p_serve.add_argument("--host", default=DEFAULT_HOST)
     p_serve.add_argument(
         "--port",
         type=int,
-        default=8310,
+        default=DEFAULT_PORT,
         help="listen port (0 = ephemeral)",
     )
     p_serve.add_argument(
@@ -1487,19 +1419,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-batch",
         type=int,
-        default=64,
+        default=BatchScheduler.MAX_BATCH,
         help="flush a micro-batch once this many queries are pending",
     )
     p_serve.add_argument(
         "--max-delay-ms",
         type=float,
-        default=2.0,
+        default=BatchScheduler.MAX_DELAY_MS,
         help="longest a request waits to be co-batched",
     )
     p_serve.add_argument(
         "--max-queue",
         type=int,
-        default=4096,
+        default=BatchScheduler.MAX_QUEUE,
         help="pending-query capacity before requests get 429",
     )
     from repro.serve.service import (
@@ -1522,7 +1454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--request-timeout",
         type=float,
-        default=30.0,
+        default=SupervisedPool.REQUEST_TIMEOUT,
         help=(
             "seconds a worker may spend on one chunk before it is "
             "declared hung and restarted (multi-worker mode)"
@@ -1531,13 +1463,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--restart-budget",
         type=int,
-        default=16,
+        default=SupervisedPool.RESTART_BUDGET,
         help="total worker restarts allowed over the server's lifetime",
     )
     p_serve.add_argument(
         "--breaker-threshold",
         type=int,
-        default=3,
+        default=CircuitBreaker.FAILURE_THRESHOLD,
         help=(
             "consecutive model-path failures before the circuit "
             "breaker opens and traffic degrades to the fallback"
@@ -1546,7 +1478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--breaker-reset-s",
         type=float,
-        default=5.0,
+        default=CircuitBreaker.RESET_TIMEOUT_S,
         help="seconds the breaker stays open before a half-open probe",
     )
     p_serve.add_argument(
@@ -1687,9 +1619,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--fit-queries", type=int, default=100)
     p_run.add_argument("--fit-epochs", type=int, default=4)
-    p_run.add_argument("--max-batch", type=int, default=64)
-    p_run.add_argument("--max-delay-ms", type=float, default=2.0)
-    p_run.add_argument("--max-queue", type=int, default=4096)
+    p_run.add_argument(
+        "--max-batch", type=int, default=BatchScheduler.MAX_BATCH
+    )
+    p_run.add_argument(
+        "--max-delay-ms", type=float, default=BatchScheduler.MAX_DELAY_MS
+    )
+    p_run.add_argument(
+        "--max-queue", type=int, default=BatchScheduler.MAX_QUEUE
+    )
     p_run.add_argument(
         "--deadline-s",
         type=float,

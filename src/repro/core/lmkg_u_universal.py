@@ -32,9 +32,9 @@ import numpy as np
 from repro.core.estimator import Estimator, finalize_estimates
 from repro.core.lmkg_u import (
     _CHUNK_BUDGETS,
+    LMKGU,
     GumbelStream,
     LMKGUConfig,
-    likelihood_weighted_probability,
     sweep_probability_block,
 )
 from repro.nn.masked import MADE
@@ -280,57 +280,15 @@ class UniversalLMKGU(Estimator):
             )
         return float(self.total_universe) * out
 
-    def _noise_stream(self) -> GumbelStream:
-        """Lazily-built shared noise table (seed- and shape-keyed)."""
-        if self._noise is None:
-            self._noise = GumbelStream(
-                self.config.seed,
-                self.num_positions,
-                max(self._vocab_sizes),
-            )
-        return self._noise
-
-    def _probability(
-        self, constraints: Sequence[Optional[int]]
-    ) -> float:
-        """Likelihood weighting over one incremental fused-float32 sweep.
-
-        Same inverse-CDF sampler and RNG stream as the seed; the
-        conditionals come from :meth:`MADE.begin_sweep` so only the
-        changed embed-dim block re-enters the first (widest) matmul per
-        position.  The sampler itself is shared with :class:`LMKGU`.
-        """
-        model = self.model
-        assert model is not None
-        fully_bound = all(v is not None for v in constraints)
-        particles = 1 if fully_bound else self.config.particles
-        rng = np.random.default_rng(self.config.seed + 9)
-        return likelihood_weighted_probability(
-            model, constraints, particles, rng
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def num_parameters(self) -> int:
-        if self.model is None:
-            raise RuntimeError("model not built yet")
-        return self.model.num_parameters()
-
-    def memory_bytes(self) -> int:
-        """True in-memory footprint: float64 masters + fused float32
-        inference caches + bool layer masks."""
-        if self.model is None:
-            raise RuntimeError("model not built yet")
-        return self.model.memory_bytes()
-
-    def checkpoint_bytes(self) -> int:
-        """Paper-facing model size at float32 checkpoint precision."""
-        if self.model is None:
-            raise RuntimeError("model not built yet")
-        return self.model.checkpoint_bytes()
-
+    # The noise table, the single-query sampler and the size accounting
+    # are LMKGU's own: both classes keep ``model`` / ``config`` /
+    # ``_noise`` / ``num_positions`` / ``_vocab_sizes`` under the same
+    # names, so one definition serves both.
+    _noise_stream = LMKGU._noise_stream
+    _probability = LMKGU._probability
+    num_parameters = LMKGU.num_parameters
+    memory_bytes = LMKGU.memory_bytes
+    checkpoint_bytes = LMKGU.checkpoint_bytes
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -20,12 +20,9 @@ folds delta and pending rows into a fresh committed backend (same
 backend type, same shard layout), so steady-state queries always run
 against flat arrays with no per-triple Python overhead.
 
-:class:`TripleStore` is a *facade*: its mutation and accessor API is
-unchanged from the original dict-of-dict-of-set implementation, so the
-matcher, the baselines, and all existing callers keep working.  The
-legacy set/list accessors (:meth:`objects_of`, :meth:`out_edges`, ...)
-are now thin shims over the backend's sorted-ndarray equivalents —
-internal hot paths read :attr:`TripleStore.backend` directly.  Every
+:class:`TripleStore` is a *facade* over mutation, statistics and
+persistence; pattern access paths (``objects_of``, ``out_slice``, ...)
+are read from :attr:`TripleStore.backend` as sorted ndarrays.  Every
 derived structure is cached lazily and stamped with the store's
 **generation counter**, which every mutation bumps (``add`` per new
 triple, ``add_all`` exactly once per batch that added anything); a
@@ -436,38 +433,6 @@ class TripleStore:
         """All distinct object ids (sorted)."""
         return self.backend.objects().tolist()
 
-    def objects_of(self, s: int, p: int) -> Set[int]:
-        """Objects o with (s, p, o) in the store.
-
-        Legacy set shim; array consumers should call
-        ``store.backend.objects_of(s, p)`` (sorted ndarray, no copy).
-        """
-        return set(self.backend.objects_of(s, p).tolist())
-
-    def subjects_of(self, p: int, o: int) -> Set[int]:
-        """Subjects s with (s, p, o) in the store.
-
-        Legacy set shim; array consumers should call
-        ``store.backend.subjects_of(p, o)``.
-        """
-        return set(self.backend.subjects_of(p, o).tolist())
-
-    def predicates_between(self, s: int, o: int) -> Set[int]:
-        """Predicates p with (s, p, o) in the store.
-
-        Legacy set shim; array consumers should call
-        ``store.backend.predicates_between(s, o)``.
-        """
-        return set(self.backend.predicates_between(s, o).tolist())
-
-    def out_predicates(self, s: int) -> Set[int]:
-        """The emitting predicate set of *s* (its characteristic set).
-
-        Legacy set shim; array consumers should call
-        ``store.backend.out_predicates(s)`` (sorted distinct ndarray).
-        """
-        return set(self.backend.out_predicates(s).tolist())
-
     def subjects_with_predicate(self, p: int) -> List[int]:
         """Distinct subjects appearing with predicate *p* (sorted)."""
         return self.backend.predicate_subject_stats(p)[0].tolist()
@@ -475,24 +440,6 @@ class TripleStore:
     def objects_with_predicate(self, p: int) -> List[int]:
         """Distinct objects appearing with predicate *p* (sorted)."""
         return self.backend.predicate_object_stats(p)[0].tolist()
-
-    def out_edges(self, s: int) -> List[Tuple[int, int]]:
-        """All (p, o) pairs leaving node *s*, sorted by (p, o).
-
-        Legacy list shim; array consumers should call
-        ``store.backend.out_slice(s)`` for the two sorted columns.
-        """
-        preds, objs = self.backend.out_slice(s)
-        return list(zip(preds.tolist(), objs.tolist()))
-
-    def in_edges(self, o: int) -> List[Tuple[int, int]]:
-        """All (s, p) pairs entering node *o*, sorted by (s, p).
-
-        Legacy list shim; array consumers should call
-        ``store.backend.in_slice(o)`` for the two sorted columns.
-        """
-        subs, preds = self.backend.in_slice(o)
-        return list(zip(subs.tolist(), preds.tolist()))
 
     def out_degree(self, s: int) -> int:
         return self.backend.out_degree(s)

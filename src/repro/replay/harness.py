@@ -1,16 +1,10 @@
-"""In-process serving stack + chaos hooks for replay runs.
+"""Chaos hooks over a live in-process serving stack, for replay runs.
 
-:class:`ReplayHarness` assembles the full PR 1–9 serving stack — the
-snapshot-backed :class:`~repro.serve.service.EstimatorService`, an
-optional :class:`~repro.serve.supervisor.SupervisedPool` of worker
-processes, the circuit-breaker
-:class:`~repro.serve.supervisor.ResilientBackend`, the micro-batching
-:class:`~repro.serve.scheduler.BatchScheduler`, the
-:class:`~repro.serve.supervisor.ServingRuntime`, and the HTTP server on
-an ephemeral port — inside the current process, so a chaos timeline can
-reach the parts an external client cannot: worker PIDs to SIGKILL, the
-live store copy to mutate, the maintenance runner to race against
-traffic.
+:class:`ReplayHarness` is a :class:`~repro.serve.app.ServingApp` — the
+stack is built, addressed and torn down there — running inside the
+current process, so a chaos timeline can reach the parts an external
+client cannot: worker PIDs to SIGKILL, the live store copy to mutate,
+the maintenance runner to race against traffic.
 
 It is also the :class:`~repro.replay.timeline.TimelineContext`: the
 ``kill worker`` / ``reload`` / ``mutate`` / ``maintain`` / ``corrupt``
@@ -24,28 +18,14 @@ import json
 import os
 import signal
 import tempfile
-import threading
-import time
 from http.client import HTTPConnection
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.rdf.store import TripleStore
-from repro.serve import (
-    BatchScheduler,
-    CircuitBreaker,
-    EstimatorService,
-    FaultSpec,
-    FitDefaults,
-    ResilientBackend,
-    ServingRuntime,
-    ShapeManifest,
-    SupervisedPool,
-    make_server,
-    save_checkpoint,
-)
+from repro.serve import ServingApp
 from repro.serve.faults import corrupt_checkpoint
 
 
@@ -83,22 +63,24 @@ def vocab_preserving_delta(
     return delta[:target]
 
 
-class ReplayHarness:
+class ReplayHarness(ServingApp):
     """A live in-process server plus every chaos hook the DSL needs.
 
     Args:
         snapshot_dir: store snapshot to serve (and to seed the mutable
             live-store copy the maintenance runner works on).
-        checkpoint_dir: trained checkpoint; None = startup-fit from
-            *fit_defaults* (checkpointed to a scratch dir when workers
-            or maintenance need one on disk).
-        workers: > 1 spawns a supervised worker pool (required for
-            ``kill worker``).
+        checkpoint_dir: trained checkpoint; None = startup-fit,
+            checkpointed to a scratch dir (a corrupt-checkpoint storm
+            needs an artifact on disk to damage).
         maintain_state_dir: maintenance state dir; None = scratch.
         maintain_options: kwargs forwarded to
             :class:`~repro.maintain.runner.MaintenanceRunner` (shapes,
             queries_per_shape, epochs, finetune_epochs, hidden_sizes,
             seed, grouping).
+        seed: seeds the ``mutate`` deltas.
+        **serving: every other :class:`ServingApp` argument (``workers``
+            > 1 is required for ``kill worker``); the port defaults to
+            an ephemeral one.
     """
 
     def __init__(
@@ -106,24 +88,11 @@ class ReplayHarness:
         snapshot_dir,
         checkpoint_dir=None,
         *,
-        workers: int = 1,
-        fit_defaults: Optional[FitDefaults] = None,
-        max_batch: int = 64,
-        max_delay_ms: float = 2.0,
-        max_queue: int = 4096,
-        fault_spec: Optional[FaultSpec] = None,
-        fallback: bool = True,
-        admission: bool = True,
-        request_timeout: float = 30.0,
-        restart_budget: int = 16,
         maintain_state_dir=None,
         maintain_options: Optional[dict] = None,
         seed: int = 0,
+        **serving,
     ) -> None:
-        from repro.baselines.independence import IndependenceEstimator
-        from repro.maintain.freshness import FreshnessPolicy
-
-        self.snapshot_dir = str(snapshot_dir)
         self._tempdir = tempfile.TemporaryDirectory(
             prefix="repro-replay-"
         )
@@ -137,102 +106,14 @@ class ReplayHarness:
             if maintain_state_dir is not None
             else Path(self._tempdir.name) / "maintain-state"
         )
-        self.service = EstimatorService.from_snapshot(
-            self.snapshot_dir, checkpoint_dir, fit_defaults
-        )
-        self.checkpoint_dir = checkpoint_dir
-        self.pool = None
-        if workers > 1 or checkpoint_dir is None:
-            # Workers rebuild from disk, and a corrupt-checkpoint storm
-            # needs an artifact to damage: make sure one exists.
-            if checkpoint_dir is None:
-                self.checkpoint_dir = str(
-                    Path(self._tempdir.name) / "checkpoint"
-                )
-                save_checkpoint(
-                    self.service.framework, self.checkpoint_dir
-                )
-        if workers > 1:
-            self.pool = SupervisedPool(
-                self.snapshot_dir,
-                self.checkpoint_dir,
-                workers,
-                request_timeout=request_timeout,
-                restart_budget=restart_budget,
-                fault_spec=fault_spec,
+        if checkpoint_dir is None:
+            serving["save_checkpoint"] = (
+                Path(self._tempdir.name) / "checkpoint"
             )
-            primary = self.pool.estimate_batch
-            backend_faults = None
-        else:
-            primary = self.service.framework.estimate_batch
-            backend_faults = fault_spec
-        self.backend = ResilientBackend(
-            primary,
-            fallback=(
-                IndependenceEstimator(self.service.store).estimate_batch
-                if fallback
-                else None
-            ),
-            breaker=CircuitBreaker(),
-            faults=backend_faults,
-        )
-        self.scheduler = BatchScheduler(
-            self.backend,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            max_queue=max_queue,
-        )
-        if self.service.artifact is None and self.checkpoint_dir:
-            from repro.serve import load_artifact
-
-            self.service.artifact = load_artifact(self.checkpoint_dir)
-        manifest = None
-        if admission:
-            manifest = (
-                self.service.artifact.shapes
-                if self.service.artifact is not None
-                and self.service.artifact.shapes is not None
-                else ShapeManifest.from_framework(self.service.framework)
-            )
-        self.runtime = ServingRuntime(
-            self.service,
-            self.scheduler,
-            self.backend,
-            pool=self.pool,
-            admission=manifest,
-            artifact=self.service.artifact,
-            checkpoint_dir=self.checkpoint_dir,
-            admission_enabled=admission,
-            freshness_policy=FreshnessPolicy(),
-        )
-        self.server = make_server(
-            self.service,
-            self.scheduler,
-            port=0,
-            runtime=self.runtime,
-        )
-        self._thread = threading.Thread(
-            target=self.server.serve_forever,
-            name="repro-replay-server",
-            daemon=True,
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    # Address surface
-    # ------------------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self.server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        serving.setdefault("port", 0)
+        # A failed build runs close(), which also removes the scratch.
+        super().__init__(snapshot_dir, checkpoint_dir, **serving)
+        self.start()
 
     # ------------------------------------------------------------------
     # TimelineContext
@@ -382,34 +263,7 @@ class ReplayHarness:
             f"({body.get('reason')})"
         )
 
-    # ------------------------------------------------------------------
-    # Introspection / teardown
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return self.scheduler.stats()
-
-    def wait_ready(self, timeout: float = 30.0) -> None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            try:
-                conn = HTTPConnection(
-                    self.host, self.port, timeout=2.0
-                )
-                conn.request("GET", "/healthz")
-                if conn.getresponse().status == 200:
-                    conn.close()
-                    return
-                conn.close()
-            except OSError:
-                time.sleep(0.05)
-        raise HarnessError("server did not become healthy in time")
-
-    def close(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.scheduler.close()
-        if self.pool is not None:
-            self.pool.close()
-        self._thread.join(timeout=10.0)
+    def close(self) -> bool:
+        drained = super().close()
         self._tempdir.cleanup()
+        return drained

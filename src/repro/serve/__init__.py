@@ -30,9 +30,13 @@ top:
 - chaos tooling (:mod:`repro.serve.faults`) — deterministic fault
   injection (kills, hangs, delays, poison queries, checkpoint
   corruption) for the chaos test suite.
+
+:class:`ServingApp` (:mod:`repro.serve.app`) is the composition root:
+the one place these layers are wired together and torn down.
 """
 
 from repro.serve.admission import AdmissionError, ShapeManifest
+from repro.serve.app import ServingApp
 from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
@@ -52,6 +56,8 @@ from repro.serve.faults import (
     corrupt_checkpoint,
 )
 from repro.serve.http import (
+    DEFAULT_HOST,
+    DEFAULT_PORT,
     EstimatorHTTPServer,
     make_server,
 )
@@ -90,6 +96,8 @@ __all__ = [
     "CORRUPTION_MODES",
     "CheckpointArtifact",
     "CircuitBreaker",
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
     "DEFAULT_FIT_EPOCHS",
     "DEFAULT_FIT_HIDDEN",
     "DEFAULT_FIT_QUERIES",
@@ -109,6 +117,7 @@ __all__ = [
     "SUPPORTED_SCHEMA_VERSIONS",
     "SchedulerClosedError",
     "ServiceError",
+    "ServingApp",
     "ServingRuntime",
     "ServingWorkerError",
     "ShapeManifest",

@@ -60,6 +60,10 @@ from repro.serve.scheduler import (
 from repro.serve.service import EstimatorService, ServiceError
 from repro.serve.supervisor import ReloadError, ServingRuntime
 
+#: where ``repro serve`` listens unless told otherwise.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8310
+
 #: request bodies beyond this are rejected (413) before being read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -423,8 +427,8 @@ class _Handler(BaseHTTPRequestHandler):
 def make_server(
     service: EstimatorService,
     scheduler: BatchScheduler,
-    host: str = "127.0.0.1",
-    port: int = 8310,
+    host: str = DEFAULT_HOST,
+    port: int = DEFAULT_PORT,
     quiet: bool = True,
     runtime: Optional[ServingRuntime] = None,
 ) -> EstimatorHTTPServer:

@@ -119,12 +119,18 @@ class BatchScheduler:
             always admits, so rejection means retrying can succeed.
     """
 
+    #: the batching policy defaults; :mod:`repro.serve.app` and the CLI
+    #: read them from here instead of restating the literals.
+    MAX_BATCH = 64
+    MAX_DELAY_MS = 2.0
+    MAX_QUEUE = 4096
+
     def __init__(
         self,
         estimate_batch: Callable[[List], np.ndarray],
-        max_batch: int = 64,
-        max_delay_ms: float = 2.0,
-        max_queue: int = 4096,
+        max_batch: int = MAX_BATCH,
+        max_delay_ms: float = MAX_DELAY_MS,
+        max_queue: int = MAX_QUEUE,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -226,7 +232,6 @@ class BatchScheduler:
                 "queries": c.queries,
                 "batches": c.batches,
                 "rejected": c.rejected,
-                "shed": c.rejected,  # alias: load-shed 429s
                 "errors": c.errors,
                 "retries": c.retries,
                 "queue_depth": self._pending_queries,

@@ -40,6 +40,7 @@ above instead of trusting them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 import time
@@ -230,13 +231,18 @@ class SupervisedPool:
     #: kills every worker on every request).
     MAX_CHUNK_RETRIES = 16
 
+    #: supervision defaults; :mod:`repro.serve.app` and the CLI read
+    #: them from here instead of restating the literals.
+    REQUEST_TIMEOUT = 30.0
+    RESTART_BUDGET = 16
+
     def __init__(
         self,
         snapshot_dir: Union[str, Path],
         checkpoint_dir: Union[str, Path],
         workers: int,
-        request_timeout: float = 30.0,
-        restart_budget: int = 16,
+        request_timeout: float = REQUEST_TIMEOUT,
+        restart_budget: int = RESTART_BUDGET,
         backoff_base: float = 0.2,
         backoff_max: float = 5.0,
         fault_spec: Optional[FaultSpec] = None,
@@ -267,7 +273,10 @@ class SupervisedPool:
             mp_context if mp_context is not None else "spawn"
         )
         #: serializes estimate_batch callers and reload's set swap.
-        self._dispatch_lock = threading.Lock()
+        #: Re-entrant so whoever labels answers with a generation can
+        #: hold it from reading the label to the end of the dispatch
+        #: (:meth:`ResilientBackend.serialize_with`).
+        self.dispatch_lock = threading.RLock()
         #: guards worker slot state; supervisor thread waits on it.
         self._state_cv = threading.Condition()
         self._closed = False
@@ -469,7 +478,7 @@ class SupervisedPool:
         queries = list(queries)
         if not queries:
             return np.zeros(0, dtype=np.float64)
-        with self._dispatch_lock:
+        with self.dispatch_lock:
             return self._dispatch(queries)
 
     def _dispatch(self, queries: List[QueryPattern]) -> np.ndarray:
@@ -595,6 +604,7 @@ class SupervisedPool:
         self,
         checkpoint_dir: Union[str, Path],
         snapshot_dir: Union[str, Path, None] = None,
+        on_flip: Optional[Callable[[], None]] = None,
     ) -> int:
         """Swap every worker onto *checkpoint_dir* with zero downtime.
 
@@ -603,6 +613,11 @@ class SupervisedPool:
         batches (under the dispatch lock), and the old set is stopped.
         Any new-worker failure aborts the swap with the old set
         untouched.  Returns the new worker-set generation.
+
+        *on_flip* runs at the flip, still under the dispatch lock and
+        before the old set is stopped (tenths of a second): whatever
+        labels answers with a generation must move there, because
+        every batch dispatched from then on is computed by the new set.
 
         *snapshot_dir* additionally re-attaches the new set to a
         different snapshot — the maintenance path, which publishes a
@@ -619,7 +634,7 @@ class SupervisedPool:
         except BaseException:
             self.snapshot_dir = old_snapshot
             raise
-        with self._dispatch_lock:
+        with self.dispatch_lock:
             with self._state_cv:
                 old_workers = self._workers
                 self._workers = new_workers
@@ -627,6 +642,8 @@ class SupervisedPool:
                 self._set_generation += 1
                 generation = self._set_generation
                 self._state_cv.notify_all()
+            if on_flip is not None:
+                on_flip()
         self._stop_set(old_workers)
         return generation
 
@@ -697,10 +714,15 @@ class CircuitBreaker:
     tests drive the schedule deterministically.
     """
 
+    #: breaker defaults; :mod:`repro.serve.app` and the CLI read them
+    #: from here instead of restating the literals.
+    FAILURE_THRESHOLD = 3
+    RESET_TIMEOUT_S = 5.0
+
     def __init__(
         self,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 5.0,
+        failure_threshold: int = FAILURE_THRESHOLD,
+        reset_timeout_s: float = RESET_TIMEOUT_S,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
@@ -822,6 +844,7 @@ class ResilientBackend:
             FaultInjector(faults) if faults and faults.enabled else None
         )
         self._generation = generation
+        self._call_lock = contextlib.nullcontext()
         self._active: Dict[int, int] = {}  # id(fn) -> in-flight calls
         self._primary_batches = 0
         self._degraded_batches = 0
@@ -833,7 +856,23 @@ class ResilientBackend:
 
     # -- call path ------------------------------------------------------
 
+    def serialize_with(self, lock) -> None:
+        """Hold *lock* from reading the label to the end of each call.
+
+        For a primary that swaps what is behind it under a lock of its
+        own (:attr:`SupervisedPool.dispatch_lock`): without this a flip
+        can land between reading the generation and dispatching, and
+        that batch is computed by generation g + 1 but labelled g.
+        """
+        self._call_lock = lock
+
     def __call__(
+        self, queries: Sequence[QueryPattern]
+    ) -> Tuple[np.ndarray, dict]:
+        with self._call_lock:
+            return self._call(queries)
+
+    def _call(
         self, queries: Sequence[QueryPattern]
     ) -> Tuple[np.ndarray, dict]:
         with self._lock:
@@ -970,6 +1009,9 @@ class ServingRuntime:
         self.scheduler = scheduler
         self.backend = backend
         self.pool = pool
+        if pool is not None:
+            # reload() flips pool and backend together under this lock.
+            backend.serialize_with(pool.dispatch_lock)
         self.artifact = artifact
         self.admission_enabled = admission_enabled
         self.admission = admission if admission_enabled else None
@@ -1038,19 +1080,30 @@ class ServingRuntime:
             else:
                 store = self.service.store
             framework, artifact = load_checkpoint(path, store)
+
+            def flip() -> None:
+                self.backend.swap_primary(
+                    self.pool.estimate_batch
+                    if self.pool is not None
+                    else framework.estimate_batch
+                )
+                self.service.store = store
+                self.service.framework = framework
+                self.artifact = artifact
+                if self.admission_enabled:
+                    self.admission = artifact.shapes
+                self.checkpoint_dir = path
+                self.reloads += 1
+
             if self.pool is not None:
-                self.pool.reload(path, snapshot_dir=snapshot_dir)
-                new_fn = self.pool.estimate_batch
+                # The pool runs flip() when its set pointer moves, not
+                # after the old set is stopped: an answer's generation
+                # must name the checkpoint that computed it.
+                self.pool.reload(
+                    path, snapshot_dir=snapshot_dir, on_flip=flip
+                )
             else:
-                new_fn = framework.estimate_batch
-            self.backend.swap_primary(new_fn)
-            self.service.store = store
-            self.service.framework = framework
-            self.artifact = artifact
-            if self.admission_enabled:
-                self.admission = artifact.shapes
-            self.checkpoint_dir = path
-            self.reloads += 1
+                flip()
             summary = {
                 "generation": self.generation,
                 "checkpoint": path,
@@ -1117,7 +1170,3 @@ class ServingRuntime:
         else:
             payload["pool"] = {"mode": "in-process"}
         return payload
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()

@@ -73,7 +73,7 @@ class TestBindings:
         bindings = list(iter_bindings(tiny_store, q))
         assert len(bindings) == 3
         for b in bindings:
-            assert 4 in tiny_store.objects_of(b[v("y")], 2)
+            assert 4 in tiny_store.backend.objects_of(b[v("y")], 2)
 
     def test_count_matches_enumeration(self, tiny_store):
         q = star_pattern(v("x"), [(1, v("y")), (2, v("z"))])

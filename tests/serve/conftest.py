@@ -1,8 +1,16 @@
 """Shared serving fixtures: one tmpdir snapshot + fitted service."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
-from repro.serve import EstimatorService, FitDefaults
+from repro.serve import EstimatorService, FitDefaults, ServingApp
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: small but non-trivial startup-fit: seconds, not minutes.
 FIT = FitDefaults(queries_per_shape=100, epochs=4, hidden_sizes=(32, 32))
@@ -42,3 +50,69 @@ def star_queries(service):
 
     workload = generate_workload(service.store, "star", 2, 30, seed=17)
     return [record.query for record in workload]
+
+
+@pytest.fixture()
+def gated_app(snapshot_dir, checkpoint_dir):
+    """``gated_app(first_only=..., **serving)`` -> ``(app, gate, entered)``:
+    a started ServingApp whose model path sets *entered* and then
+    blocks until *gate* is set — on every batch, or on the first only.
+    Released and closed at teardown."""
+    built = []
+
+    def build(*, first_only, **serving):
+        gate, entered = threading.Event(), threading.Event()
+        app = ServingApp(snapshot_dir, checkpoint_dir, port=0, **serving)
+        built.append((app, gate))
+        estimate_batch = app.service.framework.estimate_batch
+
+        def gated(queries):
+            if not (first_only and entered.is_set()):
+                entered.set()
+                assert gate.wait(30.0)
+            return estimate_batch(queries)
+
+        app.backend.swap_primary(gated)
+        return app.start(), gate, entered
+
+    yield build
+    for app, gate in built:
+        gate.set()
+        app.close()
+
+
+@pytest.fixture()
+def cli_serve(snapshot_dir):
+    """``cli_serve(*arguments)`` -> ``(process, url)``: a real
+    ``python -m repro serve`` on the session snapshot and an ephemeral
+    port, returned once it printed its ready line.  Whatever still runs
+    at teardown is killed."""
+    started = []
+
+    def start(*arguments):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH")
+            else ""
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"]
+            + ["--snapshot", str(snapshot_dir), *arguments],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+        started.append(process)
+        for line in process.stdout:
+            if line.startswith("serving") and "http://" in line:
+                return process, "http://" + line.split("http://")[1].split()[0]
+        raise AssertionError("server never reported its address")
+
+    yield start
+    for process in started:
+        if process.poll() is None:
+            process.kill()
+            process.wait(10)

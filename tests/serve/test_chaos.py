@@ -17,15 +17,8 @@ import time
 
 import pytest
 
-from repro.baselines.independence import IndependenceEstimator
-from repro.serve import (
-    BatchScheduler,
-    ResilientBackend,
-    ServingRuntime,
-    SupervisedPool,
-    make_server,
-)
-from repro.serve.artifacts import load_artifact, save_checkpoint
+from repro.serve import ServingApp
+from repro.serve.artifacts import save_checkpoint
 from repro.serve.faults import corrupt_checkpoint
 
 QUERY = (
@@ -42,42 +35,26 @@ def v2_checkpoint(service, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def stack(service, snapshot_dir, v2_checkpoint):
+def stack(snapshot_dir, v2_checkpoint):
     """Pool-backed serving stack (the `--workers N` production shape)."""
-    pool = SupervisedPool(
+    app = ServingApp(
         snapshot_dir,
         v2_checkpoint,
+        port=0,
         workers=2,
-        request_timeout=30.0,
         restart_budget=64,
-        backoff_base=0.05,
+        max_delay_ms=1.0,
+        max_queue=8192,
     )
-    backend = ResilientBackend(
-        pool.estimate_batch,
-        fallback=IndependenceEstimator(service.store).estimate_batch,
-    )
-    scheduler = BatchScheduler(
-        backend, max_batch=64, max_delay_ms=1.0, max_queue=8192
-    )
-    artifact = load_artifact(v2_checkpoint)
-    runtime = ServingRuntime(
-        service,
-        scheduler,
-        backend,
-        pool=pool,
-        admission=artifact.shapes,
-        artifact=artifact,
-        checkpoint_dir=v2_checkpoint,
-    )
-    server = make_server(service, scheduler, port=0, runtime=runtime)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield {"addr": (host, port), "runtime": runtime, "pool": pool}
-    server.shutdown()
-    server.server_close()
-    runtime.close()
-    thread.join(5.0)
+    # The storms kill a worker every 0.4 s: restart faster than that.
+    app.pool.backoff_base = 0.05
+    app.start()
+    yield {
+        "addr": (app.host, app.port),
+        "runtime": app.runtime,
+        "pool": app.pool,
+    }
+    app.close()
 
 
 class _Client(threading.Thread):
@@ -301,6 +278,75 @@ class TestReloadUnderLoad:
             payload["generation"] == g1
             for _, payload in after.outcomes
         )
+
+    def test_generation_names_the_checkpoint_that_answered(
+        self, snapshot_dir, v2_checkpoint, fit_defaults, tmp_path
+    ):
+        """Reload under load onto a checkpoint whose answer differs:
+        every response carries the value its generation label names —
+        also while the old worker set is still being stopped, when the
+        new set already answers."""
+        import dataclasses
+
+        from repro.serve import default_framework
+
+        app = ServingApp(
+            snapshot_dir, v2_checkpoint, port=0, workers=2, max_delay_ms=1.0
+        ).start()
+        addr = (app.host, app.port)
+        stop = threading.Event()
+        try:
+            other = tmp_path / "other"
+            save_checkpoint(
+                default_framework(
+                    app.service.store,
+                    dataclasses.replace(fit_defaults, seed=1),
+                ),
+                other,
+            )
+            stop_set = app.pool._stop_set
+            while_stopping = []
+
+            def probing_stop(workers):
+                if not stop.is_set():  # the reload's, not close()'s
+                    probe = _Client(addr, requests=5)
+                    probe.run()
+                    assert not probe.errors
+                    while_stopping.extend(probe.outcomes)
+                stop_set(workers)
+
+            app.pool._stop_set = probing_stop
+
+            class _Looping(_Client):
+                def run(self):
+                    while not stop.is_set():
+                        super().run()
+
+            threads = [_Looping(addr, requests=20) for _ in range(8)]
+            for t in threads:
+                t.start()
+            time.sleep(0.2)  # let the load build
+            g0 = app.runtime.generation
+            g1 = app.runtime.reload(other)["generation"]
+            time.sleep(0.2)  # and keep it up past the reload
+            stop.set()
+            outcomes, errors = _join(threads)
+        finally:
+            stop.set()
+            app.close()
+
+        assert not errors, errors[:5]
+        answers = {}
+        for status, payload in outcomes + while_stopping:
+            assert status == 200 and not payload["degraded"], payload
+            answers.setdefault(payload["generation"], set()).add(
+                float(f"{payload['estimates'][0]:.6g}")
+            )
+        assert set(answers) == {g0, g1}
+        assert all(len(values) == 1 for values in answers.values()), answers
+        assert answers[g0] != answers[g1]
+        assert while_stopping
+        assert all(p["generation"] == g1 for _, p in while_stopping)
 
     def test_corrupt_reload_mid_service_is_rejected_and_harmless(
         self, stack, v2_checkpoint, tmp_path

@@ -7,19 +7,13 @@ accepting, flush in-flight batches, exit 0.
 
 import http.client
 import json
-import os
 import signal
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.serve import BatchScheduler, QueueFullError, make_server
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.serve import BatchScheduler, QueueFullError
 
 QUERY = (
     "SELECT ?x ?y WHERE { ?x <ub:advisor> ?y . "
@@ -97,80 +91,57 @@ class TestDerivedRetryAfter:
         finally:
             scheduler.close()
 
-    def test_http_429_carries_derived_backoff(self, service):
-        gate = threading.Event()
-        entered = threading.Event()
-        state = {"first": True}
-
-        def gated(queries):
-            if state["first"]:
-                state["first"] = False
-                entered.set()
-                assert gate.wait(30.0)
-            return service.framework.estimate_batch(queries)
-
-        scheduler = BatchScheduler(
-            gated, max_batch=1, max_delay_ms=1000.0, max_queue=1
+    def test_http_429_carries_derived_backoff(self, gated_app):
+        app, gate, entered = gated_app(
+            first_only=True, max_batch=1, max_delay_ms=1000.0, max_queue=1
         )
-        srv = make_server(service, scheduler, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        host, port = srv.server_address[:2]
-        try:
-            from concurrent.futures import ThreadPoolExecutor
+        host, port = app.host, app.port
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                blocker = pool.submit(
-                    post_raw, host, port, {"queries": [QUERY]}
-                )
-                assert entered.wait(30.0)
-                filler = pool.submit(
-                    post_raw, host, port, {"queries": [QUERY]}
-                )
-                deadline = time.monotonic() + 30.0
-                while (
-                    scheduler.stats()["queue_depth"] < 1
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                status, payload, headers = post_raw(
-                    host, port, {"queries": [QUERY]}
-                )
-                assert status == 429
-                assert payload["reason"] == "queue_full"
-                # JSON hint: float seconds inside the clamp
-                assert 0.05 <= payload["retry_after_s"] <= 30.0
-                # header: RFC 9110 integral delta-seconds, >= 1
-                retry_header = headers["retry-after"]
-                assert retry_header == str(int(retry_header))
-                assert int(retry_header) >= 1
-                gate.set()
-                assert blocker.result(30.0)[0] == 200
-                assert filler.result(30.0)[0] == 200
-        finally:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            blocker = pool.submit(
+                post_raw, host, port, {"queries": [QUERY]}
+            )
+            assert entered.wait(30.0)
+            filler = pool.submit(
+                post_raw, host, port, {"queries": [QUERY]}
+            )
+            deadline = time.monotonic() + 30.0
+            while (
+                app.scheduler.stats()["queue_depth"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            status, payload, headers = post_raw(
+                host, port, {"queries": [QUERY]}
+            )
+            assert status == 429
+            assert payload["reason"] == "queue_full"
+            # JSON hint: float seconds inside the clamp
+            assert 0.05 <= payload["retry_after_s"] <= 30.0
+            # header: RFC 9110 integral delta-seconds, >= 1
+            retry_header = headers["retry-after"]
+            assert retry_header == str(int(retry_header))
+            assert int(retry_header) >= 1
             gate.set()
-            srv.shutdown()
-            srv.server_close()
-            scheduler.close()
-            thread.join(5.0)
+            assert blocker.result(30.0)[0] == 200
+            assert filler.result(30.0)[0] == 200
 
 
 class TestDrainStateMachine:
     @pytest.fixture()
-    def draining_server(self, service):
-        scheduler = BatchScheduler(
-            service.framework.estimate_batch,
+    def draining_server(self, snapshot_dir, checkpoint_dir):
+        from repro.serve import ServingApp
+
+        app = ServingApp(
+            snapshot_dir,
+            checkpoint_dir,
+            port=0,
             max_batch=8,
             max_delay_ms=1.0,
-        )
-        srv = make_server(service, scheduler, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield srv
-        srv.shutdown()
-        srv.server_close()
-        scheduler.close()
-        thread.join(5.0)
+        ).start()
+        yield app.server
+        app.close()
 
     def test_drain_rejects_new_requests_503(self, draining_server):
         host, port = draining_server.server_address[:2]
@@ -185,99 +156,37 @@ class TestDrainStateMachine:
     def test_wait_inflight_drained_idle(self, draining_server):
         assert draining_server.wait_inflight_drained(timeout=5.0)
 
-    def test_wait_inflight_blocks_until_request_finishes(self, service):
-        gate = threading.Event()
-        entered = threading.Event()
-
-        def gated(queries):
-            entered.set()
-            assert gate.wait(30.0)
-            return service.framework.estimate_batch(queries)
-
-        scheduler = BatchScheduler(
-            gated, max_batch=8, max_delay_ms=1.0
+    def test_wait_inflight_blocks_until_request_finishes(
+        self, gated_app
+    ):
+        app, gate, entered = gated_app(
+            first_only=False, max_batch=8, max_delay_ms=1.0
         )
-        srv = make_server(service, scheduler, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        host, port = srv.server_address[:2]
-        try:
-            from concurrent.futures import ThreadPoolExecutor
+        srv = app.server
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                inflight = pool.submit(
-                    post_raw, host, port, {"queries": [QUERY]}
-                )
-                assert entered.wait(30.0)
-                # the tracked request is still being served
-                assert not srv.wait_inflight_drained(timeout=0.2)
-                gate.set()
-                assert inflight.result(30.0)[0] == 200
-                assert srv.wait_inflight_drained(timeout=10.0)
-        finally:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            inflight = pool.submit(
+                post_raw, app.host, app.port, {"queries": [QUERY]}
+            )
+            assert entered.wait(30.0)
+            # the tracked request is still being served
+            assert not srv.wait_inflight_drained(timeout=0.2)
             gate.set()
-            srv.shutdown()
-            srv.server_close()
-            scheduler.close()
-            thread.join(5.0)
+            assert inflight.result(30.0)[0] == 200
+            assert srv.wait_inflight_drained(timeout=10.0)
 
 
 class TestSigtermDrain:
-    def test_sigterm_exits_zero_after_drain(self, snapshot_dir):
+    def test_sigterm_exits_zero_after_drain(self, cli_serve):
         """The CI-shaped story: TERM a live `repro serve`, get a clean
         exit 0 and the drain banner."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else ""
-        )
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--snapshot",
-                str(snapshot_dir),
-                "--port",
-                "0",
-                "--fit-queries",
-                "30",
-                "--fit-epochs",
-                "1",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-            cwd=REPO_ROOT,
-        )
-        try:
-            port = None
-            deadline = time.monotonic() + 180.0
-            for line in process.stdout:
-                if "serving" in line and "http://" in line:
-                    port = int(
-                        line.split("http://", 1)[1]
-                        .split(" ", 1)[0]
-                        .rsplit(":", 1)[1]
-                    )
-                    break
-                if time.monotonic() > deadline:
-                    break
-            assert port is not None, "server never reported its port"
-            status, _, _ = post_raw(
-                "127.0.0.1", port, {"queries": [QUERY]}
-            )
-            assert status == 200
-            process.send_signal(signal.SIGTERM)
-            out = process.stdout.read()
-            code = process.wait(30)
-            assert code == 0, out
-            assert "SIGTERM: drained" in out
-            assert "exiting 0" in out
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(10)
+        process, url = cli_serve("--fit-queries", "30", "--fit-epochs", "1")
+        host, port = url[len("http://"):].rsplit(":", 1)
+        status, _, _ = post_raw(host, int(port), {"queries": [QUERY]})
+        assert status == 200
+        process.send_signal(signal.SIGTERM)
+        out = process.stdout.read()
+        assert process.wait(30) == 0, out
+        assert "SIGTERM: drained" in out
+        assert "exiting 0" in out

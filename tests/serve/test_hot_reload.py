@@ -8,15 +8,14 @@ import urllib.request
 
 import pytest
 
-from repro.baselines.independence import IndependenceEstimator
 from repro.serve import (
     BatchScheduler,
     ResilientBackend,
+    ServingApp,
     ServingRuntime,
-    ShapeManifest,
     make_server,
 )
-from repro.serve.artifacts import load_artifact, save_checkpoint
+from repro.serve.artifacts import save_checkpoint
 from repro.serve.faults import corrupt_checkpoint
 
 QUERY = (
@@ -33,30 +32,13 @@ def v2_checkpoint(service, tmp_path_factory):
 
 
 @pytest.fixture()
-def stack(service, v2_checkpoint):
+def stack(snapshot_dir, v2_checkpoint):
     """A full runtime-backed server (in-process primary, no pool)."""
-    backend = ResilientBackend(
-        service.framework.estimate_batch,
-        fallback=IndependenceEstimator(service.store).estimate_batch,
-    )
-    scheduler = BatchScheduler(backend, max_batch=32, max_delay_ms=1.0)
-    runtime = ServingRuntime(
-        service,
-        scheduler,
-        backend,
-        admission=ShapeManifest.from_framework(service.framework),
-        artifact=load_artifact(v2_checkpoint),
-        checkpoint_dir=v2_checkpoint,
-    )
-    server = make_server(service, scheduler, port=0, runtime=runtime)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", runtime
-    server.shutdown()
-    server.server_close()
-    scheduler.close()
-    thread.join(5.0)
+    app = ServingApp(
+        snapshot_dir, v2_checkpoint, port=0, max_batch=32, max_delay_ms=1.0
+    ).start()
+    yield app.url, app.runtime
+    app.close()
 
 
 def post(url, body=None):

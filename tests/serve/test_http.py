@@ -1,11 +1,10 @@
 """The HTTP endpoint end-to-end over a tmpdir snapshot.
 
-One in-process ThreadingHTTPServer on an ephemeral port per module;
-requests go through the real urllib client path.
+One in-process ServingApp on an ephemeral port per module; requests go
+through the real urllib client path.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.serve import BatchScheduler, make_server
+from repro.serve import ServingApp
 
 QUERY = (
     "SELECT ?x ?y WHERE { ?x <ub:advisor> ?y . "
@@ -22,26 +21,10 @@ QUERY = (
 
 
 @pytest.fixture(scope="module")
-def server(service):
-    scheduler = BatchScheduler(
-        service.framework.estimate_batch,
-        max_batch=64,
-        max_delay_ms=2.0,
-    )
-    srv = make_server(service, scheduler, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    scheduler.close()
-    thread.join(5.0)
-
-
-@pytest.fixture(scope="module")
-def base_url(server):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}"
+def base_url(snapshot_dir, checkpoint_dir):
+    app = ServingApp(snapshot_dir, checkpoint_dir, port=0).start()
+    yield app.url
+    app.close()
 
 
 def get(url):
@@ -193,50 +176,28 @@ class TestMalformedRequests:
 
 
 class TestBackpressure:
-    def test_queue_full_429(self, service):
+    def test_queue_full_429(self, gated_app):
         """A saturated scheduler sheds load as 429, and recovers."""
         import time
 
-        gate = threading.Event()
-        entered = threading.Event()
-        state = {"first": True}
-
-        def gated(queries):
-            if state["first"]:
-                state["first"] = False
-                entered.set()
-                assert gate.wait(30.0)
-            return service.framework.estimate_batch(queries)
-
-        scheduler = BatchScheduler(
-            gated, max_batch=1, max_delay_ms=1000.0, max_queue=1
+        app, gate, entered = gated_app(
+            first_only=True, max_batch=1, max_delay_ms=1000.0, max_queue=1
         )
-        srv = make_server(service, scheduler, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        host, port = srv.server_address[:2]
-        url = f"http://{host}:{port}/estimate"
-        try:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                blocker = pool.submit(post, url, {"queries": [QUERY]})
-                assert entered.wait(30.0)
-                filler = pool.submit(post, url, {"queries": [QUERY]})
-                # Wait until the filler occupies the queue slot.
-                deadline = time.monotonic() + 30.0
-                while (
-                    scheduler.stats()["queue_depth"] < 1
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                status, payload = post(url, {"queries": [QUERY]})
-                assert status == 429
-                assert "queue full" in payload["error"]
-                gate.set()
-                assert blocker.result(30.0)[0] == 200
-                assert filler.result(30.0)[0] == 200
-        finally:
+        url = f"{app.url}/estimate"
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            blocker = pool.submit(post, url, {"queries": [QUERY]})
+            assert entered.wait(30.0)
+            filler = pool.submit(post, url, {"queries": [QUERY]})
+            # Wait until the filler occupies the queue slot.
+            deadline = time.monotonic() + 30.0
+            while (
+                app.scheduler.stats()["queue_depth"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            status, payload = post(url, {"queries": [QUERY]})
+            assert status == 429
+            assert "queue full" in payload["error"]
             gate.set()
-            srv.shutdown()
-            srv.server_close()
-            scheduler.close()
-            thread.join(5.0)
+            assert blocker.result(30.0)[0] == 200
+            assert filler.result(30.0)[0] == 200

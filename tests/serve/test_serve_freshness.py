@@ -8,11 +8,9 @@ and reports pass/warn/error on ``/healthz``; ``/admin/reload`` accepts
 with the model.
 """
 
-import copy
 import dataclasses
 import json
 import shutil
-import threading
 import urllib.error
 import urllib.request
 
@@ -20,14 +18,8 @@ import pytest
 
 from repro.maintain.freshness import FreshnessPolicy
 from repro.maintain.watermark import Watermark, write_watermark
-from repro.serve import (
-    BatchScheduler,
-    ResilientBackend,
-    ServingRuntime,
-    ShapeManifest,
-    make_server,
-)
-from repro.serve.artifacts import load_artifact, save_checkpoint
+from repro.serve import ServingApp
+from repro.serve.artifacts import save_checkpoint
 
 QUERY = (
     "SELECT ?x ?y WHERE { ?x <ub:advisor> ?y . "
@@ -45,40 +37,27 @@ def marked_checkpoint(service, tmp_path_factory):
 
 
 @pytest.fixture()
-def runtime_factory(service):
-    """Builds throwaway runtimes over a *copy* of the shared service,
-    so store/framework swaps never leak into other test modules."""
-    schedulers = []
+def runtime_factory(snapshot_dir, fit_defaults):
+    """Builds throwaway runtimes, each over its own service, so
+    store/framework swaps never leak into other test modules."""
+    apps = []
 
-    def build(checkpoint_dir=None, policy=None, with_artifact=True):
-        own_service = copy.copy(service)
-        backend = ResilientBackend(
-            own_service.framework.estimate_batch
-        )
-        scheduler = BatchScheduler(
-            backend, max_batch=8, max_delay_ms=1.0
-        )
-        schedulers.append(scheduler)
-        artifact = (
-            load_artifact(checkpoint_dir)
-            if with_artifact and checkpoint_dir is not None
-            else None
-        )
-        return ServingRuntime(
-            own_service,
-            scheduler,
-            backend,
-            admission=ShapeManifest.from_framework(
-                own_service.framework
-            ),
-            artifact=artifact,
-            checkpoint_dir=checkpoint_dir,
+    def build(checkpoint_dir=None, policy=None):
+        app = ServingApp(
+            snapshot_dir,
+            checkpoint_dir,
+            port=0,
+            fit_defaults=fit_defaults,
+            max_batch=8,
+            max_delay_ms=1.0,
             freshness_policy=policy,
         )
+        apps.append(app)
+        return app.runtime
 
     yield build
-    for scheduler in schedulers:
-        scheduler.close()
+    for app in apps:
+        app.close()
 
 
 class TestFreshnessVerdicts:
@@ -144,20 +123,12 @@ class TestFreshnessVerdicts:
 
 
 @pytest.fixture()
-def stack(runtime_factory, marked_checkpoint):
-    runtime = runtime_factory(marked_checkpoint)
-    server = make_server(
-        runtime.service, runtime.scheduler, port=0, runtime=runtime
-    )
-    thread = threading.Thread(
-        target=server.serve_forever, daemon=True
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", runtime
-    server.shutdown()
-    server.server_close()
-    thread.join(5.0)
+def stack(snapshot_dir, marked_checkpoint):
+    app = ServingApp(
+        snapshot_dir, marked_checkpoint, port=0, max_delay_ms=1.0
+    ).start()
+    yield app.url, app.runtime
+    app.close()
 
 
 def get(url):
