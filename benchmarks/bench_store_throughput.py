@@ -23,7 +23,9 @@ Measures, on a synthetic ~100k-triple hub-heavy graph:
   serial matcher, and on a >= 2-core machine the gate asserts the
   second shard buys >= 1.5x,
 - **batch estimation**: LMKG-S queries/sec through
-  ``Framework.estimate_batch`` vs the per-query ``estimate`` loop,
+  ``Framework.estimate_batch`` vs the per-query ``estimate`` loop, and
+  the share of the batched call spent in ``LMKGS.featurize`` (gate:
+  <= 0.5),
 - **MADE inference trunk**: rows/sec of the masked autoregressive
   forward at the serving batch width — the seed's float64
   re-masked-per-call trunk against the fused float32 inference cache
@@ -51,7 +53,7 @@ Measures, on a synthetic ~100k-triple hub-heavy graph:
 
 Results print as tables and persist (merged, section by section) to
 ``benchmarks/results/BENCH_store.json`` so successive PRs can track the
-numbers.
+numbers; every run is also appended to ``BENCH_history.jsonl`` beside it.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import build_throughput_store
-from repro.bench.reporting import format_table, merge_json
+from repro.bench.reporting import append_history, format_table, merge_json
 from repro.core.framework import LMKG
 from repro.core.lmkg_s import LMKGSConfig
 from repro.rdf import fastcount
@@ -79,6 +81,7 @@ from repro.sampling.unbinding import query_from_instance, random_unbound_mask
 from repro.sampling.workload import QueryRecord, Workload
 
 RESULT_PATH = Path(__file__).parent / "results" / "BENCH_store.json"
+HISTORY_PATH = RESULT_PATH.with_name("BENCH_history.jsonl")
 
 NUM_TRIPLES = 100_000
 NUM_QUERIES = 10_000
@@ -304,7 +307,20 @@ def test_store_throughput(report, tmp_path):
     framework.fit(shapes=list(QUERY_SHAPES), workload=labelled)
     serve = [r.query for r in labelled[:2_000]]
     _, loop_s = _timed(lambda: [framework.estimate(q) for q in serve])
+    # Featurisation is timed inside the same call it is a share of: a
+    # stopwatch around each model's ``featurize`` while the batch runs.
+    featurize_seconds = []
+    for model in framework.models.values():
+        def _stopwatch(batch, featurize=model.featurize):
+            features, seconds = _timed(lambda: featurize(batch))
+            featurize_seconds.append(seconds)
+            return features
+
+        model.featurize = _stopwatch
     _, batch_s = _timed(lambda: framework.estimate_batch(serve))
+    for model in framework.models.values():
+        del model.featurize
+    featurize_share = sum(featurize_seconds) / batch_s
 
     # MADE inference trunk: the fused float32 forward against the seed's
     # float64 trunk (weight * mask re-materialised per layer per call,
@@ -575,6 +591,7 @@ def test_store_throughput(report, tmp_path):
             "estimate_loop_qps": round(len(serve) / loop_s, 1),
             "estimate_batch_qps": round(len(serve) / batch_s, 1),
             "batch_speedup": round(loop_s / batch_s, 2),
+            "featurize_share": round(featurize_share, 3),
         },
         "made_inference": {
             "batch_rows": made_rows,
@@ -605,6 +622,7 @@ def test_store_throughput(report, tmp_path):
         },
     }
     merge_json(RESULT_PATH, results)
+    append_history(HISTORY_PATH, results)
 
     report(
         format_table(
@@ -674,6 +692,10 @@ def test_store_throughput(report, tmp_path):
                 [
                     "estimate_batch q/s",
                     results["batch_estimation"]["estimate_batch_qps"],
+                ],
+                [
+                    "featurize share of estimate_batch",
+                    results["batch_estimation"]["featurize_share"],
                 ],
                 [
                     "MADE fwd rows/s (float64 seed)",
@@ -763,6 +785,14 @@ def test_store_throughput(report, tmp_path):
             f"single-shard pooled path ({fanout_s:.2f}s vs "
             f"{single_shard_s:.2f}s)"
         )
+    # The acceptance gate of the array-native encoders: turning queries
+    # into features must stay the smaller part of a batched estimate.
+    # A ratio of two timings of one call, so it does not depend on the
+    # machine; the per-term Python encoders it replaced read ~0.7.
+    assert featurize_share <= 0.5, (
+        f"featurize is {featurize_share:.2f} of estimate_batch (> 0.5): "
+        f"featurisation dominates the estimator again"
+    )
     # The acceptance gate of the fused inference trunk: the float32
     # pre-masked forward must at least double the seed's float64
     # re-masked-per-call trunk at the serving batch width.
@@ -940,6 +970,7 @@ def test_maintenance_incremental(report, tmp_path):
         }
     }
     merge_json(RESULT_PATH, results)
+    append_history(HISTORY_PATH, results)
 
     report(
         format_table(
@@ -1127,6 +1158,7 @@ def test_workload_replay(report, tmp_path):
         }
     }
     merge_json(RESULT_PATH, results)
+    append_history(HISTORY_PATH, results)
 
     report(
         format_table(

@@ -93,6 +93,29 @@ def merge_json(path, sections: dict) -> dict:
     return merged
 
 
+def append_history(path, sections: dict) -> None:
+    """Append one run's *sections* as a line of the JSONL file at *path*.
+
+    The result file :func:`merge_json` maintains holds the latest run of
+    every section; the history beside it keeps every run, stamped with
+    the UTC time it was recorded, so a trend is a series of lines.
+    """
+    import json
+    from datetime import datetime, timezone
+    from pathlib import Path
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = {
+        "recorded_at": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+        "sections": sections,
+    }
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(line, sort_keys=True) + "\n")
+
+
 def format_bytes(num_bytes: int) -> str:
     """Human-readable size like the paper's Table II (KB/MB)."""
     if num_bytes >= 1_000_000:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
-from repro.rdf.pattern import QueryPattern
+from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import TriplePattern, Variable
 
@@ -35,23 +35,39 @@ def decompose(query: QueryPattern) -> List[QueryPattern]:
 
     Star and chain queries pass through unchanged.
     """
-    topo = query.topology().value
-    if topo in ("star", "chain", "single"):
-        return [query]
+    return [c for c, _ in classified_components(query, query.topology())]
+
+
+def classified_components(
+    query: QueryPattern, topology: Topology
+) -> List[Tuple[QueryPattern, Topology]]:
+    """The components of *query*, each with its topology.
+
+    *topology* is ``query.topology()``, which the caller has already
+    computed; a component's topology follows from how it was built, so
+    nothing is classified twice.
+    """
+    if topology is not Topology.COMPOSITE:
+        return [(query, topology)]
 
     by_subject: Dict[object, List[TriplePattern]] = defaultdict(list)
     for tp in query.triples:
         by_subject[tp.s].append(tp)
 
-    components: List[QueryPattern] = []
+    components: List[Tuple[QueryPattern, Topology]] = []
     leftovers: List[TriplePattern] = []
-    for subject, triples in by_subject.items():
+    for triples in by_subject.values():
         if len(triples) >= 2:
-            components.append(QueryPattern(triples))
+            components.append((QueryPattern(triples), Topology.STAR))
         else:
             leftovers.extend(triples)
 
-    components.extend(_stitch_chains(leftovers))
+    # Leftover triples have pairwise distinct subjects, so a stitched
+    # chain of two or more is never also a star.
+    for chain in _stitch_chains(leftovers):
+        components.append(
+            (chain, Topology.CHAIN if chain.size > 1 else Topology.SINGLE)
+        )
     return components
 
 

@@ -9,7 +9,7 @@ the binary encoding writes the id in base 2 (all-zero for unbound), using
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +65,15 @@ def decode_binary(vec: np.ndarray) -> int:
 
 
 class TermEncoder:
-    """Fixed-width encoder for one term domain (nodes or predicates)."""
+    """Fixed-width encoder for one term domain (nodes or predicates).
+
+    :meth:`encode_ids` is what the query encoders use: it turns a whole
+    grid of term slots into feature rows with array operations.  The
+    scalar :func:`encode_binary` / :func:`encode_one_hot` above define
+    the same rows one term at a time; the tests compare against them,
+    and :meth:`encode` keeps them for the MSCN baseline, which
+    featurises one triple pattern at a time.
+    """
 
     def __init__(self, domain: int, kind: str = "binary") -> None:
         if kind not in ("binary", "one_hot"):
@@ -75,6 +83,30 @@ class TermEncoder:
         self.width = (
             binary_width(domain) if kind == "binary" else one_hot_width(domain)
         )
+
+    def encode_ids(
+        self, slots: int, positions: Sequence[int], ids: Sequence[int]
+    ) -> np.ndarray:
+        """Feature rows of *slots* term slots, as ``(slots, width)``.
+
+        Slot ``positions[k]`` holds the bound term ``ids[k]``; every
+        other slot is unbound (a variable, or padding) and stays the
+        zero row.  Raises :class:`ValueError`, before any row is built,
+        when an id lies outside ``[1, domain]``.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        outside = (ids < 1) | (ids > self.domain)
+        if outside.any():
+            raise ValueError(
+                f"term id {ids[outside][0]} outside [1, {self.domain}]"
+            )
+        positions = np.asarray(positions, dtype=np.intp)
+        rows = np.zeros((slots, self.width))
+        if self.kind == "binary":
+            rows[positions] = (ids[:, None] >> np.arange(self.width)) & 1
+        else:
+            rows[positions, ids - 1] = 1.0
+        return rows
 
     def encode(self, term: PatternTerm) -> np.ndarray:
         if self.kind == "binary":

@@ -28,7 +28,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.decomposition import combine_estimates, decompose
+from repro.core.decomposition import (
+    classified_components,
+    combine_estimates,
+)
 from repro.core.estimator import Estimator
 from repro.core.grouping import (
     GroupingStrategy,
@@ -176,66 +179,70 @@ class LMKG(Estimator):
         """Batched estimation: one featurize + one forward per model.
 
         The one estimation routine of the framework (``estimate`` is the
-        protocol-derived one-query batch).  Composite queries are
+        protocol-derived one-query batch).  Each query is classified
+        once and its topology handed down.  Composite queries are
         answered by a trained tree model where possible, otherwise
         decomposed into star/chain components; components landing on the
         same trained model are collected and answered by a single
         ``estimate_batch`` call on it (one encoding pass + one network
-        forward for LMKG-S / one shared particle sweep for LMKG-U).
-        Models without a batch path fall back to a per-component
-        ``estimate`` loop, so every caller gets the same one-call API
-        regardless of model support.
+        forward for LMKG-S / one shared particle sweep for LMKG-U),
+        which returns them validated and clamped.
         """
-        queries = list(queries)
         results: List[Optional[float]] = [None] * len(queries)
-        #: (query index, components, per-component estimate slots)
-        pending: List[Tuple[int, List[QueryPattern], List[Optional[float]]]]
-        pending = []
-        grouped: Dict[int, List[Tuple[int, int, QueryPattern]]] = {}
-        models_by_id: Dict[int, Union[LMKGS, LMKGU]] = {}
+        #: (query index, classified components, their estimate slots)
+        pending: List[
+            Tuple[
+                int,
+                List[Tuple[QueryPattern, Topology]],
+                List[Optional[float]],
+            ]
+        ] = []
+        #: model -> (a query's slots, slot index, component) to batch
+        #: through it
+        grouped: Dict[
+            Union[LMKGS, LMKGU],
+            List[Tuple[List[Optional[float]], int, QueryPattern]],
+        ] = {}
         for qi, query in enumerate(queries):
-            if query.topology() is Topology.COMPOSITE:
+            topology = query.topology()
+            if topology is Topology.COMPOSITE:
                 tree_estimate = self._try_tree_model(query)
                 if tree_estimate is not None:
                     results[qi] = tree_estimate
                     continue
-            components = decompose(query)
-            slots: List[Optional[float]] = [None] * len(components)
-            entry = len(pending)
-            pending.append((qi, components, slots))
-            for ci, component in enumerate(components):
-                resolved = self._resolve_component(component)
+            classified = classified_components(query, topology)
+            slots: List[Optional[float]] = [None] * len(classified)
+            pending.append((qi, classified, slots))
+            for ci, (component, component_topology) in enumerate(classified):
+                resolved = self._resolve_component(
+                    component, component_topology
+                )
                 if isinstance(resolved, float):
                     slots[ci] = resolved
                 else:
-                    models_by_id[id(resolved)] = resolved
-                    grouped.setdefault(id(resolved), []).append(
-                        (entry, ci, component)
+                    grouped.setdefault(resolved, []).append(
+                        (slots, ci, component)
                     )
-        for model_id, items in grouped.items():
-            model = models_by_id[model_id]
-            components = [c for _, _, c in items]
-            if hasattr(model, "estimate_batch"):
-                batch = model.estimate_batch(components)
-            else:
-                batch = [model.estimate(c) for c in components]
-            for (entry, ci, _), value in zip(items, batch):
-                pending[entry][2][ci] = max(float(value), 0.0)
-        for qi, components, slots in pending:
+        for model, items in grouped.items():
+            batch = model.estimate_batch([c for _, _, c in items])
+            for (slots, ci, _), value in zip(items, batch.tolist()):
+                slots[ci] = value
+        for qi, classified, slots in pending:
             if len(slots) == 1:
                 results[qi] = slots[0]
             else:
                 results[qi] = combine_estimates(
-                    self.store, components, slots
+                    self.store, [c for c, _ in classified], slots
                 )
-        return [float(r) for r in results]
+        return results
 
     def _resolve_component(
-        self, component: QueryPattern
+        self, component: QueryPattern, topology: Topology
     ) -> Union[float, LMKGS, LMKGU]:
         """A final estimate when answerable directly, else the model to
         batch the component through.
 
+        *topology* is the component's, already known to the caller.
         Single triple patterns are answered exactly from the indexes, as
         every RDF engine does; a star/chain whose shape lacks a model can
         still be absorbed by a trained tree model (a star/chain is also a
@@ -243,7 +250,6 @@ class LMKG(Estimator):
         """
         if component.size == 1:
             return float(self.store.count_pattern(component.triples[0]))
-        topology = component.topology()
         if topology is not Topology.COMPOSITE:
             try:
                 return self._model_for(topology.value, component.size)

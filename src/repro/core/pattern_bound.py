@@ -15,17 +15,27 @@ A pattern-bound encoder is fixed to one topology and one size; grouped
 models that must host several sizes zero-pad shorter queries (an absent
 triple encodes exactly like an all-unbound one, which cannot collide with
 a real triple because real predicates are always bound in our workloads).
+
+A batch is encoded like the SG-Encoding's: one loop reduces it to
+integers, array operations expand them.  Query ``r`` owns node slots
+``r*(k+1) .. r*(k+1) + k`` (centre or first subject, then the objects in
+encoding order) and predicate slots ``r*k .. r*k + k-1`` for an encoder
+of maximum size ``k``; a bound term contributes a ``(slot, term id)``
+pair, variables and the padding of a shorter query nothing.
+:meth:`repro.core.encoders.TermEncoder.encode_ids` expands each grid to
+``(slots, width)`` rows, and row ``r`` of the result interleaves them as
+``[node 0, pred 0, node 1, pred 1, node 2, ...]``.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.encoders import TermEncoder
 from repro.rdf.pattern import QueryPattern, Topology
-from repro.rdf.terms import PatternTerm, Variable, is_bound
+from repro.rdf.terms import PatternTerm, is_bound
 
 
 def _pair_sort_key(pair: Tuple[PatternTerm, PatternTerm]):
@@ -59,53 +69,59 @@ class PatternBoundEncoder:
             + max_size * (self.predicates.width + self.nodes.width)
         )
 
+    def encode_batch(self, queries: Sequence[QueryPattern]) -> np.ndarray:
+        """Featurize queries into a ``(n, width)`` matrix.
+
+        Raises :class:`ValueError`, before any array is returned, on a
+        topology or size mismatch and for a bound term id outside its
+        encoder's domain.
+        """
+        star = self.topology == "star"
+        expected = Topology.STAR if star else Topology.CHAIN
+        node_slots: List[int] = []
+        node_ids: List[int] = []
+        pred_slots: List[int] = []
+        pred_ids: List[int] = []
+        for row, query in enumerate(queries):
+            if query.size > self.max_size:
+                raise ValueError(
+                    f"query size {query.size} exceeds encoder max "
+                    f"{self.max_size}"
+                )
+            actual = query.topology()
+            if actual not in (expected, Topology.SINGLE):
+                raise ValueError(
+                    f"{self.topology} encoder got a {actual.value} query"
+                )
+            pairs = [(tp.p, tp.o) for tp in query.triples]
+            if star:
+                pairs.sort(key=_pair_sort_key)
+            first_node = row * (self.max_size + 1)
+            first_pred = row * self.max_size
+            head = query.triples[0].s  # star centre / chain start
+            if is_bound(head):
+                node_slots.append(first_node)
+                node_ids.append(head)
+            for k, (p, o) in enumerate(pairs):
+                if is_bound(p):
+                    pred_slots.append(first_pred + k)
+                    pred_ids.append(p)
+                if is_bound(o):
+                    node_slots.append(first_node + k + 1)
+                    node_ids.append(o)
+        n = len(queries)
+        nodes = self.nodes.encode_ids(
+            n * (self.max_size + 1), node_slots, node_ids
+        ).reshape(n, self.max_size + 1, self.nodes.width)
+        preds = self.predicates.encode_ids(
+            n * self.max_size, pred_slots, pred_ids
+        ).reshape(n, self.max_size, self.predicates.width)
+        tail = np.concatenate([preds, nodes[:, 1:]], axis=2)
+        return np.concatenate(
+            [nodes[:, 0], tail.reshape(n, self.width - self.nodes.width)],
+            axis=1,
+        )
+
     def encode(self, query: QueryPattern) -> np.ndarray:
         """Featurize *query*; raises on topology/size mismatch."""
-        if query.size > self.max_size:
-            raise ValueError(
-                f"query size {query.size} exceeds encoder max "
-                f"{self.max_size}"
-            )
-        if self.topology == "star":
-            return self._encode_star(query)
-        return self._encode_chain(query)
-
-    def _require_topology(self, query: QueryPattern, topo: Topology) -> None:
-        actual = query.topology()
-        if actual not in (topo, Topology.SINGLE):
-            raise ValueError(
-                f"{self.topology} encoder got a {actual.value} query"
-            )
-
-    def _encode_star(self, query: QueryPattern) -> np.ndarray:
-        self._require_topology(query, Topology.STAR)
-        centre = query.triples[0].s
-        pairs = sorted(
-            ((tp.p, tp.o) for tp in query.triples), key=_pair_sort_key
-        )
-        parts: List[np.ndarray] = [self.nodes.encode(centre)]
-        for p, o in pairs:
-            parts.append(self.predicates.encode(p))
-            parts.append(self.nodes.encode(o))
-        return self._pad(parts, len(pairs))
-
-    def _encode_chain(self, query: QueryPattern) -> np.ndarray:
-        self._require_topology(query, Topology.CHAIN)
-        parts: List[np.ndarray] = [self.nodes.encode(query.triples[0].s)]
-        for tp in query.triples:
-            parts.append(self.predicates.encode(tp.p))
-            parts.append(self.nodes.encode(tp.o))
-        return self._pad(parts, len(query.triples))
-
-    def _pad(self, parts: List[np.ndarray], size: int) -> np.ndarray:
-        pad_per_triple = self.predicates.width + self.nodes.width
-        missing = self.max_size - size
-        if missing > 0:
-            parts.append(np.zeros(missing * pad_per_triple))
-        vec = np.concatenate(parts)
-        assert vec.shape == (self.width,)
-        return vec
-
-    def encode_batch(self, queries: List[QueryPattern]) -> np.ndarray:
-        """Featurize a list of queries into a (n, width) matrix."""
-        return np.stack([self.encode(q) for q in queries])
+        return self.encode_batch([query])[0]

@@ -14,17 +14,29 @@ Unlike the pattern-bound encoding, A makes the *topology* explicit, so one
 model can be trained on stars, chains, and any composite of them.  Node
 and edge orders come from :meth:`repro.rdf.pattern.QueryPattern.node_order`
 / ``edge_order`` (first-occurrence order, as in Fig. 2 step 2).
+
+A batch is encoded in two steps.  One loop over the batch's triples
+reduces it to integers: query ``r`` owns node slots ``r*n .. r*n + n-1``
+and edge slots ``r*e .. r*e + e-1`` of two slot grids, a bound term
+contributes a ``(slot, term id)`` pair, and every triple contributes the
+flat index ``((r*n + i)*n + j)*e + l`` of its cell of ``A``; variables
+and the padding of a query smaller than the encoder contribute nothing.
+The features then come from array operations over those integers — one
+indexed store sets the cells of ``A``,
+:meth:`repro.core.encoders.TermEncoder.encode_ids` expands each grid to
+its ``(slots, width)`` rows — and row ``r`` of the result is the
+flattened ``[A | X | E]`` of query ``r``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.encoders import TermEncoder
 from repro.rdf.pattern import QueryPattern
-from repro.rdf.terms import PatternTerm
+from repro.rdf.terms import PatternTerm, Variable
 
 
 class SGEncoding:
@@ -61,38 +73,73 @@ class SGEncoding:
             max_size + 1, max_size, node_encoder, predicate_encoder
         )
 
-    def components(self, query: QueryPattern):
-        """The (A, X, E) arrays of *query*, unflattened."""
-        node_order = query.node_order()
-        if len(node_order) > self.max_nodes:
-            raise ValueError(
-                f"query has {len(node_order)} nodes, encoder holds "
-                f"{self.max_nodes}"
-            )
-        if query.size > self.max_edges:
-            raise ValueError(
-                f"query has {query.size} edges, encoder holds "
-                f"{self.max_edges}"
-            )
-        node_index: Dict[PatternTerm, int] = {
-            term: i for i, term in enumerate(node_order)
-        }
-        a = np.zeros((self.max_nodes, self.max_nodes, self.max_edges))
-        e = np.zeros((self.max_edges, self.predicates.width))
-        for l, tp in enumerate(query.triples):
-            i = node_index[tp.s]
-            j = node_index[tp.o]
-            a[i, j, l] = 1.0
-            e[l] = self.predicates.encode(tp.p)
-        x = np.zeros((self.max_nodes, self.nodes.width))
-        for i, term in enumerate(node_order):
-            x[i] = self.nodes.encode(term)
-        return a, x, e
+    def encode_batch(self, queries: Sequence[QueryPattern]) -> np.ndarray:
+        """Flattened ``[A | X | E]`` rows, one per query: ``(n, width)``.
+
+        Raises :class:`ValueError`, before any array is returned, for a
+        query with more nodes or edges than the encoder holds and for a
+        bound term id outside its encoder's domain.
+        """
+        max_nodes, max_edges = self.max_nodes, self.max_edges
+        cells: List[int] = []
+        node_slots: List[int] = []
+        node_ids: List[int] = []
+        edge_slots: List[int] = []
+        edge_ids: List[int] = []
+        for row, query in enumerate(queries):
+            first_node = row * max_nodes
+            first_edge = row * max_edges
+            #: node term -> index, in ``QueryPattern.node_order()`` order
+            index: Dict[PatternTerm, int] = {}
+            for l, tp in enumerate(query.triples):
+                cell = row
+                for term in (tp.s, tp.o):
+                    i = index.get(term)
+                    if i is None:
+                        i = index[term] = len(index)
+                        if not isinstance(term, Variable):
+                            node_slots.append(first_node + i)
+                            node_ids.append(term)
+                    cell = cell * max_nodes + i
+                cells.append(cell * max_edges + l)
+                if not isinstance(tp.p, Variable):
+                    edge_slots.append(first_edge + l)
+                    edge_ids.append(tp.p)
+            if len(index) > max_nodes:
+                raise ValueError(
+                    f"query has {len(index)} nodes, encoder holds "
+                    f"{max_nodes}"
+                )
+            if query.size > max_edges:
+                raise ValueError(
+                    f"query has {query.size} edges, encoder holds "
+                    f"{max_edges}"
+                )
+        n = len(queries)
+        a = np.zeros(n * self.a_width)
+        a[cells] = 1.0
+        x = self.nodes.encode_ids(n * max_nodes, node_slots, node_ids)
+        e = self.predicates.encode_ids(n * max_edges, edge_slots, edge_ids)
+        return np.concatenate(
+            [
+                a.reshape(n, self.a_width),
+                x.reshape(n, self.x_width),
+                e.reshape(n, self.e_width),
+            ],
+            axis=1,
+        )
 
     def encode(self, query: QueryPattern) -> np.ndarray:
         """Flattened [A | X | E] feature vector."""
-        a, x, e = self.components(query)
-        return np.concatenate([a.ravel(), x.ravel(), e.ravel()])
+        return self.encode_batch([query])[0]
 
-    def encode_batch(self, queries: List[QueryPattern]) -> np.ndarray:
-        return np.stack([self.encode(q) for q in queries])
+    def components(self, query: QueryPattern):
+        """The (A, X, E) arrays of *query*, unflattened."""
+        a, x, e = np.split(
+            self.encode(query), [self.a_width, self.a_width + self.x_width]
+        )
+        return (
+            a.reshape(self.max_nodes, self.max_nodes, self.max_edges),
+            x.reshape(self.max_nodes, self.nodes.width),
+            e.reshape(self.max_edges, self.predicates.width),
+        )

@@ -212,10 +212,12 @@ class Sequential(Layer):
 
         Dense layers run one GEMM against their version-cached
         :meth:`Linear.fused` weights; Dropout is an identity at
-        inference; the element-wise activations preserve the inference
-        dtype on their own.  No backward state is recorded.
+        inference; ReLU and Sigmoid are applied here, in place on a
+        private copy of *x*, not through the layers' ``forward``, which
+        would overwrite the ``_mask`` / ``_output`` a pending
+        ``backward`` still needs.  No backward state is recorded.
         """
-        x = np.asarray(x, dtype=dtype)
+        x = np.array(x, dtype=dtype)
         for layer in self.layers:
             if isinstance(layer, Linear):
                 weight, bias = layer.fused(dtype)
@@ -223,6 +225,13 @@ class Sequential(Layer):
                 x += bias
             elif isinstance(layer, Dropout):
                 continue
+            elif isinstance(layer, ReLU):
+                np.maximum(x, 0, out=x)
+            elif isinstance(layer, Sigmoid):
+                # The two branches of Sigmoid.forward, with the one
+                # exponential each of them takes: exp(-|x|).
+                decay = np.exp(-np.abs(x))
+                np.divide(np.where(x >= 0, 1, decay), 1 + decay, out=x)
             else:
                 x = layer.forward(x, training=False)
         return x

@@ -101,3 +101,24 @@ class TestTermEncoder:
         """The size argument for binary encoding on heterogeneous KGs."""
         binary = TermEncoder(1_000_000, "binary")
         assert binary.width <= 20
+
+    @pytest.mark.parametrize("kind", ["binary", "one_hot"])
+    def test_encode_ids_matches_scalar_over_whole_domain(self, kind):
+        """Every id of the domain, in scattered slots of a padded grid,
+        reads as the scalar encoding; untouched slots stay zero."""
+        encoder = TermEncoder(37, kind)
+        ids = np.arange(1, 38)
+        positions = 2 * np.arange(37) + 1
+        rows = encoder.encode_ids(80, positions, ids)
+        assert rows.shape == (80, encoder.width)
+        assert rows.dtype == np.float64
+        for position, term in zip(positions, ids):
+            assert np.array_equal(rows[position], encoder.encode(int(term)))
+        untouched = np.setdiff1d(np.arange(80), positions)
+        assert not rows[untouched].any()
+
+    @pytest.mark.parametrize("bad", [0, -1, 38])
+    def test_encode_ids_rejects_ids_outside_domain(self, bad):
+        encoder = TermEncoder(37, "binary")
+        with pytest.raises(ValueError, match=f"term id {bad} outside"):
+            encoder.encode_ids(3, [0, 2], [5, bad])

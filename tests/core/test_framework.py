@@ -1,7 +1,9 @@
 """Tests for the LMKG framework façade: grouping, routing, decomposition."""
 
+import numpy as np
 import pytest
 
+from repro.core.decomposition import combine_estimates, decompose
 from repro.core.framework import LMKG, EstimationError
 from repro.core.lmkg_s import LMKGSConfig
 from repro.core.lmkg_u import LMKGUConfig
@@ -43,6 +45,40 @@ def supervised(lubm_store):
         shapes=[("star", 2), ("chain", 2)], queries_per_shape=250
     )
     return framework
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(lubm_store):
+    """Stars, chains and three kinds of compound, interleaved: a star
+    beside a disjoint chain, a star whose last arm runs on into a chain,
+    and a star with a single triple pointing at its centre."""
+    stars = generate_workload(lubm_store, "star", 2, 12, seed=51)
+    chains = generate_workload(lubm_store, "chain", 2, 12, seed=52)
+    batch = []
+    for k, (star, chain) in enumerate(zip(stars, chains)):
+        star, chain = star.query, chain.query
+        batch += [star, chain]
+        # the chain under variable names no star uses
+        first, second = (
+            TriplePattern(
+                *(
+                    v("k_" + t.name) if isinstance(t, Variable) else t
+                    for t in tp
+                )
+            )
+            for tp in chain.triples
+        )
+        if k % 3 == 0:
+            extra = [first, second]
+        elif k % 3 == 1:
+            extra = [
+                TriplePattern(star.triples[-1].o, first.p, first.o),
+                second,
+            ]
+        else:
+            extra = [TriplePattern(v("tail"), 1, star.triples[0].s)]
+        batch.append(QueryPattern(list(star.triples) + extra))
+    return batch
 
 
 class TestConstruction:
@@ -185,33 +221,56 @@ class TestEstimateBatch:
         with pytest.raises(EstimationError):
             supervised.estimate_batch([big])
 
-    def test_loop_fallback_for_models_without_batch(
-        self, supervised, lubm_store
+    def test_invariant_under_permutation_and_renaming(
+        self, supervised, mixed_batch
     ):
-        """A model exposing only estimate() is looped, so callers get
-        one API regardless of model support."""
-
-        class LoopOnly:
-            calls = 0
-
-            def estimate(self, query):
-                LoopOnly.calls += 1
-                return 7.0
-
-        framework = LMKG(
-            lubm_store, model_type="supervised", grouping="size"
+        """Routing classifies each query once and regroups components
+        by model: neither the order of the batch nor the names of the
+        variables may show in an answer."""
+        base = supervised.estimate_batch(mixed_batch)
+        order = np.random.default_rng(5).permutation(len(mixed_batch))
+        permuted = supervised.estimate_batch(
+            [mixed_batch[i] for i in order]
         )
-        key = framework.grouping.key("star", 2)
-        framework.models[key] = LoopOnly()
-        framework._group_max_size[key] = 2
-        framework._group_topologies[key] = {"star"}
-        queries = [
-            star_pattern(v("x"), [(1, v("a")), (2, v("b"))]),
-            star_pattern(v("x"), [(2, v("a")), (3, v("b"))]),
+        # float32 GEMM rows may round differently at another position
+        assert np.allclose(permuted, base[order], rtol=1e-5, atol=0)
+
+        def rename(term):
+            return v("r_" + term.name[::-1]) if isinstance(
+                term, Variable
+            ) else term
+
+        renamed = [
+            QueryPattern(
+                [
+                    TriplePattern(rename(tp.s), rename(tp.p), rename(tp.o))
+                    for tp in query.triples
+                ]
+            )
+            for query in mixed_batch
         ]
-        estimates = framework.estimate_batch(queries)
-        assert estimates.tolist() == [7.0, 7.0]
-        assert LoopOnly.calls == 2
+        # same batch, same positions, same features: same bits
+        assert np.array_equal(supervised.estimate_batch(renamed), base)
+
+    def test_compound_equals_combined_components(
+        self, supervised, lubm_store, mixed_batch
+    ):
+        """A compound's answer is ``combine_estimates`` over its
+        components estimated on their own."""
+        compounds = [
+            (i, q) for i, q in enumerate(mixed_batch)
+            if len(decompose(q)) > 1
+        ]
+        assert len(compounds) >= 10
+        base = supervised.estimate_batch(mixed_batch)
+        for i, query in compounds:
+            components = decompose(query)
+            combined = combine_estimates(
+                lubm_store,
+                components,
+                supervised.estimate_batch(components),
+            )
+            assert combined == pytest.approx(base[i], rel=1e-5)
 
     def test_unsupervised_batch(self, lubm_store):
         framework = LMKG(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition import decompose
+from repro.core.decomposition import classified_components, decompose
 from repro.core.encoders import make_encoders
 from repro.core.metrics import q_error
 from repro.core.pattern_bound import PatternBoundEncoder
@@ -131,6 +131,28 @@ class TestDecompositionInvariants:
         )
         for part in parts:
             assert part.topology() is not Topology.COMPOSITE
+
+    @given(
+        st.lists(
+            st.builds(
+                TriplePattern,
+                st.sampled_from([v("a"), v("b"), v("c"), 1, 2]),
+                st.integers(1, 3),
+                st.sampled_from([v("a"), v("b"), v("c"), v("d"), 1, 2]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_classified_components_match_reclassification(self, triples):
+        """The topology handed down with each component — so the router
+        classifies a query once — is what ``topology()`` would say."""
+        query = QueryPattern(triples)
+        classified = classified_components(query, query.topology())
+        assert [c for c, _ in classified] == decompose(query)
+        for component, topology in classified:
+            assert topology is component.topology()
 
 
 class TestQErrorProperties:

@@ -136,6 +136,38 @@ class TestRegressor:
         out = reg.predict(np.ones(4))
         assert out.shape == (1,)
 
+    def test_predict_between_forward_and_backward(self, rng):
+        """Inference records no backward state: a ``predict`` (the
+        validation pass of ``fit``, a served request during a
+        fine-tune) between a training forward and its backward must
+        leave the gradients what they would have been without it."""
+        net = build_mlp(4, [8, 8], rng)
+        reg = Regressor(net, MSELoss())
+        x, other = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        upstream = rng.normal(size=(6, 1))
+
+        def gradients(interleave):
+            for param in net.parameters():
+                param.zero_grad()
+            net.forward(x, training=True)
+            if interleave:
+                reg.predict(other)
+            net.backward(upstream)
+            return [param.grad.copy() for param in net.parameters()]
+
+        for expected, got in zip(gradients(False), gradients(True)):
+            assert np.array_equal(expected, got)
+
+    def test_fused_forward_leaves_its_input_alone(self, rng):
+        """The in-place activations run on a private copy."""
+        from repro.nn.layers import ReLU, Sequential
+
+        x = rng.normal(size=(5, 3)).astype(np.float32)
+        before = x.copy()
+        out = Sequential([ReLU()]).forward_fused(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(out, np.maximum(before, 0))
+
     def test_memory_accounting(self, rng):
         reg = Regressor(build_mlp(4, [8], rng), MSELoss())
         assert reg.memory_bytes() == reg.num_parameters() * 4
