@@ -1,15 +1,26 @@
-"""Setuptools entry point.
+"""Setuptools entry point (the only packaging file; there is no
+pyproject.toml).
 
-Kept alongside pyproject.toml because the offline environment lacks the
-``wheel`` package, so editable installs must use the legacy
-``pip install -e . --no-use-pep517`` path.
+The offline environment lacks the ``wheel`` package, so editable
+installs use the legacy ``pip install -e . --no-use-pep517`` path.
+numpy is the only runtime dependency.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+# The one version lives in repro/__init__.py; read it without importing
+# the package (numpy may not be installed yet).
+INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', INIT.read_text(), re.MULTILINE
+).group(1)
+
 setup(
     name="repro",
-    version="0.1.0",
+    version=VERSION,
     description=(
         "LMKG reproduction: learned cardinality estimation for "
         "knowledge graphs"

@@ -24,6 +24,7 @@ Typical use::
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -46,6 +47,20 @@ from repro.rdf.store import TripleStore
 from repro.sampling.workload import QueryRecord, generate_workload
 
 Shape = Tuple[str, int]
+
+ARTIFACT_FILENAME = "artifact.json"
+
+#: the artifact schema version ``LMKG.save`` writes.
+ARTIFACT_SCHEMA_VERSION = 2
+
+
+def file_crc32(path: Path) -> int:
+    """CRC32 of a file's content, read in 1 MiB blocks."""
+    crc = 0
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            crc = zlib.crc32(block, crc)
+    return crc
 
 
 class EstimationError(RuntimeError):
@@ -328,6 +343,35 @@ class LMKG(Estimator):
     def num_models(self) -> int:
         return len(self.models)
 
+    def covered_shapes(self) -> Dict[str, List[int]]:
+        """Topology -> sorted sizes the execution phase can route.
+
+        Probes the actual routing: for every trained model, the grouping
+        strategy is asked which (topology, size) pairs land on its key,
+        so the answer is exactly what ``_model_for`` / ``_try_tree_model``
+        accept.  This is the ``trained_shapes`` record of the artifact.
+        """
+        covered: Dict[str, set] = {}
+        for key, model in self.models.items():
+            max_size = self._group_max_size.get(key, 0)
+            for topology in self._group_topologies.get(key, set()):
+                if isinstance(model, LMKGU):
+                    if topology == "tree":
+                        # _try_tree_model never answers through LMKG-U,
+                        # and "tree" is not a routable Topology value.
+                        continue
+                    # LMKG-U is fixed-size by construction; routing
+                    # rejects any other size on the same key.
+                    sizes = [model.size]
+                else:
+                    sizes = [
+                        size
+                        for size in range(2, max_size + 1)
+                        if self.grouping.key(topology, size) == key
+                    ]
+                covered.setdefault(topology, set()).update(sizes)
+        return {t: sorted(sizes) for t, sizes in sorted(covered.items())}
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -338,10 +382,13 @@ class LMKG(Estimator):
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the whole framework to a checkpoint directory.
 
-        One ``model_<i>.npz`` per trained model plus ``manifest.json``
+        One ``model_<i>.npz`` per trained model, ``manifest.json``
         recording the grouping strategy, model type, and each model's
-        routing extent (key, max size, topologies).  The manifest is
-        written last, so its presence marks a complete checkpoint.
+        routing extent (key, max size, topologies), and ``artifact.json``
+        — the schema-versioned record :mod:`repro.serve.artifacts` gates
+        on: a CRC32 per file, the covered shapes and the store
+        fingerprint.  The artifact is written last, so its presence
+        marks a complete checkpoint; its path is returned.
         ``LMKG.load(path, store)`` rebuilds an identical framework
         against the same store (or a snapshot of it).  Checkpoints hold
         the float64 training masters bit-exactly; the fused float32
@@ -396,11 +443,24 @@ class LMKG(Estimator):
             "store": store_info,
             "models": entries,
         }
-        manifest_path = path / "manifest.json"
-        manifest_path.write_text(
+        (path / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
-        return manifest_path
+        tracked = ["manifest.json"] + sorted(e["file"] for e in entries)
+        artifact = {
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "framework_manifest_version": self._MANIFEST_VERSION,
+            "file_checksums": {
+                name: file_crc32(path / name) for name in tracked
+            },
+            "trained_shapes": self.covered_shapes(),
+            "store": store_info,
+        }
+        artifact_path = path / ARTIFACT_FILENAME
+        artifact_path.write_text(
+            json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+        )
+        return artifact_path
 
     @classmethod
     def load(

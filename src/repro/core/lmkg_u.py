@@ -786,17 +786,12 @@ class LMKGU(Estimator):
         arrays = load_arrays(path)
         size, is_star = arrays["_meta_shape"]
         made = MADE.from_state(arrays)
-        seed, budget = 0, -1
-        if "_meta_sampler" in arrays:
-            seed, budget = (int(v) for v in arrays["_meta_sampler"])
+        seed, budget = (int(v) for v in arrays["_meta_sampler"])
         config = LMKGUConfig(
             embed_dim=made.embed_dim,
             hidden_sizes=tuple(made.hidden_sizes),
             residual=made.residual,
             particles=int(arrays["_meta_particles"][0]),
-            # Legacy (pre-sampler-meta) checkpoints default to seed 0 —
-            # the old loader's silent behaviour, now only for files that
-            # genuinely carry no seed.
             seed=seed,
             chunk_budget=None if budget < 0 else budget,
         )

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.rdf.store import TripleStore
 from repro.sampling.random_walk import (
@@ -327,6 +326,15 @@ class SampleQuality:
     distinct_terms: int
 
 
+def _ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
+    """Two-sample Kolmogorov–Smirnov statistic: max |ECDF_a - ECDF_b|."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    ecdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    ecdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.abs(ecdf_a - ecdf_b).max())
+
+
 def _instance_predicates(instances: Sequence[Instance]) -> List[int]:
     preds: List[int] = []
     for inst in instances:
@@ -387,7 +395,7 @@ def sample_quality(
         size=max(len(sample_degrees), 200),
         p=weights_arr / weights_arr.sum(),
     )
-    degree_ks = float(stats.ks_2samp(sample_degrees, reference).statistic)
+    degree_ks = _ks_statistic(sample_degrees, reference)
     distinct = len({term for inst in instances for term in inst})
     return SampleQuality(
         predicate_tv=float(predicate_tv),

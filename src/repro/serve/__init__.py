@@ -45,7 +45,6 @@ from repro.serve.artifacts import (
     load_artifact,
     load_checkpoint,
     save_checkpoint,
-    write_artifact,
 )
 from repro.serve.faults import (
     CORRUPTION_MODES,
@@ -129,5 +128,4 @@ __all__ = [
     "load_checkpoint",
     "make_server",
     "save_checkpoint",
-    "write_artifact",
 ]

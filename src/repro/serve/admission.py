@@ -9,12 +9,13 @@ trained-shape surface saved with the checkpoint artifact so the HTTP
 layer can 422 uncovered shapes **at parse time** instead.
 
 The manifest is built by *probing the framework's actual routing*
-(:meth:`ShapeManifest.from_framework`): for every trained model we ask
-the grouping strategy which (topology, size) pairs land on it, so the
-admitted set is exactly the set the execution phase can answer — never a
-re-implementation that could drift.  Composite queries are checked
-through the same :func:`~repro.core.decomposition.decompose` +
-tree-absorption logic the framework itself uses.
+(:meth:`~repro.core.framework.LMKG.covered_shapes`): for every trained
+model the grouping strategy is asked which (topology, size) pairs land
+on it, so the admitted set is exactly the set the execution phase can
+answer — never a re-implementation that could drift.  Composite queries
+are checked through the same
+:func:`~repro.core.decomposition.decompose` + tree-absorption logic the
+framework itself uses.
 
 Admission is **sound, not complete** in one direction only: a query it
 admits is guaranteed to route (the worker-side 422 path stays as the
@@ -62,32 +63,8 @@ class ShapeManifest:
 
     @classmethod
     def from_framework(cls, framework) -> "ShapeManifest":
-        """Probe the framework's routing for every coverable shape."""
-        from repro.core.lmkg_u import LMKGU
-
-        covered: Dict[str, set] = {}
-        for key, model in framework.models.items():
-            topologies = framework._group_topologies.get(key, set())
-            max_size = framework._group_max_size.get(key, 0)
-            for topology in topologies:
-                if isinstance(model, LMKGU):
-                    if topology == "tree":
-                        # _try_tree_model never answers through LMKG-U,
-                        # and "tree" is not a routable Topology value.
-                        continue
-                    # LMKG-U is fixed-size by construction; routing
-                    # rejects any other size on the same key.
-                    sizes = [model.size]
-                else:
-                    sizes = [
-                        size
-                        for size in range(2, max_size + 1)
-                        if framework.grouping.key(topology, size) == key
-                    ]
-                covered.setdefault(topology, set()).update(sizes)
-        return cls(
-            {t: frozenset(sizes) for t, sizes in covered.items()}
-        )
+        """The shapes *framework*'s own routing covers."""
+        return cls.from_dict(framework.covered_shapes())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Sequence[int]]) -> "ShapeManifest":

@@ -2,11 +2,10 @@
 
 A serving fleet rolls forward and back across checkpoint *formats*, not
 just weights: a node running last week's code must refuse next week's
-checkpoint loudly, and a new node must keep reading last month's.  This
-module gives every ``LMKG.save`` directory a schema-versioned
-``artifact.json`` (the release-artifact idiom: each artifact declares
-``schema_version``, and a reader carries an explicit set of versions it
-can consume) recording
+checkpoint loudly.  Every ``LMKG.save`` directory carries a
+schema-versioned ``artifact.json`` (the release-artifact idiom: each
+artifact declares ``schema_version``, and a reader carries an explicit
+set of versions it can consume) recording
 
 - the **artifact schema version** and the framework manifest format it
   wraps,
@@ -20,33 +19,28 @@ can consume) recording
 Every failure is a typed :class:`ArtifactError` whose ``reason`` is a
 stable machine-readable code (``corrupt`` / ``incompatible`` /
 ``checksum`` / ``missing``) — a fleet can alert on *which* gate fired,
-and the HTTP reload endpoint maps them to a structured 409.
-
-Checkpoints written before this module (no ``artifact.json``) are
-treated as **schema version 1**: :func:`load_artifact` synthesises a v1
-record from ``manifest.json`` (no checksums, no shape manifest — those
-are rebuilt from the loaded framework), which is what makes rolling
-*forward* over a PR-4-era checkpoint work.
+and the HTTP reload endpoint maps them to a structured 409.  A directory
+without ``artifact.json`` is not a checkpoint (``missing``): the artifact
+is written last, so its absence means an incomplete or tampered save.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
+from repro.core.framework import (
+    ARTIFACT_FILENAME,
+    ARTIFACT_SCHEMA_VERSION,
+    LMKG,
+    file_crc32,
+)
 from repro.serve.admission import ShapeManifest
 
-ARTIFACT_FILENAME = "artifact.json"
-
-#: the schema version this code writes.
-ARTIFACT_SCHEMA_VERSION = 2
-
-#: the schema versions this code can consume.  Version 1 is the implied
-#: schema of pre-artifact checkpoints (manifest.json only).
-SUPPORTED_SCHEMA_VERSIONS: Tuple[int, ...] = (1, 2)
+#: the schema versions this code can consume.
+SUPPORTED_SCHEMA_VERSIONS: Tuple[int, ...] = (ARTIFACT_SCHEMA_VERSION,)
 
 
 class ArtifactError(RuntimeError):
@@ -54,8 +48,8 @@ class ArtifactError(RuntimeError):
 
     ``reason`` codes:
 
-    - ``missing`` — no checkpoint at the path at all;
-    - ``corrupt`` — artifact/manifest present but unreadable;
+    - ``missing`` — no ``artifact.json`` at the path;
+    - ``corrupt`` — artifact present but unreadable;
     - ``checksum`` — a checkpoint file does not match its recorded CRC;
     - ``incompatible`` — a schema version this reader does not support.
     """
@@ -71,92 +65,27 @@ class CheckpointArtifact:
 
     schema_version: int
     checkpoint_dir: Path
-    #: relative filename -> CRC32 (empty for synthesised v1 records).
-    file_checksums: Dict[str, int] = field(default_factory=dict)
-    #: trained-shape manifest (None for synthesised v1 records; rebuild
-    #: it from the loaded framework).
-    shapes: Optional[ShapeManifest] = None
+    #: relative filename -> CRC32.
+    file_checksums: Dict[str, int]
+    #: trained-shape manifest.
+    shapes: ShapeManifest
     #: store fingerprint copied from the framework manifest (informational
     #: here; LMKG.load re-verifies it against the live store).
-    store: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def legacy(self) -> bool:
-        return self.schema_version < ARTIFACT_SCHEMA_VERSION
-
-
-def _crc32(path: Path) -> int:
-    crc = 0
-    with path.open("rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            crc = zlib.crc32(block, crc)
-    return crc
-
-
-def write_artifact(framework, path: Union[str, Path]) -> Path:
-    """Write ``artifact.json`` for an already-saved checkpoint at *path*.
-
-    Must run after ``framework.save(path)``; checksums cover every file
-    the artifact schema tracks, and the artifact is written last so its
-    presence marks a complete, gate-checkable checkpoint.
-    """
-    path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.is_file():
-        raise ArtifactError(
-            f"no framework manifest at {manifest_path}; call "
-            "framework.save() first (or use save_checkpoint())",
-            reason="missing",
-        )
-    manifest = json.loads(manifest_path.read_text())
-    tracked = ["manifest.json"] + sorted(
-        entry["file"] for entry in manifest.get("models", [])
-    )
-    checksums = {name: _crc32(path / name) for name in tracked}
-    payload = {
-        "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "framework_manifest_version": manifest.get("version"),
-        "file_checksums": checksums,
-        "trained_shapes": ShapeManifest.from_framework(
-            framework
-        ).to_dict(),
-        "store": manifest.get("store", {}),
-    }
-    artifact_path = path / ARTIFACT_FILENAME
-    artifact_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    return artifact_path
+    store: Dict[str, object]
 
 
 def load_artifact(path: Union[str, Path]) -> CheckpointArtifact:
     """Parse + gate-check the artifact at *path* (no weights loaded).
 
     Raises :class:`ArtifactError` with a typed ``reason`` on any gate
-    failure; returns a synthesised v1 record for pre-artifact
-    checkpoints.
+    failure.
     """
     path = Path(path)
     artifact_path = path / ARTIFACT_FILENAME
-    manifest_path = path / "manifest.json"
     if not artifact_path.is_file():
-        if not manifest_path.is_file():
-            raise ArtifactError(
-                f"no checkpoint at {path} (neither "
-                f"{ARTIFACT_FILENAME} nor manifest.json)",
-                reason="missing",
-            )
-        # Pre-artifact checkpoint: implied schema version 1.
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ArtifactError(
-                f"corrupt framework manifest: {exc}", reason="corrupt"
-            ) from exc
-        return CheckpointArtifact(
-            schema_version=1,
-            checkpoint_dir=path,
-            store=manifest.get("store", {}),
+        raise ArtifactError(
+            f"no checkpoint at {path} (no {ARTIFACT_FILENAME})",
+            reason="missing",
         )
     try:
         payload = json.loads(artifact_path.read_text())
@@ -180,10 +109,11 @@ def load_artifact(path: Union[str, Path]) -> CheckpointArtifact:
             "version",
             reason="incompatible",
         )
-    checksums = payload.get("file_checksums", {})
-    if not isinstance(checksums, dict):
+    checksums = payload.get("file_checksums")
+    shapes = payload.get("trained_shapes")
+    if not isinstance(checksums, dict) or not isinstance(shapes, dict):
         raise ArtifactError(
-            "artifact file_checksums must be an object",
+            "artifact file_checksums and trained_shapes must be objects",
             reason="corrupt",
         )
     for name, expected in sorted(checksums.items()):
@@ -194,7 +124,7 @@ def load_artifact(path: Union[str, Path]) -> CheckpointArtifact:
                 "missing",
                 reason="checksum",
             )
-        actual = _crc32(target)
+        actual = file_crc32(target)
         if actual != expected:
             raise ArtifactError(
                 f"checkpoint file {name} fails its content checksum "
@@ -202,26 +132,20 @@ def load_artifact(path: Union[str, Path]) -> CheckpointArtifact:
                 "checkpoint is corrupt or was partially copied",
                 reason="checksum",
             )
-    shapes = payload.get("trained_shapes")
     return CheckpointArtifact(
         schema_version=int(version),
         checkpoint_dir=path,
         file_checksums={
             str(k): int(v) for k, v in checksums.items()
         },
-        shapes=(
-            ShapeManifest.from_dict(shapes)
-            if isinstance(shapes, dict)
-            else None
-        ),
+        shapes=ShapeManifest.from_dict(shapes),
         store=payload.get("store", {}),
     )
 
 
 def save_checkpoint(framework, path: Union[str, Path]) -> Path:
-    """``framework.save(path)`` plus the versioned artifact record."""
-    framework.save(path)
-    return write_artifact(framework, path)
+    """``framework.save(path)``; returns the path of ``artifact.json``."""
+    return framework.save(path)
 
 
 def load_checkpoint(
@@ -232,25 +156,14 @@ def load_checkpoint(
     Returns ``(framework, artifact)``.  The artifact gate runs first —
     a corrupt or incompatible checkpoint is rejected with a typed
     :class:`ArtifactError` before any weight file is opened; framework-
-    level failures (graph fingerprint mismatch, unreadable npz that a
-    v1 artifact had no checksum for) still surface as
+    level failures (graph fingerprint mismatch) still surface as
     :class:`~repro.core.framework.CheckpointError`.
     ``allow_stale_store`` forwards to :meth:`LMKG.load` — the
     incremental-maintenance path, which loads a checkpoint against a
     graph that has drifted since training in order to fine-tune it.
     """
-    from repro.core.framework import LMKG
-
     artifact = load_artifact(path)
     framework = LMKG.load(
         path, store, allow_stale_store=allow_stale_store
     )
-    if artifact.shapes is None:
-        artifact = CheckpointArtifact(
-            schema_version=artifact.schema_version,
-            checkpoint_dir=artifact.checkpoint_dir,
-            file_checksums=artifact.file_checksums,
-            shapes=ShapeManifest.from_framework(framework),
-            store=artifact.store,
-        )
     return framework, artifact

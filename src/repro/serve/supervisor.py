@@ -845,7 +845,6 @@ class ResilientBackend:
         )
         self._generation = generation
         self._call_lock = contextlib.nullcontext()
-        self._active: Dict[int, int] = {}  # id(fn) -> in-flight calls
         self._primary_batches = 0
         self._degraded_batches = 0
 
@@ -886,13 +885,9 @@ class ResilientBackend:
         if route != "primary":
             return self._run_fallback(queries, generation, cause=None)
         try:
-            self._track(fn, +1)
-            try:
-                if self._injector is not None:
-                    self._injector.on_request(queries)
-                values = fn(queries)
-            finally:
-                self._track(fn, -1)
+            if self._injector is not None:
+                self._injector.on_request(queries)
+            values = fn(queries)
         except EstimationError:
             raise
         except Exception as exc:  # noqa: BLE001 — classified below
@@ -936,39 +931,18 @@ class ResilientBackend:
             "backend": "fallback",
         }
 
-    def _track(self, fn, delta: int) -> None:
-        with self._lock:
-            key = id(fn)
-            count = self._active.get(key, 0) + delta
-            if count <= 0:
-                self._active.pop(key, None)
-            else:
-                self._active[key] = count
-
     # -- reload support -------------------------------------------------
 
     def swap_primary(self, fn: Callable) -> Callable:
         """Atomically install a new primary; bumps the generation and
         closes the breaker (a fresh checkpoint earns a fresh chance).
-        Returns the previous primary for draining."""
+        Returns the previous primary."""
         with self._lock:
             old = self._primary
             self._primary = fn
             self._generation += 1
         self.breaker.reset()
         return old
-
-    def wait_idle(self, fn: Callable, timeout: float = 30.0) -> bool:
-        """Block until no in-flight call uses *fn* (drain-before-close);
-        True when drained, False on timeout."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._active.get(id(fn), 0) == 0:
-                    return True
-            time.sleep(0.01)
-        with self._lock:
-            return self._active.get(id(fn), 0) == 0
 
     def stats(self) -> dict:
         with self._lock:

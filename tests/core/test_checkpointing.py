@@ -137,8 +137,10 @@ class TestFrameworkCheckpoint:
 
         from repro.core.framework import LMKG
 
-        manifest_path = fitted.save(tmp_path / "meta")
-        manifest = json.loads(manifest_path.read_text())
+        fitted.save(tmp_path / "meta")
+        manifest = json.loads(
+            (tmp_path / "meta" / "manifest.json").read_text()
+        )
         assert manifest["format"] == "repro-lmkg-framework"
         assert manifest["grouping"]["name"] == "size"
         restored = LMKG.load(tmp_path / "meta", lubm_store)

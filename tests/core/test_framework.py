@@ -283,3 +283,82 @@ class TestEstimateBatch:
         )
         assert len(estimates) == len(star)
         assert all(e >= 0.0 for e in estimates)
+
+
+class TestCoveredShapes:
+    """``covered_shapes`` is the routing probe the artifact records and
+    admission control reads: exactly what ``_model_for`` /
+    ``_try_tree_model`` accept, per grouping."""
+
+    TINY_S = LMKGSConfig(hidden_sizes=(8,), epochs=1, seed=0)
+    TINY_U = LMKGUConfig(
+        embed_dim=4,
+        hidden_sizes=(8,),
+        epochs=1,
+        training_samples=200,
+        particles=8,
+        seed=0,
+    )
+
+    @pytest.mark.parametrize(
+        ("grouping", "shapes", "expected"),
+        [
+            (
+                # one size<=4 model: every topology it saw, up to the
+                # largest size it saw
+                "size",
+                [("star", 2), ("star", 3), ("chain", 2)],
+                {"chain": [2, 3], "star": [2, 3]},
+            ),
+            (
+                "type",
+                [("star", 2), ("star", 3), ("chain", 2)],
+                {"chain": [2], "star": [2, 3]},
+            ),
+            (
+                "specialized",
+                [("star", 2), ("chain", 3)],
+                {"chain": [3], "star": [2]},
+            ),
+            (
+                "size",
+                [("star", 2), ("tree", 3)],
+                {"star": [2, 3], "tree": [2, 3]},
+            ),
+        ],
+    )
+    def test_supervised_groupings(
+        self, lubm_store, grouping, shapes, expected
+    ):
+        from repro.serve.admission import ShapeManifest
+
+        framework = LMKG(
+            lubm_store, grouping=grouping, lmkgs_config=self.TINY_S
+        )
+        framework.fit(shapes=shapes, queries_per_shape=30)
+        assert framework.covered_shapes() == expected
+        assert (
+            ShapeManifest.from_framework(framework).to_dict() == expected
+        )
+
+    def test_unsupervised_is_pinned_to_its_sizes(self, lubm_store):
+        from repro.serve.admission import ShapeManifest
+
+        framework = LMKG(
+            lubm_store,
+            model_type="unsupervised",
+            lmkgu_config=self.TINY_U,
+        )
+        framework.fit(shapes=[("star", 3), ("chain", 2)])
+        expected = {"chain": [2], "star": [3]}
+        assert framework.covered_shapes() == expected
+        assert (
+            ShapeManifest.from_framework(framework).to_dict() == expected
+        )
+
+    def test_every_covered_shape_routes(self, supervised):
+        for topology, sizes in supervised.covered_shapes().items():
+            for size in sizes:
+                assert supervised._model_for(topology, size) is not None
+        with pytest.raises(EstimationError):
+            supervised._model_for("star", 3)

@@ -174,33 +174,26 @@ class TestCheckpointSampler:
             "reloaded model drew from differently-keyed noise streams"
         )
 
-    def test_legacy_checkpoint_defaults_gracefully(
+    def test_checkpoint_without_sampler_meta_is_refused(
         self, lubm_store, tmp_path
     ):
-        """Pre-sampler-meta checkpoints (no ``_meta_sampler`` entry)
-        load with seed 0 and auto-tuned blocking — the old loader's
-        behaviour — instead of crashing."""
-        import dataclasses
-
+        """A model file that lost its ``_meta_sampler`` entry (seed +
+        block budget) is a CheckpointError — never a silent seed-0 load
+        that returns different estimates."""
+        from repro.core.framework import LMKG, CheckpointError
         from repro.nn.serialization import load_arrays, save_arrays
 
-        config = dataclasses.replace(self.CONFIG, seed=0)
-        model = LMKGU(lubm_store, "star", 2, config)
-        model.fit()
-        path = tmp_path / "modern.npz"
-        model.save(path)
-        arrays = load_arrays(path)
-        assert "_meta_sampler" in arrays
+        framework = LMKG(
+            lubm_store, model_type="unsupervised", lmkgu_config=self.CONFIG
+        )
+        framework.fit(shapes=[("star", 2)])
+        framework.save(tmp_path / "ckpt")
+        model_path = tmp_path / "ckpt" / "model_0.npz"
+        arrays = load_arrays(model_path)
         del arrays["_meta_sampler"]
-        legacy_path = tmp_path / "legacy.npz"
-        save_arrays(legacy_path, arrays)
-        legacy = LMKGU.load(legacy_path, lubm_store)
-        assert legacy.config.seed == 0
-        assert legacy.config.chunk_budget is None
-        workload = generate_workload(lubm_store, "star", 2, 6, seed=47)
-        estimates = legacy.estimate_batch([r.query for r in workload])
-        assert np.isfinite(estimates).all()
-        assert (estimates >= 0.0).all()
+        save_arrays(model_path, arrays)
+        with pytest.raises(CheckpointError, match="_meta_sampler"):
+            LMKG.load(tmp_path / "ckpt", lubm_store)
 
 
 class TestInferenceTrunk:

@@ -5,6 +5,8 @@ import shutil
 
 import pytest
 
+from repro.core.framework import LMKG
+from repro.serve import EstimatorService, ServiceError
 from repro.serve.artifacts import (
     ARTIFACT_FILENAME,
     ARTIFACT_SCHEMA_VERSION,
@@ -13,7 +15,6 @@ from repro.serve.artifacts import (
     load_artifact,
     load_checkpoint,
     save_checkpoint,
-    write_artifact,
 )
 from repro.serve.faults import CORRUPTION_MODES, corrupt_checkpoint
 
@@ -39,8 +40,7 @@ class TestWriteAndLoad:
     def test_load_artifact_roundtrip(self, artifact_ckpt):
         artifact = load_artifact(artifact_ckpt)
         assert artifact.schema_version == ARTIFACT_SCHEMA_VERSION
-        assert not artifact.legacy
-        assert artifact.shapes is not None
+        assert SUPPORTED_SCHEMA_VERSIONS == (2,)
         assert artifact.shapes.covered  # non-empty coverage
         # every checksummed file exists
         for name in artifact.file_checksums:
@@ -54,39 +54,84 @@ class TestWriteAndLoad:
         )
         values = framework.estimate_batch(star_queries[:4])
         assert values.shape == (4,)
-        assert artifact.shapes is not None
+        assert artifact.shapes.covered
 
     def test_write_artifact_requires_saved_framework(
         self, service, tmp_path
     ):
+        """The artifact is only ever written by a complete save: a
+        framework with nothing to save leaves no gate-passing record."""
+        with pytest.raises(RuntimeError, match="before fit"):
+            save_checkpoint(LMKG(service.store), tmp_path / "nowhere")
         with pytest.raises(ArtifactError) as excinfo:
-            write_artifact(service.framework, tmp_path / "nowhere")
+            load_artifact(tmp_path / "nowhere")
         assert excinfo.value.reason == "missing"
 
-
-class TestLegacyV1:
-    def test_pre_artifact_checkpoint_reads_as_v1(
-        self, checkpoint_dir
+    def test_bare_framework_save_is_a_gated_checkpoint(
+        self, checkpoint_dir, artifact_ckpt
     ):
-        # checkpoint_dir fixture is a bare framework.save (PR-4 era).
+        # checkpoint_dir fixture is a bare framework.save(): the same
+        # artifact save_checkpoint writes, checksums and shapes included.
         artifact = load_artifact(checkpoint_dir)
-        assert artifact.schema_version == 1
-        assert artifact.legacy
-        assert artifact.shapes is None
-        assert artifact.file_checksums == {}
-
-    def test_v1_supported_and_shapes_backfilled(
-        self, checkpoint_dir, service
-    ):
-        assert 1 in SUPPORTED_SCHEMA_VERSIONS
-        framework, artifact = load_checkpoint(
-            checkpoint_dir, service.store
-        )
-        assert artifact.schema_version == 1
-        # load_checkpoint rebuilds the shape manifest from the loaded
-        # framework so admission works on legacy checkpoints too.
-        assert artifact.shapes is not None
+        assert artifact.schema_version == ARTIFACT_SCHEMA_VERSION
+        assert set(artifact.file_checksums) >= {
+            "manifest.json",
+            "model_0.npz",
+        }
         assert artifact.shapes.covered
+        assert artifact.store["num_triples"] > 0
+        # The model CRCs differ between two saves (npz members carry a
+        # timestamp); everything else is the same record.
+        twin = load_artifact(artifact_ckpt)
+        assert set(artifact.file_checksums) == set(twin.file_checksums)
+        assert (
+            artifact.file_checksums["manifest.json"]
+            == twin.file_checksums["manifest.json"]
+        )
+        assert (artifact.shapes, artifact.store) == (
+            twin.shapes,
+            twin.store,
+        )
+
+
+class TestArtifactRequired:
+    """A directory whose ``artifact.json`` is gone is not a checkpoint:
+    deleting the record must not turn the checksum gate off."""
+
+    @pytest.fixture()
+    def stripped(self, artifact_ckpt, tmp_path):
+        target = tmp_path / "stripped"
+        shutil.copytree(artifact_ckpt, target)
+        (target / ARTIFACT_FILENAME).unlink()
+        return target
+
+    def test_load_artifact_refuses(self, stripped):
+        with pytest.raises(ArtifactError) as excinfo:
+            load_artifact(stripped)
+        assert excinfo.value.reason == "missing"
+
+    def test_load_checkpoint_refuses(self, stripped, service):
+        with pytest.raises(ArtifactError) as excinfo:
+            load_checkpoint(stripped, service.store)
+        assert excinfo.value.reason == "missing"
+
+    def test_service_from_snapshot_refuses(self, stripped, snapshot_dir):
+        with pytest.raises(ServiceError) as excinfo:
+            EstimatorService.from_snapshot(snapshot_dir, stripped)
+        assert excinfo.value.__cause__.reason == "missing"
+
+    def test_artifact_without_shapes_is_corrupt(
+        self, artifact_ckpt, tmp_path
+    ):
+        target = tmp_path / "shapeless"
+        shutil.copytree(artifact_ckpt, target)
+        record = target / ARTIFACT_FILENAME
+        payload = json.loads(record.read_text())
+        del payload["trained_shapes"]
+        record.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactError) as excinfo:
+            load_artifact(target)
+        assert excinfo.value.reason == "corrupt"
 
 
 class TestGate:
@@ -111,16 +156,6 @@ class TestGate:
         target = tmp_path / "damaged"
         shutil.copytree(artifact_ckpt, target)
         corrupt_checkpoint(target, "garbage-artifact")
-        with pytest.raises(ArtifactError) as excinfo:
-            load_artifact(target)
-        assert excinfo.value.reason == "corrupt"
-
-    def test_garbage_manifest_on_legacy_is_corrupt(
-        self, checkpoint_dir, tmp_path
-    ):
-        target = tmp_path / "damaged"
-        shutil.copytree(checkpoint_dir, target)
-        corrupt_checkpoint(target, "garbage-manifest")
         with pytest.raises(ArtifactError) as excinfo:
             load_artifact(target)
         assert excinfo.value.reason == "corrupt"

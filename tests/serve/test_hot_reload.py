@@ -139,6 +139,22 @@ class TestReloadEndpoint:
         assert payload["reason"] == "missing"
 
 
+    def test_checkpoint_without_artifact_409(
+        self, stack, v2_checkpoint, tmp_path
+    ):
+        base_url, runtime = stack
+        stripped = tmp_path / "stripped"
+        shutil.copytree(v2_checkpoint, stripped)
+        (stripped / "artifact.json").unlink()
+        generation = runtime.generation
+        status, payload = post(
+            f"{base_url}/admin/reload", {"checkpoint": str(stripped)}
+        )
+        assert status == 409, payload
+        assert payload["reason"] == "missing"
+        assert runtime.generation == generation
+
+
 class TestReloadWithoutRuntime:
     def test_501_when_runtime_absent(self, service):
         scheduler = BatchScheduler(

@@ -255,10 +255,6 @@ class TestResilientBackend:
         assert values.tolist() == [2.0]
         assert meta["generation"] == 2
 
-    def test_wait_idle(self):
-        backend = ResilientBackend(_ones)
-        assert backend.wait_idle(_ones, timeout=0.1)
-
     def test_stats(self):
         backend = ResilientBackend(_ones, fallback=_twos)
         backend(["q"])
