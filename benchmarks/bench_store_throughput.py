@@ -387,10 +387,9 @@ def test_store_throughput(report, tmp_path):
 
     # LMKG-U end to end: the cross-query batched particle sweep with
     # the vocab-streamed head, through estimate_batch at serving batch
-    # width.  One full untimed pass first: block-width calibration, the
-    # fused-cache builds, and the allocator's large-page warm-up all
-    # happen there, so the timed pass measures the steady state a
-    # long-lived server sees.
+    # width.  One full untimed pass first: the fused-cache builds and
+    # the allocator's large-page warm-up happen there, so the timed
+    # pass measures the steady state a long-lived server sees.
     lmkgu = LMKGU(
         store,
         "star",
@@ -407,7 +406,7 @@ def test_store_throughput(report, tmp_path):
     lmkgu_queries = [
         q for topology, size, q in queries if (topology, size) == ("star", 2)
     ][:1024]
-    lmkgu.estimate_batch(lmkgu_queries)  # calibrate + warm, untimed
+    lmkgu.estimate_batch(lmkgu_queries)  # warm, untimed
     _, lmkgu_s = _timed(lambda: lmkgu.estimate_batch(lmkgu_queries))
     lmkgu_qps = len(lmkgu_queries) / lmkgu_s
     assert lmkgu_qps >= 100, (

@@ -95,10 +95,8 @@ class Estimator:
     def estimate(self, query: QueryPattern) -> float:
         """Estimated cardinality of one query (non-negative).
 
-        Derived from the batch path, so a subclass only maintains one
-        estimation routine.  Override only when the per-query algorithm
-        genuinely differs from a one-element batch (e.g. LMKG-U, whose
-        batched particle sweep shares an RNG stream across the batch).
+        Always ``estimate_batch([query])[0]``: a subclass maintains one
+        estimation routine and never overrides this.
         """
         return float(self.estimate_batch([query])[0])
 

@@ -22,13 +22,12 @@ grouping the paper uses for its experiments.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import Estimator, finalize_estimates
+from repro.core.estimator import Estimator
 from repro.nn.masked import MADE
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
@@ -66,8 +65,8 @@ _GUMBEL_TABLE_SIZE = 1 << 21
 
 #: float32 ``exp`` underflow margin: once every real value's logit sits
 #: this far below the reserved id's, each renormalised conditional
-#: rounds to 0.0 in the fused float32 sweep — the "dead conditional"
-#: the seed's CDF sampler detected as an all-zero probability row.
+#: rounds to 0.0 in the fused float32 sweep — a "dead conditional",
+#: an all-zero probability row over the real values.
 _DEAD_LOG_MARGIN = np.float32(-104.0)
 
 
@@ -150,53 +149,6 @@ class GumbelStream:
         return np.exp(-np.exp(-g.astype(np.float64)))
 
 
-def likelihood_weighted_probability(
-    model: MADE,
-    constraints: Sequence[Optional[int]],
-    particles: int,
-    rng: np.random.Generator,
-) -> float:
-    """Mean particle weight of one constraint sequence (paper Alg. 1).
-
-    The seed's inverse-CDF sampler over an incremental fused-float32
-    sweep: positions are visited in model order; a bound position
-    multiplies each particle's weight by the conditional of its value,
-    an unbound one samples from the conditional with the reserved
-    unbound id 0 excluded (a particle whose conditional collapsed onto
-    it carries weight 0).  Shared by :class:`LMKGU` and
-    :class:`~repro.core.lmkg_u_universal.UniversalLMKGU`.
-    """
-    num_positions = len(constraints)
-    sweep = model.begin_sweep(
-        np.zeros((particles, num_positions), dtype=np.int64)
-    )
-    weights = np.ones(particles)
-    last = num_positions - 1
-    for position, value in enumerate(constraints):
-        probs = sweep.conditionals(position)
-        if value is not None:
-            weights *= probs[:, value].astype(np.float64)
-            column = np.full(particles, value, dtype=np.int64)
-        else:
-            probs = probs.copy()
-            probs[:, 0] = 0.0
-            totals = probs.sum(axis=1, keepdims=True)
-            dead = totals.ravel() <= 0
-            if dead.any():
-                weights[dead] = 0.0
-                totals[dead] = 1.0
-                probs[dead, 1] = 1.0
-            cdf = np.cumsum(probs / totals, axis=1)
-            # Float32 summation can leave cdf[-1] a hair under 1,
-            # which would send a tail draw to the reserved id 0.
-            cdf[:, -1] = 1.0
-            draws = rng.random((particles, 1))
-            column = (cdf > draws).argmax(axis=1)
-        if position != last:
-            sweep.assign(position, column)
-    return float(weights.mean())
-
-
 def sweep_probability_block(
     model: MADE,
     constraints: np.ndarray,
@@ -223,8 +175,7 @@ def sweep_probability_block(
     (query, position), ``-1`` where unbound.  *offset* is the block's
     first query index within the batch; it keys the per-(query,
     position) noise substreams, so results are invariant to how the
-    batch is blocked.  Shared by :class:`LMKGU` and
-    :class:`~repro.core.lmkg_u_universal.UniversalLMKGU`.
+    batch is blocked.
     """
     num_queries, num_positions = constraints.shape
     rows = num_queries * particles
@@ -286,8 +237,7 @@ def sweep_probability_block(
                 column[q_rep] = choice
                 # Dead conditional: all remaining float32 mass sits on
                 # the reserved unbound id 0 (never seen in training) —
-                # the sampled particle carries weight 0, as the seed's
-                # CDF sampler did.
+                # the sampled particle carries weight 0.
                 dead = (rest_peak - first_logit) <= _DEAD_LOG_MARGIN
                 dead_q = q_rep[dead]
                 if dead_q.size:
@@ -320,6 +270,44 @@ def sweep_probability_block(
     return weights.mean(axis=1)
 
 
+#: Sweep rows (``queries x particles``) per block of the batched
+#: estimator.  Only the trunk state scales with the block — the head
+#: streams the vocabulary in fixed column chunks — so the budget is
+#: independent of vocabulary size; throughput is flat from 16k to 256k
+#: rows (``benchmarks/README.md``).
+_BLOCK_ROWS = 65_536
+
+
+def sweep_probabilities(
+    model: MADE,
+    constraints: Sequence[Sequence[Optional[int]]],
+    particles: int,
+    noise: GumbelStream,
+) -> np.ndarray:
+    """Mean particle weight per query, swept ``_BLOCK_ROWS`` at a time.
+
+    *constraints* holds one sequence per query: the bound value per
+    model position, None where unbound.  Each block is one
+    :func:`sweep_probability_block` call keyed by its first query's
+    index in the batch.  The one block loop, shared by :class:`LMKGU`
+    and :class:`~repro.core.lmkg_u_universal.UniversalLMKGU`.
+    """
+    matrix = np.array(
+        [
+            [-1 if value is None else value for value in sequence]
+            for sequence in constraints
+        ],
+        dtype=np.int64,
+    )
+    chunk = max(_BLOCK_ROWS // max(particles, 1), 1)
+    out = np.empty(len(matrix), dtype=np.float64)
+    for lo in range(0, len(matrix), chunk):
+        out[lo: lo + chunk] = sweep_probability_block(
+            model, matrix[lo: lo + chunk], particles, noise, lo
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class LMKGUConfig:
     """Hyperparameters of one autoregressive model.
@@ -340,18 +328,6 @@ class LMKGUConfig:
     particles: int = 256
     sample_method: str = "exact"  # "exact" | "rw"
     seed: int = 0
-    #: row budget (``queries x particles``) of one sweep block in the
-    #: batched estimator; None auto-tunes on the first estimate by
-    #: timing a few candidate widths.  The vocab-sized head streams in
-    #: fixed column chunks regardless, so the budget is independent of
-    #: vocabulary size, and estimates are invariant to the choice
-    #: (per-query noise substreams) — the knob is purely a throughput
-    #: lever.
-    chunk_budget: Optional[int] = None
-
-
-#: candidate row budgets tried by the first-estimate calibration
-_CHUNK_BUDGETS = (16_384, 65_536, 262_144)
 
 
 class LMKGU(Estimator):
@@ -385,13 +361,6 @@ class LMKGU(Estimator):
         self.model: Optional[MADE] = None
         self.universe: Optional[int] = None
         self.history: List[float] = []
-        #: block width picked by estimate-time calibration when
-        #: ``config.chunk_budget`` is None (queries per sweep block),
-        #: plus the widest candidate the calibration could measure —
-        #: a larger later batch re-calibrates rather than staying
-        #: pinned to a narrow first-batch winner.
-        self._tuned_chunk: Optional[int] = None
-        self._tuned_cover: int = 0
         self._noise: Optional[GumbelStream] = None
 
     def build_model(self) -> MADE:
@@ -418,21 +387,7 @@ class LMKGU(Estimator):
                 :mod:`repro.sampling.strategies` strategy); when None
                 the configured ``sample_method`` draws them.
         """
-        if instances is None:
-            instances, universe = sample_instances(
-                self.store,
-                self.topology,
-                self.size,
-                self.config.training_samples,
-                seed=self.config.seed,
-                method=self.config.sample_method,
-            )
-        else:
-            _, universe = sample_instances(
-                self.store, self.topology, self.size, 0,
-            )
-        self.universe = universe
-        data = np.array(instances, dtype=np.int64)
+        data = self._training_data(instances)
         self.build_model()
         self.history = self.model.fit(
             data,
@@ -460,6 +415,21 @@ class LMKGU(Estimator):
         """
         if self.model is None or self.universe is None:
             raise RuntimeError("finetune() before fit() or load()")
+        data = self._training_data(instances)
+        history = self.model.fit(
+            data,
+            epochs=epochs,
+            batch_size=self.config.batch_size,
+            lr=self.config.learning_rate,
+            seed=self.config.seed + 1,
+        )
+        self.history.extend(history)
+        return history
+
+    def _training_data(self, instances) -> np.ndarray:
+        """Training matrix for *instances*, drawn with the configured
+        ``sample_method`` when None; refreshes :attr:`universe` from
+        the live store either way."""
         if instances is None:
             instances, universe = sample_instances(
                 self.store,
@@ -474,16 +444,7 @@ class LMKGU(Estimator):
                 self.store, self.topology, self.size, 0,
             )
         self.universe = universe
-        data = np.array(instances, dtype=np.int64)
-        history = self.model.fit(
-            data,
-            epochs=epochs,
-            batch_size=self.config.batch_size,
-            lr=self.config.learning_rate,
-            seed=self.config.seed + 1,
-        )
-        self.history.extend(history)
-        return history
+        return np.array(instances, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Query → position constraints
@@ -503,19 +464,14 @@ class LMKGU(Estimator):
             raise ValueError(
                 f"model is for size {self.size}, query has {query.size}"
             )
-        topo = query.topology()
-        if self.topology == "star":
-            if topo not in (Topology.STAR, Topology.SINGLE):
-                raise ValueError("star model got a non-star query")
-            terms: List[PatternTerm] = [query.triples[0].s]
-            for tp in query.triples:
-                terms.extend((tp.p, tp.o))
-        else:
-            if topo not in (Topology.CHAIN, Topology.SINGLE):
-                raise ValueError("chain model got a non-chain query")
-            terms = [query.triples[0].s]
-            for tp in query.triples:
-                terms.extend((tp.p, tp.o))
+        own = Topology.STAR if self.topology == "star" else Topology.CHAIN
+        if query.topology() not in (own, Topology.SINGLE):
+            raise ValueError(
+                f"{self.topology} model got a non-{self.topology} query"
+            )
+        terms: List[PatternTerm] = [query.triples[0].s]
+        for tp in query.triples:
+            terms.extend((tp.p, tp.o))
         self._check_variable_use(query, terms)
         return [t if is_bound(t) else None for t in terms]
 
@@ -537,27 +493,6 @@ class LMKGU(Estimator):
     # Estimation
     # ------------------------------------------------------------------
 
-    def estimate(self, query: QueryPattern) -> float:
-        """Estimated cardinality via likelihood-weighted sampling.
-
-        Overrides the protocol's derived form on purpose: the per-query
-        sweep draws its particles from a fresh RNG stream, matching the
-        paper's algorithm draw-for-draw, whereas ``estimate_batch``
-        shares one stream across the batch (identical within sampling
-        noise, not bitwise).
-        """
-        if self.model is None or self.universe is None:
-            raise RuntimeError("estimate() before fit()")
-        constraints = self._query_sequence(query)
-        probability = self._probability(constraints)
-        # Same validation contract as the batch path (finite or raise,
-        # clamped non-negative), which this override bypasses.
-        return float(
-            finalize_estimates(
-                [float(self.universe) * probability], 1, self.name
-            )[0]
-        )
-
     def _estimate_batch(self, queries) -> np.ndarray:
         """Batched likelihood-weighted estimation.
 
@@ -565,114 +500,18 @@ class LMKGU(Estimator):
         forward runs once for a ``block x particles`` row block on the
         fused float32 trunk (incremental first layer, see
         :meth:`MADE.begin_sweep`), while the vocab-sized head streams
-        in fixed cache-sized column chunks — the block width is set by
-        a row budget independent of vocabulary size.  Sampling noise
-        comes from one substream per (query, position), so results do
-        not depend on the chunk width — individual numbers still differ
-        from the per-query :meth:`estimate` within sampling noise.
+        in fixed cache-sized column chunks.  Sampling noise comes from
+        one substream per (query index, position), so a query's draws
+        depend on its index in the batch and not on the block width.
         """
         if self.model is None or self.universe is None:
             raise RuntimeError("estimate() before fit()")
-        queries = list(queries)
-        if not queries:
-            return np.zeros(0, dtype=np.float64)
-        constraints = np.full(
-            (len(queries), self.num_positions), -1, dtype=np.int64
+        return float(self.universe) * sweep_probabilities(
+            self.model,
+            [self._query_sequence(query) for query in queries],
+            self.config.particles,
+            self._noise_stream(),
         )
-        for i, query in enumerate(queries):
-            for j, value in enumerate(self._query_sequence(query)):
-                if value is not None:
-                    constraints[i, j] = value
-        probabilities = np.empty(len(queries), dtype=np.float64)
-        chunk, covered = self._block_chunk(constraints, probabilities)
-        for lo in range(covered, len(queries), chunk):
-            probabilities[lo: lo + chunk] = self._probability_block(
-                constraints[lo: lo + chunk], lo
-            )
-        return float(self.universe) * probabilities
-
-    # ------------------------------------------------------------------
-    # Block-width selection
-    # ------------------------------------------------------------------
-
-    def _queries_per_block(self, budget: int) -> int:
-        # The budget counts sweep rows (queries x particles): the trunk
-        # state is all that scales with the block, because the head
-        # streams the vocab dimension in fixed cache-sized chunks.
-        # (The seed budgeted by particles x vocab — with a 34k-node
-        # vocabulary every candidate collapsed to one query per block
-        # and the trunk re-ran per query.)
-        return max(int(budget) // max(self.config.particles, 1), 1)
-
-    def _block_chunk(
-        self, constraints: np.ndarray, out: np.ndarray
-    ) -> Tuple[int, int]:
-        """(queries per sweep block, queries already computed into *out*).
-
-        The MADE conditional forward is memory-bound: rows/s peaks when
-        the ``(block * particles, vocab)`` logit matrix stays cache
-        resident and degrades several-fold beyond.  Instead of the seed's
-        hard-coded 3.5e5-element budget, estimation times the sweep at
-        a few candidate widths on a prefix of the real batch and caches
-        the winner; a later batch wide enough to measure candidates the
-        cached calibration could not re-calibrates, so a small warm-up
-        batch cannot pin serving to a narrow block forever.  The timing
-        blocks are real work — results are chunk-invariant by
-        construction — so they are written into *out* rather than
-        discarded, and the caller resumes after the covered prefix.
-        ``config.chunk_budget`` pins the budget explicitly (tests,
-        reproducible benchmarks); estimates never depend on the choice.
-        """
-        if self.config.chunk_budget is not None:
-            return self._queries_per_block(self.config.chunk_budget), 0
-        candidates = sorted(
-            {self._queries_per_block(b) for b in _CHUNK_BUDGETS}
-        )
-        measurable = [c for c in candidates if c <= len(constraints)]
-        if len(measurable) < 2:
-            # Too small a batch to time meaningfully (one or two blocks
-            # either way); keep any cached winner, else the middle
-            # candidate, and leave calibration to a larger batch.
-            return (
-                self._tuned_chunk or candidates[len(candidates) // 2],
-                0,
-            )
-        if (
-            self._tuned_chunk is not None
-            and measurable[-1] <= self._tuned_cover
-        ):
-            return self._tuned_chunk, 0
-        self._tuned_chunk = self._calibrate_chunk(
-            constraints, measurable, out
-        )
-        self._tuned_cover = measurable[-1]
-        return self._tuned_chunk, measurable[-1]
-
-    def _calibrate_chunk(
-        self,
-        constraints: np.ndarray,
-        candidates: List[int],
-        out: np.ndarray,
-    ) -> int:
-        # Warm the fused caches outside the timed region.
-        out[:1] = self._probability_block(constraints[:1], 0)
-        best_chunk, best_rate = candidates[0], 0.0
-        for chunk in candidates:
-            block = constraints[:chunk]
-            start = time.perf_counter()
-            result = self._probability_block(block, 0)
-            elapsed = time.perf_counter() - start
-            # Chunk-invariant results: the widest (last) candidate's
-            # prefix stands as the final answer for those queries.
-            out[:chunk] = result
-            rate = len(block) / max(elapsed, 1e-9)
-            if rate > best_rate:
-                best_chunk, best_rate = chunk, rate
-        return best_chunk
-
-    # ------------------------------------------------------------------
-    # Particle sweep
-    # ------------------------------------------------------------------
 
     def _noise_stream(self) -> GumbelStream:
         """Lazily-built shared noise table (seed- and shape-keyed)."""
@@ -683,45 +522,6 @@ class LMKGU(Estimator):
                 max(self._vocab_sizes),
             )
         return self._noise
-
-    def _probability_block(
-        self, constraints: np.ndarray, offset: int
-    ) -> np.ndarray:
-        """Mean particle weight per query for one block of constraints.
-
-        Delegates to :func:`sweep_probability_block`: one incremental
-        sweep over the whole block, vocab-streamed head, representative
-        rows for not-yet-diverged queries.  *offset* is the block's
-        first query index within the batch; it keys the per-query noise
-        substreams (chunk-width invariance).
-        """
-        model = self.model
-        assert model is not None
-        return sweep_probability_block(
-            model,
-            constraints,
-            self.config.particles,
-            self._noise_stream(),
-            offset,
-        )
-
-    def _probability(
-        self, constraints: Sequence[Optional[int]]
-    ) -> float:
-        """Single-query likelihood weighting, paper draw-for-draw.
-
-        Keeps the seed's inverse-CDF sampler and RNG stream; only the
-        trunk changed — the conditionals now come from one incremental
-        fused-float32 sweep instead of a full forward per position.
-        """
-        model = self.model
-        assert model is not None
-        fully_bound = all(v is not None for v in constraints)
-        particles = 1 if fully_bound else self.config.particles
-        rng = np.random.default_rng(self.config.seed + 9)
-        return likelihood_weighted_probability(
-            model, constraints, particles, rng
-        )
 
     def log_likelihood(self, instances: np.ndarray) -> float:
         """Mean log-likelihood of bound instances (training diagnostics)."""
@@ -768,12 +568,9 @@ class LMKGU(Estimator):
         arrays["_meta_particles"] = np.array([self.config.particles])
         # Sampler identity beyond the weights: the seed keys the noise
         # substreams, so dropping it would make a non-default-seed model
-        # silently return different estimates after reload; the block
-        # row budget rides along (-1 = auto-tune).
-        budget = self.config.chunk_budget
+        # silently return different estimates after reload.
         arrays["_meta_sampler"] = np.array(
-            [self.config.seed, -1 if budget is None else budget],
-            dtype=np.int64,
+            [self.config.seed], dtype=np.int64
         )
         save_arrays(path, arrays)
 
@@ -786,14 +583,12 @@ class LMKGU(Estimator):
         arrays = load_arrays(path)
         size, is_star = arrays["_meta_shape"]
         made = MADE.from_state(arrays)
-        seed, budget = (int(v) for v in arrays["_meta_sampler"])
         config = LMKGUConfig(
             embed_dim=made.embed_dim,
             hidden_sizes=tuple(made.hidden_sizes),
             residual=made.residual,
             particles=int(arrays["_meta_particles"][0]),
-            seed=seed,
-            chunk_budget=None if budget < 0 else budget,
+            seed=int(arrays["_meta_sampler"][0]),
         )
         model = cls(
             store,

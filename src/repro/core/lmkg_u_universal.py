@@ -29,13 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import Estimator, finalize_estimates
+from repro.core.estimator import Estimator
 from repro.core.lmkg_u import (
-    _CHUNK_BUDGETS,
     LMKGU,
     GumbelStream,
     LMKGUConfig,
-    sweep_probability_block,
+    sweep_probabilities,
 )
 from repro.nn.masked import MADE
 from repro.rdf.pattern import QueryPattern, Topology
@@ -223,69 +222,28 @@ class UniversalLMKGU(Estimator):
         )
         return constraints
 
-    def estimate(self, query: QueryPattern) -> float:
-        """Estimated cardinality via likelihood-weighted sampling.
-
-        Overrides the protocol's derived form for the same reason
-        :meth:`LMKGU.estimate` does: the per-query sweep draws from a
-        fresh RNG stream, paper draw-for-draw, while
-        ``estimate_batch`` shares one noise table across the batch
-        (identical within sampling noise, not bitwise).
-        """
-        return float(
-            finalize_estimates(
-                [self._estimate_one(query)], 1, self.name
-            )[0]
-        )
-
-    def _estimate_one(self, query: QueryPattern) -> float:
-        """Estimated cardinality via likelihood-weighted sampling."""
-        if self.model is None or not self.total_universe:
-            raise RuntimeError("estimate() before fit()")
-        constraints = self._query_constraints(query)
-        return float(self.total_universe * self._probability(constraints))
-
     def _estimate_batch(self, queries) -> np.ndarray:
         """Batched likelihood weighting on the shared block sweep.
 
-        The per-query loop of the protocol's default is replaced by
-        :func:`~repro.core.lmkg_u.sweep_probability_block`: one
-        incremental trunk per block of ``queries x particles`` rows
-        with the vocab-streamed head, exactly as :class:`LMKGU`'s
-        batch path.  Pad positions are bound to the reserved id 0, so
-        they ride the bound-value branch of the sweep unchanged.
+        :func:`~repro.core.lmkg_u.sweep_probabilities`, exactly as
+        :class:`LMKGU`'s batch path.  Pad positions are bound to the
+        reserved id 0, so they ride the bound-value branch of the sweep
+        unchanged.
         """
         if self.model is None or not self.total_universe:
             raise RuntimeError("estimate() before fit()")
-        queries = list(queries)
-        constraints = np.full(
-            (len(queries), self.num_positions), -1, dtype=np.int64
+        return float(self.total_universe) * sweep_probabilities(
+            self.model,
+            [self._query_constraints(query) for query in queries],
+            self.config.particles,
+            self._noise_stream(),
         )
-        for i, query in enumerate(queries):
-            for j, value in enumerate(self._query_constraints(query)):
-                if value is not None:
-                    constraints[i, j] = value
-        budget = self.config.chunk_budget
-        if budget is None:
-            budget = _CHUNK_BUDGETS[len(_CHUNK_BUDGETS) // 2]
-        chunk = max(int(budget) // max(self.config.particles, 1), 1)
-        out = np.empty(len(queries), dtype=np.float64)
-        for lo in range(0, len(queries), chunk):
-            out[lo: lo + chunk] = sweep_probability_block(
-                self.model,
-                constraints[lo: lo + chunk],
-                self.config.particles,
-                self._noise_stream(),
-                lo,
-            )
-        return float(self.total_universe) * out
 
-    # The noise table, the single-query sampler and the size accounting
-    # are LMKGU's own: both classes keep ``model`` / ``config`` /
-    # ``_noise`` / ``num_positions`` / ``_vocab_sizes`` under the same
-    # names, so one definition serves both.
+    # The noise table and the size accounting are LMKGU's own: both
+    # classes keep ``model`` / ``config`` / ``_noise`` /
+    # ``num_positions`` / ``_vocab_sizes`` under the same names, so one
+    # definition serves both.
     _noise_stream = LMKGU._noise_stream
-    _probability = LMKGU._probability
     num_parameters = LMKGU.num_parameters
     memory_bytes = LMKGU.memory_bytes
     checkpoint_bytes = LMKGU.checkpoint_bytes
@@ -311,13 +269,8 @@ class UniversalLMKGU(Estimator):
                 for shape in self.shapes
             ]
         )
-        budget = self.config.chunk_budget
         arrays["_meta_universal"] = np.array(
-            [
-                self.config.particles,
-                self.config.seed,
-                -1 if budget is None else budget,
-            ]
+            [self.config.particles, self.config.seed]
         )
         save_arrays(path, arrays)
 
@@ -332,14 +285,8 @@ class UniversalLMKGU(Estimator):
         for raw in arrays["_meta_shapes"]:
             topology, size = bytes(raw).decode().split(":")
             shapes.append((topology, int(size)))
-        meta = [int(v) for v in arrays["_meta_universal"]]
-        # Pre-chunk_budget checkpoints carry [particles, seed] only.
-        budget = meta[2] if len(meta) > 2 else -1
-        config = LMKGUConfig(
-            particles=meta[0],
-            seed=meta[1],
-            chunk_budget=None if budget < 0 else budget,
-        )
+        meta = arrays["_meta_universal"]
+        config = LMKGUConfig(particles=int(meta[0]), seed=int(meta[1]))
         model = cls(store, shapes, config)
         model.model = MADE.from_state(arrays)
         model.universes = {

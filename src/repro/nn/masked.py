@@ -26,7 +26,7 @@ Dtype policy
 Training is float64 end to end: parameters keep float64 master values,
 ``forward(ids, training=True)`` / ``loss_and_backward`` compute with the
 masked float64 masters, and fits are bit-identical to the seed.
-Inference (``forward``, ``log_prob``, ``logits_for``, ``conditionals``,
+Inference (``forward``, ``log_prob``, ``logits_for``,
 :class:`MADESweep`) runs on **fused float32 caches**: each masked layer
 holds ``(W * M).astype(float32)`` plus a float32 bias, and the embedding
 tables and output biases keep float32 shadows.  The caches are keyed by
@@ -501,10 +501,6 @@ class MADESweep:
                 )
         return choice, rest_peak, first_logit
 
-    def conditionals(self, position: int) -> np.ndarray:
-        """Probabilities ``P(x_position | assigned x_<position)``."""
-        return np.exp(log_softmax(self.logits(position)))
-
 
 class MADE:
     """Masked autoregressive density estimator over categorical sequences.
@@ -878,10 +874,11 @@ class MADE:
     def begin_sweep(self, ids: np.ndarray) -> MADESweep:
         """Incremental sweep state over *ids* (copied; fused dtype).
 
-        The hot path of likelihood-weighted sampling: call
-        ``logits(position)`` / ``conditionals(position)`` in position
-        order and ``assign(position, values)`` after each draw — only
-        the changed embed-dim block re-enters the first matmul.
+        The hot path of likelihood-weighted sampling: call the streamed
+        ``head_*`` methods (or the dense reference ``logits(position)``)
+        in position order and ``assign(position, values)`` after each
+        draw — only the changed embed-dim block re-enters the first
+        matmul.
         """
         return MADESweep(self, self._validated_ids(ids))
 
@@ -893,18 +890,6 @@ class MADE:
         rounding.
         """
         return self.begin_sweep(ids).logits(position)
-
-    def conditionals(
-        self, ids: np.ndarray, position: int
-    ) -> np.ndarray:
-        """Probabilities ``P(x_position | x_<position)`` for each row.
-
-        Ids at positions >= *position* may hold any valid placeholder.
-        Returns a ``(batch, vocab)`` probability matrix at the fused
-        inference dtype.
-        """
-        lp = log_softmax(self.logits_for(ids, position))
-        return np.exp(lp)
 
     def fit(
         self,

@@ -151,3 +151,97 @@ class TestConformance:
             AdaptiveLMKG,
         ):
             assert issubclass(cls, Estimator), cls
+
+    def test_no_estimator_overrides_estimate(self):
+        """``estimate`` is derived, everywhere: a class that defined
+        its own would be a second estimation routine."""
+        import importlib
+        import pkgutil
+
+        import repro.baselines
+        import repro.core
+
+        for package in (repro.core, repro.baselines):
+            for module in pkgutil.walk_packages(
+                package.__path__, package.__name__ + "."
+            ):
+                importlib.import_module(module.name)
+
+        def descendants(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from descendants(sub)
+
+        shipped = [
+            cls for cls in descendants(Estimator)
+            if cls.__module__.startswith("repro.")
+        ]
+        assert len(shipped) >= 15
+        for cls in shipped:
+            assert "estimate" not in cls.__dict__, cls
+
+    def test_estimate_is_a_one_element_batch(self, lubm_store):
+        """``model.estimate(q) == model.estimate_batch([q])[0]`` exactly
+        for the learned models, LMKG-U's sampler included, and the
+        framework answers what the model it routes to answers."""
+        from repro.core import (
+            LMKG,
+            LMKGS,
+            LMKGU,
+            LMKGSConfig,
+            LMKGUConfig,
+            UniversalLMKGU,
+        )
+        from repro.sampling import generate_workload
+
+        shapes = [("star", 2), ("chain", 2)]
+        workloads = {
+            topology: generate_workload(
+                lubm_store, topology, size, 40, seed=51
+            )
+            for topology, size in shapes
+        }
+        config = LMKGUConfig(
+            embed_dim=8,
+            hidden_sizes=(32,),
+            epochs=1,
+            training_samples=1_000,
+            particles=16,
+            seed=5,
+        )
+        framework = LMKG(
+            lubm_store, model_type="unsupervised", lmkgu_config=config
+        )
+        framework.fit(shapes=shapes)
+        supervised = LMKGS(
+            lubm_store,
+            ("star", "chain"),
+            2,
+            LMKGSConfig(hidden_sizes=(32,), epochs=2),
+        )
+        supervised.fit(
+            [r for workload in workloads.values() for r in workload]
+        )
+        universal = UniversalLMKGU(lubm_store, shapes, config)
+        universal.fit()
+        star, chain = (
+            framework.models[framework.grouping.key(topology, size)]
+            for topology, size in shapes
+        )
+        assert type(star) is LMKGU and type(chain) is LMKGU
+        for model, topologies in (
+            (star, ("star",)),
+            (chain, ("chain",)),
+            (universal, ("star", "chain")),
+            (supervised, ("star", "chain")),
+            (framework, ("star", "chain")),
+        ):
+            for topology in topologies:
+                for record in workloads[topology].records[:5]:
+                    assert model.estimate(record.query) == float(
+                        model.estimate_batch([record.query])[0]
+                    ), (type(model).__name__, topology)
+        for record in workloads["star"].records[:5]:
+            assert framework.estimate(record.query) == star.estimate(
+                record.query
+            )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import lmkg_u
 from repro.core.lmkg_u import LMKGU, LMKGUConfig
+from repro.core.lmkg_u_universal import UniversalLMKGU
 from repro.core.metrics import q_errors
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable
@@ -42,6 +44,32 @@ def chain_model(lubm_store):
     model = LMKGU(lubm_store, "chain", 2, FAST)
     model.fit()
     return model
+
+
+@pytest.fixture(scope="module")
+def universal_model(lubm_store):
+    model = UniversalLMKGU(
+        lubm_store, [("star", 2), ("chain", 2)], FAST
+    )
+    model.fit()
+    return model
+
+
+def _assert_block_width_invariant(models, queries, monkeypatch):
+    """One block for the whole batch vs one query per block: the keyed
+    noise substreams give every query the same draws either way.
+    Residual differences come only from BLAS shape-dependent rounding
+    flipping near-tied Gumbel draws, which is rare."""
+    for model in models:
+        monkeypatch.setattr(lmkg_u, "_BLOCK_ROWS", 10**9)
+        wide = model.estimate_batch(queries)
+        monkeypatch.setattr(lmkg_u, "_BLOCK_ROWS", 1)
+        narrow = model.estimate_batch(queries)
+        rel = np.abs(wide - narrow) / np.maximum(
+            np.maximum(wide, narrow), 1.0
+        )
+        assert np.median(rel) < 1e-5, type(model).__name__
+        assert np.mean(rel < 1e-4) >= 0.9, type(model).__name__
 
 
 class TestConfiguration:
@@ -156,7 +184,6 @@ class TestCheckpointSampler:
         training_samples=1_000,
         particles=32,
         seed=7,
-        chunk_budget=200_000,
     )
 
     def test_round_trip_with_non_default_seed(self, lubm_store, tmp_path):
@@ -169,7 +196,6 @@ class TestCheckpointSampler:
         model.save(path)
         fresh = LMKGU.load(path, lubm_store)
         assert fresh.config.seed == 7
-        assert fresh.config.chunk_budget == 200_000
         assert np.array_equal(before, fresh.estimate_batch(queries)), (
             "reloaded model drew from differently-keyed noise streams"
         )
@@ -177,8 +203,8 @@ class TestCheckpointSampler:
     def test_checkpoint_without_sampler_meta_is_refused(
         self, lubm_store, tmp_path
     ):
-        """A model file that lost its ``_meta_sampler`` entry (seed +
-        block budget) is a CheckpointError — never a silent seed-0 load
+        """A model file that lost its ``_meta_sampler`` entry (the
+        sampler seed) is a CheckpointError — never a silent seed-0 load
         that returns different estimates."""
         from repro.core.framework import LMKG, CheckpointError
         from repro.nn.serialization import load_arrays, save_arrays
@@ -201,34 +227,14 @@ class TestInferenceTrunk:
     and fused-cache invalidation through continued training."""
 
     def test_estimates_invariant_to_block_width(
-        self, star_model, lubm_store
+        self, star_model, universal_model, lubm_store, monkeypatch
     ):
-        """The chunk is a pure throughput knob: per-(query, position)
-        noise substreams give every query the same draws regardless of
-        how the batch is blocked.  Residual differences come only from
-        BLAS shape-dependent rounding flipping near-tied Gumbel draws,
-        which is rare."""
-        import dataclasses
-
         workload = generate_workload(lubm_store, "star", 2, 40, seed=31)
-        queries = [r.query for r in workload]
-        original = star_model.config
-        try:
-            star_model.config = dataclasses.replace(
-                original, chunk_budget=10**9
-            )
-            wide = star_model.estimate_batch(queries)
-            star_model.config = dataclasses.replace(
-                original, chunk_budget=1
-            )
-            narrow = star_model.estimate_batch(queries)
-        finally:
-            star_model.config = original
-        rel = np.abs(wide - narrow) / np.maximum(
-            np.maximum(wide, narrow), 1.0
+        _assert_block_width_invariant(
+            (star_model, universal_model),
+            [r.query for r in workload],
+            monkeypatch,
         )
-        assert np.median(rel) < 1e-5
-        assert np.mean(rel < 1e-4) >= 0.9
 
     def test_qerror_parity_float32_vs_float64(
         self, star_model, lubm_store
@@ -256,8 +262,6 @@ class TestInferenceTrunk:
     def test_refit_invalidates_fused_caches(self, lubm_store, tmp_path):
         """fit -> estimate -> keep training -> estimate must match a
         fresh-cache run from the checkpointed masters bit for bit."""
-        import dataclasses
-
         from repro.sampling import sample_instances
 
         config = LMKGUConfig(
@@ -266,7 +270,6 @@ class TestInferenceTrunk:
             epochs=1,
             training_samples=1_000,
             particles=32,
-            chunk_budget=200_000,
         )
         model = LMKGU(lubm_store, "star", 2, config)
         model.fit()
@@ -281,67 +284,44 @@ class TestInferenceTrunk:
         path = tmp_path / "u.npz"
         model.save(path)
         fresh = LMKGU.load(path, lubm_store)
-        fresh.config = dataclasses.replace(
-            fresh.config, chunk_budget=config.chunk_budget
-        )
         assert np.array_equal(after, fresh.estimate_batch(queries)), (
             "stale fused caches survived continued training"
         )
         assert not np.array_equal(before, after)
 
     def test_invariant_when_vocab_exceeds_column_chunk(
-        self, star_model, lubm_store, monkeypatch
+        self, star_model, universal_model, lubm_store, monkeypatch
     ):
         """Row-budget invariance must hold in the streamed-head regime:
         with the column chunk forced below the vocabulary size every
         head pass takes the multi-chunk path, and the fixed vocab-space
         column grid keeps each row's reduction order — hence each
         query's draws — independent of the row blocking."""
-        import dataclasses
-
         import repro.nn.masked as masked
 
         vocab = max(star_model.model.vocab_sizes)
         assert vocab > 257  # the monkeypatched chunk must actually split
         monkeypatch.setattr(masked, "_HEAD_COL_CHUNK", 257)
         workload = generate_workload(lubm_store, "star", 2, 12, seed=37)
-        queries = [r.query for r in workload]
-        original = star_model.config
-        try:
-            star_model.config = dataclasses.replace(
-                original, chunk_budget=10**9
-            )
-            wide = star_model.estimate_batch(queries)
-            star_model.config = dataclasses.replace(
-                original, chunk_budget=1
-            )
-            narrow = star_model.estimate_batch(queries)
-        finally:
-            star_model.config = original
-        rel = np.abs(wide - narrow) / np.maximum(
-            np.maximum(wide, narrow), 1.0
+        _assert_block_width_invariant(
+            (star_model, universal_model),
+            [r.query for r in workload],
+            monkeypatch,
         )
-        assert np.median(rel) < 1e-5
-        assert np.mean(rel < 1e-4) >= 0.9
 
-    def test_block_width_autotuned_and_cached(self, star_model, lubm_store):
-        from repro.core.lmkg_u import _CHUNK_BUDGETS
-
+    def test_multi_block_batch_is_reproducible(
+        self, star_model, lubm_store, tmp_path, monkeypatch
+    ):
+        """A batch that spans several sweep blocks answers with the
+        same bytes on a second call and on a second, freshly loaded
+        instance: nothing about an instance's history (or a stopwatch)
+        decides how a batch is blocked."""
+        particles = star_model.config.particles
+        monkeypatch.setattr(lmkg_u, "_BLOCK_ROWS", 8 * particles)
         workload = generate_workload(lubm_store, "star", 2, 30, seed=35)
         queries = [r.query for r in workload]
-        star_model._tuned_chunk = None
-        star_model._tuned_cover = 0
-        star_model.estimate_batch(queries)
-        candidates = sorted(
-            {star_model._queries_per_block(b) for b in _CHUNK_BUDGETS}
-        )
-        measurable = [c for c in candidates if c <= len(queries)]
-        if len(measurable) >= 2:
-            tuned = star_model._tuned_chunk
-            assert tuned in measurable
-            star_model.estimate_batch(queries)
-            assert star_model._tuned_chunk == tuned
-        else:
-            # Too narrow to time: calibration defers to larger batches
-            # instead of pinning a winner measured on a tiny prefix.
-            assert star_model._tuned_chunk is None
+        first = star_model.estimate_batch(queries)
+        assert np.array_equal(first, star_model.estimate_batch(queries))
+        star_model.save(tmp_path / "star.npz")
+        fresh = LMKGU.load(tmp_path / "star.npz", lubm_store)
+        assert np.array_equal(first, fresh.estimate_batch(queries))

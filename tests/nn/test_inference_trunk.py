@@ -73,9 +73,9 @@ class TestFloat32Accuracy:
         _fit_a_little(model, rng)
         ids = rng.integers(1, 10, size=(16, 5))
         for position in range(5):
-            p32 = model.conditionals(ids, position)
+            p32 = np.exp(log_softmax(model.logits_for(ids, position)))
             model.set_inference_dtype(np.float64)
-            p64 = model.conditionals(ids, position)
+            p64 = np.exp(log_softmax(model.logits_for(ids, position)))
             model.set_inference_dtype(np.float32)
             assert np.allclose(p32, p64, atol=1e-5)
 
@@ -150,7 +150,7 @@ class TestIncrementalSweep:
             assert np.allclose(incremental, full, rtol=1e-3, atol=1e-4), (
                 f"sweep diverged from the full forward at {position}"
             )
-            probs = sweep.conditionals(position)
+            probs = np.exp(log_softmax(sweep.logits(position)))
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5)
             sweep.assign(position, target[:, position])
             current[:, position] = target[:, position]

@@ -115,9 +115,10 @@ class TestDensityEstimation:
         )
         history = model.fit(data, epochs=22, batch_size=128, lr=5e-3)
         assert history[-1] < history[0]
-        probs = model.conditionals(
+        logits = model.logits_for(
             np.array([[2, 1, 0], [4, 1, 0]]), position=2
         )
+        probs = np.exp(log_softmax(logits))
         assert probs[0, 2] > 0.7
         assert probs[1, 4] > 0.7
 
@@ -131,7 +132,8 @@ class TestDensityEstimation:
         )
         ids = rng.integers(1, 4, size=(7, 3))
         for position in range(3):
-            probs = model.conditionals(ids, position)
+            logits = model.logits_for(ids, position)
+            probs = np.exp(log_softmax(logits))
             assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_logits_for_matches_forward(self, rng):

@@ -109,6 +109,44 @@ class TestCommands:
         assert "estimate:" in out
         assert "q-error:" in out
 
+    def test_lmkg_u_estimate_matches_the_library(self, tmp_path, capsys):
+        """``repro estimate --model lmkg-u`` prints what a server over
+        the same checkpoint answers: the one-element batch."""
+        from repro.core.lmkg_u import LMKGU
+        from repro.datasets import load_dataset
+        from repro.rdf.parser import parse_sparql
+
+        checkpoint = tmp_path / "u.npz"
+        common = ["--dataset", "lubm", "--scale", "0.25", "--model", "lmkg-u"]
+        code = main(
+            [
+                "train", *common,
+                "--shapes", "star:2",
+                "--epochs", "3",
+                "--queries", "4000",
+                "--hidden", "32",
+                "--out", str(checkpoint),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        text = (
+            "SELECT ?x WHERE { ?x <ub:advisor> ?y . "
+            "?x <ub:takesCourse> ?z . }"
+        )
+        code = main(
+            [
+                "estimate", *common,
+                "--checkpoint", str(checkpoint),
+                "--query", text,
+            ]
+        )
+        assert code == 0
+        store = load_dataset("lubm", scale=0.25)
+        query = parse_sparql(text, store.dictionary)
+        expected = LMKGU.load(checkpoint, store).estimate_batch([query])[0]
+        assert f"estimate: {expected:.1f}\n" == capsys.readouterr().out
+
     def test_train_lmkg_u_single_shape_only(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
