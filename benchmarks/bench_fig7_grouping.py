@@ -10,8 +10,7 @@ specialized model *overfits the queries* and produces the best
 estimates" — accuracy is measured on the workload distribution the
 models were fitted to (the paper's grouped models saw the same queries).
 A held-out table is printed as well: at CPU-scale training budgets the
-grouped models generalise comparably because they see more total data,
-which EXPERIMENTS.md discusses.
+grouped models generalise comparably because they see more total data.
 """
 
 import numpy as np

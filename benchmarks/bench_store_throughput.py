@@ -4,52 +4,67 @@ Measures, on a synthetic ~100k-triple hub-heavy graph:
 
 - **ingest**: triples/sec into the store plus the columnar index build,
   and the array-native ``add_all`` bulk path against a per-triple
-  ``add`` loop on the same 100k batch (gate: >= 10x),
+  ``add`` loop on the same 100k batch,
 - **persistence**: snapshot save time, plus cold-load time of the
-  saved index both memory-mapped (gate: O(1), < 50 ms) and eager,
+  saved snapshot both memory-mapped and eager,
 - **pattern matching**: single-triple-pattern ``count_pattern`` and
   ``match_pattern`` throughput over the columnar permutations,
 - **labeling**: exact star/chain counting throughput of the vectorized
   counters over a 10k-query workload, against the seed's dict-backed
-  Python counters (the acceptance gate asserts >= 5x),
+  Python counters,
 - **parallel labeling**: the same 10k-query batch sharded across a
   4-process pool in which every worker memory-maps the saved snapshot
   read-only (``repro.rdf.parallel``), against the serial vectorized
-  path; counts and ordering must match exactly, and on a >= 4-core
-  machine the gate asserts >= 2x,
+  path,
 - **sharded store**: pooled fan-out matching of a scan-heavy
   multi-pattern batch against the same graph saved as one shard and as
-  two (``ShardedBackend``); results must stay byte-identical to the
-  serial matcher, and on a >= 2-core machine the gate asserts the
-  second shard buys >= 1.5x,
+  two (``ShardedBackend``),
 - **batch estimation**: LMKG-S queries/sec through
   ``Framework.estimate_batch`` vs the per-query ``estimate`` loop, and
-  the share of the batched call spent in ``LMKGS.featurize`` (gate:
-  <= 0.5),
+  the share of the batched call spent in ``LMKGS.featurize``,
 - **MADE inference trunk**: rows/sec of the masked autoregressive
   forward at the serving batch width — the seed's float64
   re-masked-per-call trunk against the fused float32 inference cache
-  (pre-masked weights, float32 table shadows; gate: >= 2x) — plus
-  LMKG-U ``estimate_batch`` queries/sec through the incremental
-  Gumbel-max particle sweep,
+  (pre-masked weights, float32 table shadows) — plus LMKG-U
+  ``estimate_batch`` queries/sec through the incremental Gumbel-max
+  particle sweep,
 - **serving**: requests/sec of the micro-batching scheduler
   (``repro.serve.BatchScheduler``) under concurrent single-query
   clients, against the sequential one-request-at-a-time baseline, with
-  request-latency p50/p99; the gate asserts the micro-batched path is
-  at least **2x** the sequential-request throughput,
+  request-latency p50/p99 and the mean coalesced batch width,
 - **maintenance** (`test_maintenance_incremental`, its own ~20k-triple
   graph): one incremental maintenance run over a 1% vocabulary-
   preserving delta — relabel affected queries, fine-tune touched
-  models — against a forced full refit of the same live graph (gates:
-  >= 5x faster, mean q-error on the affected shapes within 2x of the
-  refit's),
+  models — against a forced full refit of the same live graph,
 - **replay** (`test_workload_replay`, its own ~20k-triple graph behind
   the full serving stack): an open-loop trace replay at a calibrated
-  sustainable rate (gates: SLO verdict ``ok``, achieved >= 0.95x
-  offered, zero non-{200,429}), plus a chaos run — worker kill and two
-  incremental maintenance publishes racing the same traffic — that
-  must complete every timeline step with the response surface still
-  inside {200, 429}.
+  sustainable rate, plus a chaos run — worker kill and two incremental
+  maintenance publishes racing the same traffic.
+
+Gates — every assertion in this file, by test (CI's ``bench-regression``
+job runs them and points here rather than restating them):
+
+- ``test_store_throughput``: vectorized labeling >= 5x the dict-backed
+  counters; ``add_all`` >= 10x the per-triple loop; memory-mapped cold
+  load < 50 ms; parallel labeling >= 2x on 4 workers (only where >= 4
+  CPUs are usable); 2-shard fan-out >= 1.5x the single-shard pooled
+  path (only where >= 2 CPUs are usable); ``featurize_share <= 0.5``;
+  fused float32 MADE forward >= 2x the float64 trunk; LMKG-U
+  ``estimate_batch`` >= 100 q/s on the warm 1024-query batch;
+  micro-batched serving >= 2x sequential requests; ``mean_batch >= 2``
+  queries per coalesced call.  Equality checks: bulk and loop stores
+  hold as many triples as the ingested store, the loaded snapshot counts a
+  probe pattern like the store, vectorized labels == Python labels,
+  parallel labels == serial labels, sharded and single-shard pooled
+  matches == the serial matcher byte for byte, fused and float64 MADE
+  outputs agree to 1e-3, and the result file exists.
+- ``test_maintenance_incremental``: the first run is full, the 1% delta
+  plans an incremental run, incremental >= 5x the full refit, and on
+  every affected shape its mean q-error <= 2x the refit's.
+- ``test_workload_replay``: the probe trace's shapes are covered by the
+  fitted shapes; at the calibrated rate the SLO verdict is ``ok`` and
+  achieved >= 0.95x offered; the chaos run answers only 200/429, its
+  timeline thread finishes and every timeline step succeeds.
 
 Results print as tables and persist (merged, section by section) to
 ``benchmarks/results/BENCH_store.json`` so successive PRs can track the

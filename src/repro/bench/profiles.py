@@ -6,8 +6,8 @@ while keeping every experiment's *structure* identical to the paper's.
 
 Select with the ``REPRO_BENCH_PROFILE`` environment variable:
 ``quick`` (default, ~3-5 min total — CI-friendly), ``standard``
-(~30-45 min, the profile behind EXPERIMENTS.md), ``full`` (closest to
-the paper's budgets, an hour or more).
+(~30-45 min), ``full`` (closest to the paper's budgets, an hour or
+more).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Table and series printers for benchmark output.
 
 Every bench prints rows in the same layout the paper's tables/figures
-use, so paper-vs-measured comparison (EXPERIMENTS.md) is line-by-line.
+use, so paper-vs-measured comparison is line-by-line.
 """
 
 from __future__ import annotations
@@ -98,7 +98,9 @@ def append_history(path, sections: dict) -> None:
 
     The result file :func:`merge_json` maintains holds the latest run of
     every section; the history beside it keeps every run, stamped with
-    the UTC time it was recorded, so a trend is a series of lines.
+    the UTC time it was recorded and the :func:`machine_facts` of the
+    machine it ran on, so a trend is a series of lines and a line that
+    moved because the machine did can be told apart.
     """
     import json
     from datetime import datetime, timezone
@@ -110,10 +112,35 @@ def append_history(path, sections: dict) -> None:
         "recorded_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
+        "machine": machine_facts(),
         "sections": sections,
     }
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(line, sort_keys=True) + "\n")
+
+
+def machine_facts() -> dict:
+    """CPU budget, architecture, versions and BLAS thread pins of this run."""
+    import os
+    import platform
+
+    import numpy as np
+
+    from repro.rdf.parallel import available_cpus
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "available_cpus": available_cpus(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "thread_env": {
+            name: os.environ.get(name)
+            for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+            )
+        },
+    }
 
 
 def format_bytes(num_bytes: int) -> str:

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.estimator import Estimator
 from repro.nn.masked import MADE
+from repro.rdf.backend import splitmix64
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import PatternTerm, Variable, is_bound
@@ -70,18 +71,6 @@ _GUMBEL_TABLE_SIZE = 1 << 21
 _DEAD_LOG_MARGIN = np.float32(-104.0)
 
 
-def _splitmix64(keys: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser (uint64 in, uint64 out)."""
-    x = keys.astype(np.uint64, copy=True)
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
-
-
 class GumbelStream:
     """Shared Gumbel noise for the batched particle sweep (stream v2).
 
@@ -109,7 +98,7 @@ class GumbelStream:
         np.negative(table, out=table)
         self.table = table
         self.num_positions = num_positions
-        self._salt = _splitmix64(np.array([seed + 9], dtype=np.uint64))[0]
+        self._salt = splitmix64(np.array([seed + 9], dtype=np.uint64))[0]
 
     def bases(
         self,
@@ -126,7 +115,7 @@ class GumbelStream:
         keys = sub * np.uint64(particles) + np.arange(
             particles, dtype=np.uint64
         )[None, :]
-        mixed = _splitmix64(keys ^ self._salt)
+        mixed = splitmix64(keys ^ self._salt)
         return (
             (mixed % np.uint64(_GUMBEL_TABLE_SIZE))
             .astype(np.int64)

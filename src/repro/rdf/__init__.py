@@ -15,7 +15,7 @@ builds on.  Public surface:
 - dataset statistics in :mod:`repro.rdf.stats`.
 """
 
-from repro.rdf.columnar import ColumnarIndex, SnapshotError
+from repro.rdf.columnar import ColumnarBackend, SnapshotError
 from repro.rdf.dictionary import UNBOUND_ID, GraphDictionary, TermDictionary
 from repro.rdf.matcher import cardinalities, count_bgp, iter_bindings
 from repro.rdf.parser import (
@@ -39,7 +39,7 @@ from repro.rdf.treecount import count_tree, is_tree_query
 from repro.rdf.terms import Triple, TriplePattern, Variable, pattern
 
 __all__ = [
-    "ColumnarIndex",
+    "ColumnarBackend",
     "ParallelLabelingError",
     "ReadOnlyStoreError",
     "SnapshotError",

@@ -11,17 +11,18 @@ against the others without touching the consumers.
 
 Two backends ship:
 
-- :class:`ColumnarBackend` — today's single
-  :class:`~repro.rdf.columnar.ColumnarIndex` snapshot, wrapped 1:1.  The
-  facade, the vectorized counters, the samplers and the serving stack all
-  keep their exact behaviour (and their bytes) on this backend.
+- :class:`~repro.rdf.columnar.ColumnarBackend` — the flat backend: one
+  snapshot as four sorted permutations, defined in
+  :mod:`repro.rdf.columnar` together with the shared pattern-level
+  ``lookup``/``count`` (:class:`~repro.rdf.columnar.PatternOps`).  Every
+  store starts on it.
 - :class:`ShardedBackend` — the same graph cut into N shard directories,
-  each an ordinary columnar snapshot, routed by a stable hash of the
-  subject (default) or the predicate.  A pattern whose shard key is bound
-  is answered by the owning shard alone; otherwise the lookup fans out
-  over the shards and the per-shard results are merged back into the
-  exact global permutation order, so every accessor is byte-identical to
-  the single-index backend (property-tested in
+  each shard a ``ColumnarBackend`` with its own snapshot, routed by a
+  stable hash of the subject (default) or the predicate.  A pattern
+  whose shard key is bound is answered by the owning shard alone;
+  otherwise the lookup fans out over the shards and the per-shard
+  results are merged back into the exact global permutation order, so
+  every accessor is byte-identical to the flat backend (property-tested in
   ``tests/rdf/test_backend.py``).  Because each shard is its own mmap'd
   snapshot, the dataset no longer has to fit one index — and worker pools
   can attach a shard subset (``shard_ids=...``) instead of the whole
@@ -59,7 +60,6 @@ description of exactly what disagreed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,
@@ -76,12 +76,12 @@ import numpy as np
 
 from repro.rdf.columnar import (
     MANIFEST_NAME,
-    ColumnarIndex,
+    BackendStats,
+    ColumnarBackend,
+    PatternOps,
     SnapshotError,
     coerce_rows,
     expand_ranges,
-    in_sorted,
-    pack_rows,
     read_manifest,
     run_starts,
 )
@@ -104,16 +104,17 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS = np.empty((0, 3), dtype=np.int64)
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer over an int64/uint64 array.
+def splitmix64(values: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser over an integer array, as a new uint64 array.
 
-    Shard placement must survive save/load across platforms and be
-    uniform even for structured id spaces (consecutive ids, strided
-    ids), so routing uses a fixed integer mix rather than Python's
-    ``hash`` (which is salted per process for str and not guaranteed
-    stable across versions).
+    Signed input is read as its two's-complement bits.  Shard placement
+    must survive save/load across platforms and be uniform even for
+    structured id spaces (consecutive ids, strided ids), so routing uses
+    this fixed integer mix rather than Python's ``hash`` (salted per
+    process for str, not guaranteed stable across versions); LMKG-U's
+    Gumbel stream derives its window bases from it too.
     """
-    x = np.ascontiguousarray(values, dtype=np.int64).view(np.uint64).copy()
+    x = np.asarray(values).astype(np.uint64)
     x += np.uint64(0x9E3779B97F4A7C15)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -126,54 +127,7 @@ def _mix64(values: np.ndarray) -> np.ndarray:
 def shard_of(values, num_shards: int) -> np.ndarray:
     """Owning shard id for an array of shard-key values, as int64."""
     values = np.atleast_1d(np.asarray(values, dtype=np.int64))
-    return (_mix64(values) % np.uint64(num_shards)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class BackendStats:
-    """Shape and footprint summary of one backend (for ``/stats`` etc.)."""
-
-    backend: str
-    num_triples: int
-    num_shards: int
-    attached_shards: int
-    shard_by: Optional[str]
-    memory_bytes: int
-    generation: int
-
-
-def _index_isin(index: ColumnarIndex, rows: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``(N, 3)`` *rows* in *index*.
-
-    Fast path: when ids are non-negative and the combined value ranges
-    fit, rows pack into one monotone int64 key, so the index's sorted
-    SPO columns pack into an already-sorted haystack and membership is
-    one ``searchsorted`` — no index rebuild.  Arbitrary ids fall back to
-    bytewise void records.
-    """
-    if index.size == 0 or rows.shape[0] == 0:
-        return np.zeros(rows.shape[0], dtype=bool)
-    lo = [
-        min(int(rows[:, 0].min()), int(index.spo_s[0])),
-        min(int(rows[:, 1].min()), int(index.pso_p[0])),
-        min(int(rows[:, 2].min()), int(index.osp_o[0])),
-    ]
-    hi = [
-        max(int(rows[:, 0].max()), int(index.spo_s[-1])),
-        max(int(rows[:, 1].max()), int(index.pso_p[-1])),
-        max(int(rows[:, 2].max()), int(index.osp_o[-1])),
-    ]
-    radix_p = hi[1] + 1
-    radix_o = hi[2] + 1
-    if min(lo) >= 0 and (hi[0] + 1) * radix_p * radix_o < 2**63:
-        def pack(s, p, o):
-            return (np.asarray(s) * radix_p + np.asarray(p)) * radix_o + (
-                np.asarray(o)
-            )
-
-        haystack = pack(index.spo_s, index.spo_p, index.spo_o)
-        return in_sorted(haystack, pack(rows[:, 0], rows[:, 1], rows[:, 2]))
-    return np.isin(pack_rows(rows), pack_rows(index.rows()))
+    return (splitmix64(values) % np.uint64(num_shards)).astype(np.int64)
 
 
 def _merge_value_counts(
@@ -211,104 +165,6 @@ def _concat_sorted(parts: List[np.ndarray]) -> np.ndarray:
     return merged
 
 
-class _PatternOps:
-    """Pattern-level ``lookup``/``count`` shared by every backend.
-
-    Both are expressed purely through the accessor contract, so any
-    backend that implements the accessors answers patterns in the exact
-    same order as the single-index backend — the matcher facade on top
-    never sees which implementation is underneath.
-    """
-
-    def lookup(
-        self,
-        s: Optional[int] = None,
-        p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> np.ndarray:
-        """Matching triples of one bound-position pattern, ``(N, 3)``.
-
-        Row order mirrors the permutation each shape is answered from
-        (identical across backends): SPO for bound-s shapes, PSO for
-        bound-p, OSP for bound-o, SPO for the full scan.
-        """
-        if s is not None and p is not None and o is not None:
-            if self.contains(s, p, o):
-                return np.array([[s, p, o]], dtype=np.int64)
-            return _EMPTY_ROWS
-        if s is not None and p is not None:
-            objs = self.objects_of(s, p)
-            return _fill_rows(s, p, objs, objs.size, "o")
-        if p is not None and o is not None:
-            subs = self.subjects_of(p, o)
-            return _fill_rows(subs, p, o, subs.size, "s")
-        if s is not None and o is not None:
-            preds = self.predicates_between(s, o)
-            return _fill_rows(s, preds, o, preds.size, "p")
-        if s is not None:
-            preds, objs = self.out_slice(s)
-            return _fill_rows(s, preds, objs, preds.size, "po")
-        if p is not None:
-            subs, objs = self.pred_slice(p)
-            return _fill_rows(subs, p, objs, subs.size, "so")
-        if o is not None:
-            subs, preds = self.in_slice(o)
-            return _fill_rows(subs, preds, o, subs.size, "sp")
-        return self.rows()
-
-    def count(
-        self,
-        s: Optional[int] = None,
-        p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> int:
-        """Exact match count of one bound-position pattern."""
-        if s is not None and p is not None and o is not None:
-            return 1 if self.contains(s, p, o) else 0
-        if s is not None and p is not None:
-            return self.count_sp(s, p)
-        if p is not None and o is not None:
-            return self.count_po(p, o)
-        if s is not None and o is not None:
-            return self.count_so(s, o)
-        if s is not None:
-            return self.out_degree(s)
-        if p is not None:
-            return self.predicate_count(p)
-        if o is not None:
-            return self.in_degree(o)
-        return self.size
-
-    def subject_predicate_groups(self):
-        """Yield (predicates, fanouts) lists per distinct subject.
-
-        Groups :meth:`distinct_sp_pairs` by subject (SPO order), giving
-        each subject's characteristic set and per-predicate fan-outs in
-        one pass.
-        """
-        pair_s, pair_p, fanouts = self.distinct_sp_pairs()
-        if pair_s.size == 0:
-            return
-        starts = run_starts(pair_s).tolist()
-        preds = pair_p.tolist()
-        fans = fanouts.tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            yield preds[lo:hi], fans[lo:hi]
-
-
-def _fill_rows(s, p, o, n: int, varying: str) -> np.ndarray:
-    """Assemble ``(n, 3)`` rows from per-position scalars/arrays."""
-    if n == 0:
-        return _EMPTY_ROWS
-    out = np.empty((n, 3), dtype=np.int64)
-    for column, value, name in ((0, s, "s"), (1, p, "p"), (2, o, "o")):
-        if name in varying:
-            out[:, column] = value
-        else:
-            out[:, column] = int(value)
-    return out
-
-
 @runtime_checkable
 class StoreBackend(Protocol):
     """The array-native storage contract behind :class:`TripleStore`.
@@ -327,7 +183,7 @@ class StoreBackend(Protocol):
     size: int
     generation: int
 
-    # Pattern-level API (provided by _PatternOps for the shipped backends)
+    # Pattern-level API (provided by PatternOps for the shipped backends)
     def lookup(self, s=None, p=None, o=None) -> np.ndarray: ...
     def count(self, s=None, p=None, o=None) -> int: ...
 
@@ -393,175 +249,8 @@ class StoreBackend(Protocol):
     def stats(self) -> BackendStats: ...
 
 
-class ColumnarBackend(_PatternOps):
-    """The single-snapshot backend: one :class:`ColumnarIndex`, wrapped.
-
-    Pure composition — the wrapped index is exposed as :attr:`index` so
-    existing array consumers (samplers reading raw permutation columns,
-    memmap identity tests) keep working unchanged through
-    ``TripleStore.columnar``.
-    """
-
-    __slots__ = ("index", "generation")
-
-    def __init__(self, index: ColumnarIndex) -> None:
-        self.index = index
-        self.generation = 0
-
-    @classmethod
-    def empty(cls) -> "ColumnarBackend":
-        return cls(ColumnarIndex.from_array(_EMPTY_ROWS))
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "ColumnarBackend":
-        return cls(ColumnarIndex.from_array(rows))
-
-    @classmethod
-    def load(
-        cls,
-        directory: Union[str, Path],
-        mmap_mode: Optional[str] = "r",
-        verify: bool = True,
-    ) -> "ColumnarBackend":
-        return cls(
-            ColumnarIndex.load(directory, mmap_mode=mmap_mode, verify=verify)
-        )
-
-    # -- ingest / persistence ------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.index.size
-
-    def rebuild(self, rows: np.ndarray) -> "ColumnarBackend":
-        return ColumnarBackend(ColumnarIndex.from_array(rows))
-
-    def rows(self) -> np.ndarray:
-        return self.index.rows()
-
-    def isin_rows(self, rows: np.ndarray) -> np.ndarray:
-        return _index_isin(self.index, coerce_rows(rows))
-
-    def save(
-        self,
-        directory: Union[str, Path],
-        extra_manifest: Optional[Dict] = None,
-    ) -> Path:
-        return self.index.save(directory, extra_manifest=extra_manifest)
-
-    # -- delegated accessors -------------------------------------------
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return self.index.contains(s, p, o)
-
-    def objects_of(self, s: int, p: int) -> np.ndarray:
-        return self.index.objects_of(s, p)
-
-    def subjects_of(self, p: int, o: int) -> np.ndarray:
-        return self.index.subjects_of(p, o)
-
-    def predicates_between(self, s: int, o: int) -> np.ndarray:
-        return self.index.predicates_between(s, o)
-
-    def out_predicates(self, s: int) -> np.ndarray:
-        return self.index.out_predicates(s)
-
-    def out_slice(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.out_slice(s)
-
-    def in_slice(self, o: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.in_slice(o)
-
-    def pred_slice(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.pred_slice(p)
-
-    def pred_slice_by_object(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.pred_slice_by_object(p)
-
-    def out_degree(self, s: int) -> int:
-        return self.index.out_degree(s)
-
-    def in_degree(self, o: int) -> int:
-        return self.index.in_degree(o)
-
-    def predicate_count(self, p: int) -> int:
-        return self.index.predicate_count(p)
-
-    def count_sp(self, s: int, p: int) -> int:
-        return self.index.count_sp(s, p)
-
-    def count_po(self, p: int, o: int) -> int:
-        return self.index.count_po(p, o)
-
-    def count_so(self, s: int, o: int) -> int:
-        return self.index.count_so(s, o)
-
-    def subjects(self) -> np.ndarray:
-        return self.index.subjects()
-
-    def objects(self) -> np.ndarray:
-        return self.index.objects()
-
-    def predicates(self) -> np.ndarray:
-        return self.index.predicates()
-
-    def nodes(self) -> np.ndarray:
-        return self.index.nodes()
-
-    def subject_degrees(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.subject_degrees()
-
-    def object_degrees(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.object_degrees()
-
-    def predicate_triple_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.predicate_triple_counts()
-
-    def predicate_subject_stats(
-        self, p: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.predicate_subject_stats(p)
-
-    def predicate_object_stats(
-        self, p: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.predicate_object_stats(p)
-
-    def distinct_sp_pairs(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.index.distinct_sp_pairs()
-
-    def sp_counts(self, subjects: np.ndarray, p: int) -> np.ndarray:
-        return self.index.sp_counts(subjects, p)
-
-    def sp_have_object(
-        self, subjects: np.ndarray, p: int, o: int
-    ) -> np.ndarray:
-        return self.index.sp_have_object(subjects, p, o)
-
-    def sp_objects(
-        self, subjects: np.ndarray, p: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.index.sp_objects(subjects, p)
-
-    def memory_bytes(self) -> int:
-        return self.index.memory_bytes()
-
-    def stats(self) -> BackendStats:
-        return BackendStats(
-            backend="columnar",
-            num_triples=self.size,
-            num_shards=1,
-            attached_shards=1,
-            shard_by=None,
-            memory_bytes=self.memory_bytes(),
-            generation=self.generation,
-        )
-
-
-class ShardedBackend(_PatternOps):
-    """N columnar shards behind the same contract as one index.
+class ShardedBackend(PatternOps):
+    """N columnar shards behind the same contract as the flat backend.
 
     Construction routes each row to ``shard_of(shard key) % num_shards``;
     lookups whose shard key is bound go straight to the owning shard,
@@ -592,7 +281,7 @@ class ShardedBackend(_PatternOps):
 
     def __init__(
         self,
-        shards: Sequence[ColumnarIndex],
+        shards: Sequence[ColumnarBackend],
         num_shards: int,
         shard_by: str = "subject",
         shard_ids: Optional[Sequence[int]] = None,
@@ -643,7 +332,7 @@ class ShardedBackend(_PatternOps):
         num_shards: int,
         shard_by: str = "subject",
     ) -> "ShardedBackend":
-        """Shard an ``(N, 3)`` row array into *num_shards* indexes."""
+        """Shard an ``(N, 3)`` row array into *num_shards* backends."""
         rows = coerce_rows(rows)
         column = SHARD_MODES.get(shard_by)
         if column is None:
@@ -655,14 +344,14 @@ class ShardedBackend(_PatternOps):
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         assignments = shard_of(rows[:, column], num_shards)
         shards = [
-            ColumnarIndex.from_array(rows[assignments == sid])
+            ColumnarBackend.from_rows(rows[assignments == sid])
             for sid in range(num_shards)
         ]
         return cls(shards, num_shards, shard_by)
 
     @property
-    def shards(self) -> Tuple[ColumnarIndex, ...]:
-        """The attached shard indexes, parallel to :attr:`shard_ids`."""
+    def shards(self) -> Tuple[ColumnarBackend, ...]:
+        """The attached shards, parallel to :attr:`shard_ids`."""
         return self._shards
 
     @property
@@ -675,7 +364,7 @@ class ShardedBackend(_PatternOps):
 
     # -- routing helpers -----------------------------------------------
 
-    def _owner(self, key: int) -> Optional[ColumnarIndex]:
+    def _owner(self, key: int) -> Optional[ColumnarBackend]:
         """The attached shard owning one shard-key value, if any."""
         sid = int(shard_of(np.array([key], dtype=np.int64), self.num_shards)[0])
         return self._by_id.get(sid)
@@ -712,7 +401,7 @@ class ShardedBackend(_PatternOps):
             return out
         column = SHARD_MODES[self.shard_by]
         for shard, mask in self._scatter(rows[:, column]):
-            out[mask] = _index_isin(shard, rows[mask])
+            out[mask] = shard.isin_rows(rows[mask])
         return out
 
     def save(
@@ -774,7 +463,7 @@ class ShardedBackend(_PatternOps):
     ) -> "ShardedBackend":
         """Attach a sharded snapshot, whole or a shard subset.
 
-        Each selected shard loads through :meth:`ColumnarIndex.load`
+        Each selected shard loads through :meth:`ColumnarBackend.load`
         (memmapped, per-shard manifest validated, checksummed under
         ``verify=True``) and is then cross-checked against the top-level
         manifest entry — a shard directory swapped in from another
@@ -800,7 +489,7 @@ class ShardedBackend(_PatternOps):
         for sid in selected:
             entry = entries[sid]
             shard_dir = directory / entry["directory"]
-            shard = ColumnarIndex.load(
+            shard = ColumnarBackend.load(
                 shard_dir, mmap_mode=mmap_mode, verify=verify
             )
             if shard.size != entry["num_triples"]:

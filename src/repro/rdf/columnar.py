@@ -1,6 +1,6 @@
-"""Columnar permutation indexes: the numpy backend of the triple store.
+"""The flat columnar store backend: four sorted permutation indexes.
 
-A :class:`ColumnarIndex` holds one immutable snapshot of a dictionary-
+A :class:`ColumnarBackend` holds one immutable snapshot of a dictionary-
 encoded graph as four sorted ``int64`` column triples — the SPO, POS,
 OSP, and PSO permutations of RDF-3X-style engines.  Every single-pattern
 access path (any subset of {s, p, o} bound) is a pair of
@@ -9,27 +9,30 @@ permutation, so lookups are ``O(log N)`` with no per-triple Python work,
 and whole-range consumers (degree counts, adjacency slices, frontier
 expansion) read contiguous array slices.
 
-The index is deliberately free of dense id-space arrays: all lookups are
-binary searches over the sorted primary columns, so sparse or very large
-term ids cost nothing beyond the triples themselves.
+The backend is deliberately free of dense id-space arrays: all lookups
+are binary searches over the sorted primary columns, so sparse or very
+large term ids cost nothing beyond the triples themselves.
 
+It implements the :class:`~repro.rdf.backend.StoreBackend` protocol
+directly, and it is also the shard type of
+:class:`~repro.rdf.backend.ShardedBackend`.
 :class:`~repro.rdf.store.TripleStore` owns mutation and rebuilds its
-index lazily (guarded by a generation counter); the vectorized counters
-(:mod:`repro.rdf.fastcount`), samplers (:mod:`repro.sampling.random_walk`)
-and statistics (:mod:`repro.rdf.stats`) all run directly against this
-class.
+backend lazily (guarded by a generation counter); the vectorized
+counters (:mod:`repro.rdf.fastcount`), samplers
+(:mod:`repro.sampling.random_walk`) and statistics
+(:mod:`repro.rdf.stats`) all run directly against this class.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-
-from repro.rdf.terms import Triple
 
 #: (lo, hi) bounds of a contiguous range inside one permutation.
 Range = Tuple[int, int]
@@ -46,6 +49,8 @@ PERMUTATION_COLUMNS = (
     "osp_o", "osp_s", "osp_p",
     "pso_p", "pso_s", "pso_o",
 )
+
+_EMPTY_ROWS = np.empty((0, 3), dtype=np.int64)
 
 
 class SnapshotError(RuntimeError):
@@ -109,6 +114,68 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * 3))).ravel()
 
 
+class RowKeys:
+    """One comparable key per ``(s, p, o)`` row, shared by several row sets.
+
+    Built with :meth:`spanning` over every row set that will be compared.
+    When all ids are non-negative and the combined value ranges fit, a
+    row packs into the ordered int64 key ``(s * radix_p + p) * radix_o +
+    o``: sorted SPO columns pack into an already-sorted array, and
+    ``np.sort`` takes its SIMD path on int64 (``np.unique`` does not,
+    ~20x).  Otherwise keys fall back to :func:`pack_rows` void records —
+    correct for equality, slower to sort.  :meth:`unpack` inverts either
+    encoding.
+    """
+
+    __slots__ = ("radix_p", "radix_o")
+
+    def __init__(self, lo: Tuple[int, ...], hi: Tuple[int, ...]) -> None:
+        radix_p, radix_o = hi[1] + 1, hi[2] + 1
+        if min(lo) >= 0 and (hi[0] + 1) * radix_p * radix_o < 2**63:
+            self.radix_p: Optional[int] = radix_p
+            self.radix_o: Optional[int] = radix_o
+        else:
+            self.radix_p = self.radix_o = None
+
+    @classmethod
+    def spanning(cls, *row_sets: np.ndarray) -> "RowKeys":
+        """The encoding that covers every value of the non-empty *row_sets*."""
+        lo = tuple(
+            min(int(rows[:, i].min()) for rows in row_sets) for i in range(3)
+        )
+        hi = tuple(
+            max(int(rows[:, i].max()) for rows in row_sets) for i in range(3)
+        )
+        return cls(lo, hi)
+
+    @property
+    def packed(self) -> bool:
+        """True when keys are ordered int64 values, not void records."""
+        return self.radix_p is not None
+
+    def of_columns(
+        self, s: np.ndarray, p: np.ndarray, o: np.ndarray
+    ) -> np.ndarray:
+        """Keys of the rows ``(s[i], p[i], o[i])``."""
+        if self.packed:
+            return (s * self.radix_p + p) * self.radix_o + o
+        return pack_rows(np.column_stack((s, p, o)))
+
+    def of(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of an ``(N, 3)`` row array."""
+        if self.packed:
+            return self.of_columns(rows[:, 0], rows[:, 1], rows[:, 2])
+        return pack_rows(rows)
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The ``(N, 3)`` rows a contiguous key array encodes."""
+        if not self.packed:
+            return keys.view(np.int64).reshape(-1, 3)
+        subjects, rest = np.divmod(keys, self.radix_p * self.radix_o)
+        predicates, objects = np.divmod(rest, self.radix_o)
+        return np.column_stack((subjects, predicates, objects))
+
+
 def _eq_range(
     column: np.ndarray, value: int, lo: int = 0, hi: Optional[int] = None
 ) -> Range:
@@ -161,11 +228,129 @@ def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[pos] == needles
 
 
-class ColumnarIndex:
-    """Immutable sorted-permutation snapshot of a set of triples."""
+@dataclass(frozen=True)
+class BackendStats:
+    """Shape and footprint summary of one backend (for ``/stats`` etc.)."""
+
+    backend: str
+    num_triples: int
+    num_shards: int
+    attached_shards: int
+    shard_by: Optional[str]
+    memory_bytes: int
+    generation: int
+
+
+class PatternOps:
+    """Pattern-level ``lookup``/``count`` shared by every backend.
+
+    Both are expressed purely through the accessor contract, so any
+    backend that implements the accessors answers patterns in the exact
+    same order as the flat backend — the matcher facade on top never
+    sees which implementation is underneath.
+    """
+
+    __slots__ = ()
+
+    def lookup(
+        self,
+        s: Optional[int] = None,
+        p: Optional[int] = None,
+        o: Optional[int] = None,
+    ) -> np.ndarray:
+        """Matching triples of one bound-position pattern, ``(N, 3)``.
+
+        Row order mirrors the permutation each shape is answered from
+        (identical across backends): SPO for bound-s shapes, PSO for
+        bound-p, OSP for bound-o, SPO for the full scan.
+        """
+        if s is not None and p is not None and o is not None:
+            if self.contains(s, p, o):
+                return np.array([[s, p, o]], dtype=np.int64)
+            return _EMPTY_ROWS
+        if s is not None and p is not None:
+            objs = self.objects_of(s, p)
+            return _fill_rows(s, p, objs, objs.size, "o")
+        if p is not None and o is not None:
+            subs = self.subjects_of(p, o)
+            return _fill_rows(subs, p, o, subs.size, "s")
+        if s is not None and o is not None:
+            preds = self.predicates_between(s, o)
+            return _fill_rows(s, preds, o, preds.size, "p")
+        if s is not None:
+            preds, objs = self.out_slice(s)
+            return _fill_rows(s, preds, objs, preds.size, "po")
+        if p is not None:
+            subs, objs = self.pred_slice(p)
+            return _fill_rows(subs, p, objs, subs.size, "so")
+        if o is not None:
+            subs, preds = self.in_slice(o)
+            return _fill_rows(subs, preds, o, subs.size, "sp")
+        return self.rows()
+
+    def count(
+        self,
+        s: Optional[int] = None,
+        p: Optional[int] = None,
+        o: Optional[int] = None,
+    ) -> int:
+        """Exact match count of one bound-position pattern."""
+        if s is not None and p is not None and o is not None:
+            return 1 if self.contains(s, p, o) else 0
+        if s is not None and p is not None:
+            return self.count_sp(s, p)
+        if p is not None and o is not None:
+            return self.count_po(p, o)
+        if s is not None and o is not None:
+            return self.count_so(s, o)
+        if s is not None:
+            return self.out_degree(s)
+        if p is not None:
+            return self.predicate_count(p)
+        if o is not None:
+            return self.in_degree(o)
+        return self.size
+
+    def subject_predicate_groups(self):
+        """Yield (predicates, fanouts) lists per distinct subject.
+
+        Groups :meth:`distinct_sp_pairs` by subject (SPO order), giving
+        each subject's characteristic set and per-predicate fan-outs in
+        one pass — shared by the CSET synopsis and the co-occurrence
+        statistics.
+        """
+        pair_s, pair_p, fanouts = self.distinct_sp_pairs()
+        if pair_s.size == 0:
+            return
+        starts = run_starts(pair_s).tolist()
+        preds = pair_p.tolist()
+        fans = fanouts.tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            yield preds[lo:hi], fans[lo:hi]
+
+
+def _fill_rows(s, p, o, n: int, varying: str) -> np.ndarray:
+    """Assemble ``(n, 3)`` rows from per-position scalars/arrays."""
+    if n == 0:
+        return _EMPTY_ROWS
+    out = np.empty((n, 3), dtype=np.int64)
+    for column, value, name in ((0, s, "s"), (1, p, "p"), (2, o, "o")):
+        if name in varying:
+            out[:, column] = value
+        else:
+            out[:, column] = int(value)
+    return out
+
+
+class ColumnarBackend(PatternOps):
+    """Immutable sorted-permutation snapshot of a set of triples.
+
+    ``generation`` is the stamp the owning store sets when it commits
+    the backend; a freshly built or loaded one starts at 0.
+    """
 
     __slots__ = (
-        "size",
+        "size", "generation",
         "spo_s", "spo_p", "spo_o",
         "pos_p", "pos_o", "pos_s",
         "osp_o", "osp_s", "osp_p",
@@ -184,7 +369,6 @@ class ColumnarIndex:
         o = np.ascontiguousarray(o, dtype=np.int64)
         if not (s.shape == p.shape == o.shape) or s.ndim != 1:
             raise ValueError("s, p, o must be equal-length 1-d arrays")
-        self.size = int(s.size)
         order = np.lexsort((o, p, s))
         self.spo_s, self.spo_p, self.spo_o = s[order], p[order], o[order]
         order = np.lexsort((s, o, p))
@@ -193,6 +377,12 @@ class ColumnarIndex:
         self.osp_o, self.osp_s, self.osp_p = o[order], s[order], p[order]
         order = np.lexsort((o, s, p))
         self.pso_p, self.pso_s, self.pso_o = p[order], s[order], o[order]
+        self._reset()
+
+    def _reset(self) -> None:
+        """Stamp generation 0 and clear the lazily derived domains."""
+        self.size = int(self.spo_s.size)
+        self.generation = 0
         self._subjects: Optional[np.ndarray] = None
         self._subject_degrees: Optional[np.ndarray] = None
         self._objects: Optional[np.ndarray] = None
@@ -202,44 +392,46 @@ class ColumnarIndex:
         self._nodes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction and bulk ingest
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> "ColumnarIndex":
-        """Build from any iterable of (s, p, o) int triples."""
-        data = np.array(list(triples), dtype=np.int64)
-        if data.size == 0:
-            data = data.reshape(0, 3)
-        return cls(data[:, 0], data[:, 1], data[:, 2])
-
-    @classmethod
-    def from_array(cls, rows: np.ndarray) -> "ColumnarIndex":
+    def from_rows(cls, rows: np.ndarray) -> "ColumnarBackend":
         """Build from an ``(N, 3)`` array without tuple round-trips."""
         rows = coerce_rows(rows)
         return cls(rows[:, 0], rows[:, 1], rows[:, 2])
 
-    @classmethod
-    def _from_sorted_columns(
-        cls, columns: Dict[str, np.ndarray]
-    ) -> "ColumnarIndex":
-        """Adopt already-sorted permutation columns (snapshot load path)."""
-        self = cls.__new__(cls)
-        self.size = int(columns["spo_s"].size)
-        for name in PERMUTATION_COLUMNS:
-            setattr(self, name, columns[name])
-        self._subjects = None
-        self._subject_degrees = None
-        self._objects = None
-        self._object_degrees = None
-        self._predicates = None
-        self._predicate_triples = None
-        self._nodes = None
-        return self
+    def rebuild(self, rows: np.ndarray) -> "ColumnarBackend":
+        """A fresh backend over *rows* (the store's consolidation step)."""
+        return ColumnarBackend.from_rows(rows)
 
     def rows(self) -> np.ndarray:
         """The stored triples as an ``(N, 3)`` array, in SPO order."""
         return np.column_stack((self.spo_s, self.spo_p, self.spo_o))
+
+    def isin_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean membership of ``(N, 3)`` *rows* in this snapshot.
+
+        One :class:`RowKeys` encoding spans the probe rows and the
+        stored extremes; when it packs, the sorted SPO columns are
+        already a sorted key array and membership is one
+        ``searchsorted`` — no index rebuild.
+        """
+        rows = coerce_rows(rows)
+        if self.size == 0 or rows.shape[0] == 0:
+            return np.zeros(rows.shape[0], dtype=bool)
+        extremes = np.array(
+            [
+                [self.spo_s[0], self.pso_p[0], self.osp_o[0]],
+                [self.spo_s[-1], self.pso_p[-1], self.osp_o[-1]],
+            ]
+        )
+        keys = RowKeys.spanning(rows, extremes)
+        needles = keys.of(rows)
+        haystack = keys.of_columns(self.spo_s, self.spo_p, self.spo_o)
+        if keys.packed:
+            return in_sorted(haystack, needles)
+        return np.isin(needles, haystack)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -264,15 +456,13 @@ class ColumnarIndex:
         directory: Union[str, Path],
         extra_manifest: Optional[Dict] = None,
     ) -> Path:
-        """Persist the index: one ``.npy`` per column plus a manifest.
+        """Persist the snapshot: one ``.npy`` per column plus a manifest.
 
         The manifest (written last, so its presence marks a complete
         snapshot) records the format version, triple count and content
         checksum; *extra_manifest* lets the store layer attach
         dictionary metadata.  Returns the manifest path.
         """
-        import os
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for name in PERMUTATION_COLUMNS:
@@ -306,8 +496,8 @@ class ColumnarIndex:
         directory: Union[str, Path],
         mmap_mode: Optional[str] = "r",
         verify: bool = True,
-    ) -> "ColumnarIndex":
-        """Load a saved index, as read-only memmaps by default.
+    ) -> "ColumnarBackend":
+        """Load a saved snapshot, as read-only memmaps by default.
 
         ``mmap_mode=None`` reads the columns eagerly into memory.  Every
         column is validated against the manifest (dtype, shape, length);
@@ -327,7 +517,7 @@ class ColumnarIndex:
                 f"snapshot at {directory} has invalid num_triples "
                 f"{num_triples!r}"
             )
-        columns: Dict[str, np.ndarray] = {}
+        backend = cls.__new__(cls)
         for name in PERMUTATION_COLUMNS:
             path = directory / f"{name}.npy"
             if not path.is_file():
@@ -348,16 +538,16 @@ class ColumnarIndex:
                     f"snapshot column {path} holds {array.size} values; "
                     f"manifest says {num_triples}"
                 )
-            columns[name] = array
-        index = cls._from_sorted_columns(columns)
+            setattr(backend, name, array)
+        backend._reset()
         if verify:
-            checksum = index.content_checksum()
+            checksum = backend.content_checksum()
             if checksum != manifest.get("checksum"):
                 raise SnapshotError(
                     f"snapshot at {directory} failed checksum verification "
                     f"({checksum} != {manifest.get('checksum')!r})"
                 )
-        return index
+        return backend
 
     # ------------------------------------------------------------------
     # Domains
@@ -530,23 +720,6 @@ class ColumnarIndex:
         fanouts = np.diff(np.append(idx, s_col.size))
         return s_col[idx], p_col[idx], fanouts
 
-    def subject_predicate_groups(self):
-        """Yield (predicates, fanouts) lists per distinct subject.
-
-        Groups :meth:`distinct_sp_pairs` by subject (SPO order), giving
-        each subject's characteristic set and per-predicate fan-outs in
-        one pass — shared by the CSET synopsis and the co-occurrence
-        statistics.
-        """
-        pair_s, pair_p, fanouts = self.distinct_sp_pairs()
-        if pair_s.size == 0:
-            return
-        starts = run_starts(pair_s).tolist()
-        preds = pair_p.tolist()
-        fans = fanouts.tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            yield preds[lo:hi], fans[lo:hi]
-
     # ------------------------------------------------------------------
     # Per-predicate distinct-term statistics
     # ------------------------------------------------------------------
@@ -614,3 +787,14 @@ class ColumnarIndex:
     def memory_bytes(self) -> int:
         """Resident bytes of the four permutations (12 int64 columns)."""
         return self.size * 3 * 8 * 4
+
+    def stats(self) -> BackendStats:
+        return BackendStats(
+            backend="columnar",
+            num_triples=self.size,
+            num_shards=1,
+            attached_shards=1,
+            shard_by=None,
+            memory_bytes=self.memory_bytes(),
+            generation=self.generation,
+        )

@@ -1,9 +1,9 @@
 """An indexed RDF triple store over pluggable array-native backends.
 
 Triples are dictionary-encoded and kept in a **committed**
-:class:`~repro.rdf.backend.StoreBackend` — by default a
-:class:`~repro.rdf.backend.ColumnarBackend` wrapping four sorted
-``int64`` permutations (SPO, POS, OSP, PSO) that answer every
+:class:`~repro.rdf.backend.StoreBackend` — by default the flat
+:class:`~repro.rdf.columnar.ColumnarBackend`, four sorted ``int64``
+permutations (SPO, POS, OSP, PSO) that answer every
 single-triple-pattern access path; a
 :class:`~repro.rdf.backend.ShardedBackend` splits the same graph across
 N snapshot directories when it outgrows one index — plus two small
@@ -12,7 +12,8 @@ and a list of *pending bulk batches* ingested through the array-native
 :meth:`TripleStore.add_all`.  Each arriving batch is deduplicated on
 the spot — against itself, the committed backend
 (:meth:`~repro.rdf.backend.StoreBackend.isin_rows`, packed-key binary
-search, no index rebuild), and the batches already pending — so the
+search, no index rebuild), and the batches already pending, all through
+one :class:`~repro.rdf.columnar.RowKeys` encoding — so the
 staged parts stay mutually disjoint and chunked ingest stays amortized:
 the permutation sorts run once, at the next read, not once per batch.
 Reads consolidate lazily: the first backend access after a mutation
@@ -63,17 +64,12 @@ from typing import (
 
 import numpy as np
 
-from repro.rdf.backend import (
-    ColumnarBackend,
-    ShardedBackend,
-    StoreBackend,
-    load_backend,
-)
+from repro.rdf.backend import ShardedBackend, StoreBackend, load_backend
 from repro.rdf.columnar import (
-    ColumnarIndex,
+    ColumnarBackend,
+    RowKeys,
     SnapshotError,
     coerce_rows,
-    pack_rows,
 )
 from repro.rdf.dictionary import GraphDictionary
 from repro.rdf.terms import Triple, TriplePattern, Variable, is_bound
@@ -128,7 +124,9 @@ class TripleStore:
         self._snapshot_path: Optional[Path] = None
         self._snapshot_generation: int = -1
         # Committed backend + write-side staging (see module docstring).
-        self._committed: StoreBackend = ColumnarBackend.empty()
+        self._committed: StoreBackend = ColumnarBackend.from_rows(
+            np.empty((0, 3), dtype=np.int64)
+        )
         self._delta: Set[Triple] = set()
         self._pending: List[np.ndarray] = []
         self._pending_rows: int = 0
@@ -137,8 +135,7 @@ class TripleStore:
         self._pending_probe: Optional[Set[Triple]] = None
         # Generation-stamped caches: (generation, payload).
         self._backend_cache: Optional[Tuple[int, StoreBackend]] = None
-        self._merged_cache: Optional[Tuple[int, ColumnarIndex]] = None
-        self._set_cache: Optional[Tuple[int, Set[Triple]]] = None
+        self._merged_cache: Optional[Tuple[int, ColumnarBackend]] = None
         self._nodes_cache: Optional[Tuple[int, List[int]]] = None
 
     # ------------------------------------------------------------------
@@ -169,13 +166,7 @@ class TripleStore:
         ):
             return False
         self._delta.add(triple)
-        set_cache = self._set_cache
         self.generation += 1
-        if set_cache is not None and set_cache[0] == self.generation - 1:
-            # Keep the materialised set coherent instead of rebuilding it
-            # from scratch on the next read.
-            set_cache[1].add(triple)
-            self._set_cache = (self.generation, set_cache[1])
         return True
 
     def add_all(self, triples) -> int:
@@ -222,61 +213,22 @@ class TripleStore:
     ) -> np.ndarray:
         """Unique rows of *rows* absent from *existing* and *pending*.
 
-        Fast path: when all ids are non-negative and the combined value
-        ranges fit, each row packs into one ordered int64 key
-        (``(s * Rp + p) * Ro + o``), uniqued with an explicit sort +
-        neighbour-diff (np.sort takes the SIMD path for int64,
-        np.unique does not, ~20x).  Arbitrary ids fall back to bytewise
-        void records (correct for equality, slower to sort).  Membership
-        against the committed data is one backend
-        :meth:`~repro.rdf.backend.StoreBackend.isin_rows` pass — a
-        packed binary search on the columnar backend, per-owning-shard
+        One :class:`~repro.rdf.columnar.RowKeys` encoding spans the batch
+        and every pending batch: packed int64 keys when the ids allow,
+        void records otherwise, uniqued with an explicit sort +
+        neighbour-diff.  Membership against the committed data is one
+        backend :meth:`~repro.rdf.backend.StoreBackend.isin_rows` pass —
+        a packed binary search on the columnar backend, per-owning-shard
         searches on the sharded one; never an index rebuild, so chunked
         ingest stays amortized.
         """
-        lo = [int(rows[:, i].min()) for i in range(3)]
-        hi = [int(rows[:, i].max()) for i in range(3)]
-        for batch in pending:
-            lo = [min(a, int(b)) for a, b in zip(lo, batch.min(axis=0))]
-            hi = [max(a, int(b)) for a, b in zip(hi, batch.max(axis=0))]
-        radix_p = hi[1] + 1
-        radix_o = hi[2] + 1
-        packable = (
-            min(lo) >= 0
-            and (hi[0] + 1) * radix_p * radix_o < 2**63
-        )
-        if packable:
-            def pack(s, p, o):
-                return (
-                    np.asarray(s) * radix_p + np.asarray(p)
-                ) * radix_o + np.asarray(o)
-
-            keys = pack(rows[:, 0], rows[:, 1], rows[:, 2])
-            keys.sort()
-            head = np.ones(1, dtype=bool)
-            unique_keys = keys[
-                np.concatenate((head, keys[1:] != keys[:-1]))
-            ]
-            if pending:
-                pending_keys = np.concatenate(
-                    [pack(b[:, 0], b[:, 1], b[:, 2]) for b in pending]
-                )
-                unique_keys = unique_keys[
-                    ~np.isin(unique_keys, pending_keys)
-                ]
-            subjects, rest = np.divmod(unique_keys, radix_p * radix_o)
-            predicates, objects = np.divmod(rest, radix_o)
-            unique_rows = np.column_stack((subjects, predicates, objects))
-        else:
-            packed = pack_rows(rows)
-            _, keep = np.unique(packed, return_index=True)
-            unique_rows = rows[keep]
-            if pending:
-                mask = ~np.isin(
-                    pack_rows(unique_rows),
-                    pack_rows(np.concatenate(list(pending))),
-                )
-                unique_rows = unique_rows[mask]
+        keys = RowKeys.spanning(rows, *pending)
+        fresh = np.sort(keys.of(rows))
+        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+        if pending:
+            pending_keys = np.concatenate([keys.of(b) for b in pending])
+            fresh = fresh[~np.isin(fresh, pending_keys)]
+        unique_rows = keys.unpack(fresh)
         if existing is not None and existing.size and unique_rows.size:
             unique_rows = unique_rows[~existing.isin_rows(unique_rows)]
         return unique_rows
@@ -332,42 +284,28 @@ class TripleStore:
         return self._backend_cache[1]
 
     @property
-    def columnar(self) -> ColumnarIndex:
-        """A single sorted-permutation index of the current generation.
+    def columnar(self) -> ColumnarBackend:
+        """A single sorted-permutation backend of the current generation.
 
-        On the default columnar backend this *is* the committed index
-        (no copy — memmap identity is preserved for loaded snapshots).
-        On a sharded backend it is a merged in-memory index built from
-        all attached shards, cached per generation: the dense fallback
-        for consumers that read raw permutation columns (the vectorized
-        samplers, range workloads).  Accessor-level consumers should
-        prefer :attr:`backend`, which routes to shards without merging.
+        On a flat store this *is* :attr:`backend` (no copy — memmap
+        identity is preserved for loaded snapshots).  On a sharded
+        backend it is a merged in-memory :class:`ColumnarBackend` built
+        from all attached shards, cached per generation: the dense
+        fallback for consumers that read raw permutation columns (the
+        vectorized samplers, range workloads).  Accessor-level consumers
+        should prefer :attr:`backend`, which routes to shards without
+        merging.
         """
         backend = self.backend
         if isinstance(backend, ColumnarBackend):
-            return backend.index
+            return backend
         cache = self._merged_cache
         if cache is None or cache[0] != self.generation:
             self._merged_cache = (
                 self.generation,
-                ColumnarIndex.from_array(backend.rows()),
+                ColumnarBackend.from_rows(backend.rows()),
             )
         return self._merged_cache[1]
-
-    @property
-    def _triples(self) -> Set[Triple]:
-        """Materialised set view of the current generation (cached).
-
-        Kept for external callers written against the original
-        set-backed implementation; internal hot paths read
-        :attr:`backend` instead.
-        """
-        cache = self._set_cache
-        if cache is not None and cache[0] == self.generation:
-            return cache[1]
-        triples = set(map(tuple, self.backend.rows().tolist()))
-        self._set_cache = (self.generation, triples)
-        return triples
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -566,19 +504,6 @@ class TripleStore:
         store._backend_cache = (0, backend)
         return store
 
-    @classmethod
-    def from_columnar(
-        cls,
-        index: ColumnarIndex,
-        dictionary: Optional[GraphDictionary] = None,
-    ) -> "TripleStore":
-        """Adopt an existing index (typically a loaded snapshot) as-is.
-
-        The index is wrapped in a :class:`ColumnarBackend`;
-        ``store.columnar`` keeps returning this exact object.
-        """
-        return cls.from_backend(ColumnarBackend(index), dictionary)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -672,7 +597,7 @@ class TripleStore:
         """Load a saved store: columns come back as read-only memmaps.
 
         Works on both snapshot formats — the manifest's ``format``
-        marker picks :class:`ColumnarBackend` or
+        marker picks :class:`~repro.rdf.columnar.ColumnarBackend` or
         :class:`ShardedBackend`, so callers need not know how the
         snapshot was saved.  ``shard_ids=[...]`` attaches only those
         shards of a sharded snapshot (the per-shard worker mode; the

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rdf.columnar import ColumnarIndex
+from repro.rdf.columnar import ColumnarBackend
 from repro.rdf.store import TripleStore
 
 #: A flattened bound instance: [n1, p1, n2, ...] term ids.
@@ -121,7 +121,7 @@ def _exact_chain_universe(
 
 
 def _chain_walk_arrays(
-    col: ColumnarIndex, size: int
+    col: ColumnarBackend, size: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
     """Float64 walk-count DP over the compacted node space.
 

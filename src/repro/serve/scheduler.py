@@ -117,6 +117,16 @@ class BatchScheduler:
         max_queue: pending-query capacity; beyond it submits are
             rejected with :class:`QueueFullError`.  An empty queue
             always admits, so rejection means retrying can succeed.
+
+    Why a lone request waits for company even when no batch is in
+    flight: with ``max_delay_ms=0`` (dispatch at once on an idle
+    worker) the repo benchmark's ``point_s_open`` workload measured, over
+    4 alternating 12 s pairs on 2 vCPUs, ``latency_p90_ms`` 2.40–2.53 ->
+    1.05–1.38 ms but ``max_rate_ok_qps`` 3000 -> 900 and
+    ``cpu_ms_per_query`` 0.22–0.25 -> 0.27–0.32.  Width-1 batches pay
+    the estimator's fixed per-call cost once per request, so the window
+    is what holds the 3000 q/s rung; it can go only once that fixed cost
+    is gone (see ``benchmarks/README.md``, Serving).
     """
 
     #: the batching policy defaults; :mod:`repro.serve.app` and the CLI

@@ -76,10 +76,8 @@ class SupervisorError(RuntimeError):
 class ServingWorkerError(RuntimeError):
     """An estimation worker failed; carries the worker traceback.
 
-    Historically raised by the minimal unsupervised ``ServingPool``
-    (removed once :class:`SupervisedPool` replaced it); kept as the
-    worker-infrastructure error type the degradation layer falls back
-    on immediately.
+    An infrastructure error: the degradation layer falls back on it
+    immediately.
     """
 
 

@@ -154,7 +154,7 @@ class TestCrossProcessDeterminism:
             "import hashlib; "
             "from repro.datasets import load_dataset; "
             f"s = load_dataset('{dataset}', scale=0.25, seed=3); "
-            "print(hashlib.md5(str(sorted(s._triples)).encode())"
+            "print(hashlib.md5(str(sorted(s)).encode())"
             ".hexdigest())"
         )
         digests = set()

@@ -68,7 +68,7 @@ class TestBatchEquivalence:
         bulk = bulk_store(batches)
         assert len(bulk) == len(reference)
         assert_identical_columns(reference, bulk)
-        assert set(bulk._triples) == set(reference._triples)
+        assert set(bulk) == set(reference)
 
     @given(st.lists(triples_strategy, min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)

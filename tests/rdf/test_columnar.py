@@ -1,4 +1,4 @@
-"""Unit and property tests for the columnar permutation index."""
+"""Unit and property tests for the flat columnar backend."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import TripleStore
-from repro.rdf.columnar import ColumnarIndex, expand_ranges, in_sorted
+from repro.rdf.columnar import ColumnarBackend, expand_ranges, in_sorted
 
 triples_strategy = st.lists(
     st.tuples(
@@ -17,7 +17,7 @@ triples_strategy = st.lists(
 
 
 def build(triples):
-    return ColumnarIndex.from_triples(set(triples))
+    return ColumnarBackend.from_rows(list(set(triples)))
 
 
 class TestConstruction:
@@ -43,7 +43,7 @@ class TestConstruction:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            ColumnarIndex(
+            ColumnarBackend(
                 np.array([1, 2]), np.array([1]), np.array([1, 2])
             )
 

@@ -18,7 +18,7 @@ from repro.rdf import TripleStore
 from repro.rdf.columnar import (
     MANIFEST_NAME,
     PERMUTATION_COLUMNS,
-    ColumnarIndex,
+    ColumnarBackend,
     SnapshotError,
 )
 from repro.rdf import fastcount
@@ -333,18 +333,18 @@ class TestCorruption:
             TripleStore.load_snapshot(directory)
 
 
-class TestColumnarIndexApi:
+class TestColumnarBackendApi:
     def test_save_load_without_store(self, tmp_path):
-        index = ColumnarIndex.from_array(
+        index = ColumnarBackend.from_rows(
             np.array([[1, 1, 2], [2, 1, 3]], dtype=np.int64)
         )
         index.save(tmp_path / "idx")
-        loaded = ColumnarIndex.load(tmp_path / "idx")
+        loaded = ColumnarBackend.load(tmp_path / "idx")
         assert loaded.size == 2
         assert np.array_equal(loaded.rows(), index.rows())
 
     def test_extra_manifest_preserved(self, tmp_path):
-        index = ColumnarIndex.from_array(
+        index = ColumnarBackend.from_rows(
             np.array([[1, 1, 2]], dtype=np.int64)
         )
         manifest_path = index.save(

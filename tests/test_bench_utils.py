@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.profiles import FULL, QUICK, STANDARD, active_profile
-from repro.bench.reporting import format_bytes, format_table
+from repro.bench.reporting import append_history, format_bytes, format_table
 
 
 class TestProfiles:
@@ -65,6 +65,38 @@ class TestReporting:
         assert format_bytes(512) == "512B"
         assert format_bytes(2_048) == "2.0KB"
         assert format_bytes(3_500_000) == "3.5MB"
+
+    def test_history_lines_carry_machine_facts(self, tmp_path, monkeypatch):
+        import json
+        import os
+        import platform
+
+        from repro.rdf.parallel import available_cpus
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        path = tmp_path / "history.jsonl"
+        append_history(path, {"a": {"x": 1}})
+        append_history(path, {"b": {"y": 2}})
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["sections"] for line in lines] == [
+            {"a": {"x": 1}}, {"b": {"y": 2}},
+        ]
+        for line in lines:
+            assert line["recorded_at"]
+            assert line["machine"] == {
+                "cpu_count": os.cpu_count(),
+                "available_cpus": available_cpus(),
+                "machine": platform.machine(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "thread_env": {
+                    "OPENBLAS_NUM_THREADS": "1",
+                    "OMP_NUM_THREADS": None,
+                    "MKL_NUM_THREADS": "2",
+                },
+            }
 
 
 class TestEstimatorOrder:
