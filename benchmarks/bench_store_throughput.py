@@ -12,13 +12,10 @@ Measures, on a synthetic ~100k-triple hub-heavy graph:
 - **labeling**: exact star/chain counting throughput of the vectorized
   counters over a 10k-query workload, against the seed's dict-backed
   Python counters,
-- **parallel labeling**: the same 10k-query batch sharded across a
+- **parallel labeling**: the same 10k-query batch split across a
   4-process pool in which every worker memory-maps the saved snapshot
   read-only (``repro.rdf.parallel``), against the serial vectorized
   path,
-- **sharded store**: pooled fan-out matching of a scan-heavy
-  multi-pattern batch against the same graph saved as one shard and as
-  two (``ShardedBackend``),
 - **batch estimation**: LMKG-S queries/sec through
   ``Framework.estimate_batch`` vs the per-query ``estimate`` loop, and
   the share of the batched call spent in ``LMKGS.featurize``,
@@ -47,16 +44,14 @@ job runs them and points here rather than restating them):
 - ``test_store_throughput``: vectorized labeling >= 5x the dict-backed
   counters; ``add_all`` >= 10x the per-triple loop; memory-mapped cold
   load < 50 ms; parallel labeling >= 2x on 4 workers (only where >= 4
-  CPUs are usable); 2-shard fan-out >= 1.5x the single-shard pooled
-  path (only where >= 2 CPUs are usable); ``featurize_share <= 0.5``;
+  CPUs are usable); ``featurize_share <= 0.5``;
   fused float32 MADE forward >= 2x the float64 trunk; LMKG-U
   ``estimate_batch`` >= 100 q/s on the warm 1024-query batch;
   micro-batched serving >= 2x sequential requests; ``mean_batch >= 2``
   queries per coalesced call.  Equality checks: bulk and loop stores
   hold as many triples as the ingested store, the loaded snapshot counts a
   probe pattern like the store, vectorized labels == Python labels,
-  parallel labels == serial labels, sharded and single-shard pooled
-  matches == the serial matcher byte for byte, fused and float64 MADE
+  parallel labels == serial labels, fused and float64 MADE
   outputs agree to 1e-3, and the result file exists.
 - ``test_maintenance_incremental``: the first run is full, the 1% delta
   plans an incremental run, incremental >= 5x the full refit, and on
@@ -83,12 +78,7 @@ from repro.bench.reporting import append_history, format_table, merge_json
 from repro.core.framework import LMKG
 from repro.core.lmkg_s import LMKGSConfig
 from repro.rdf import fastcount
-from repro.rdf.parallel import (
-    available_cpus,
-    label_queries,
-    match_patterns,
-    match_serial,
-)
+from repro.rdf.parallel import available_cpus, label_queries
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Variable, pattern
 from repro.sampling.random_walk import sample_instances
@@ -134,7 +124,7 @@ def _make_queries(store, rng):
 
 def _pattern_workload(store, rng, count=20_000):
     """A mix of bound/unbound single patterns drawn from stored triples."""
-    col = store.columnar
+    col = store.backend
     idx = rng.integers(0, col.size, size=count)
     subjects = col.spo_s[idx].tolist()
     predicates = col.spo_p[idx].tolist()
@@ -161,7 +151,7 @@ def test_store_throughput(report, tmp_path):
     # Ingest into a fresh store, then force the columnar build.
     fresh = type(source)()
     _, ingest_s = _timed(lambda: fresh.add_all(triples))
-    _, build_s = _timed(lambda: fresh.columnar)
+    _, build_s = _timed(lambda: fresh.backend)
     store = fresh
     # Re-ingesting raw id triples drops the term dictionary; reattach it
     # (ids are identical) so the serving section can speak SPARQL.
@@ -195,7 +185,7 @@ def test_store_throughput(report, tmp_path):
         lambda: TripleStore.load_snapshot(snapshot_dir, mmap_mode=None)
     )
     # The memmap-backed store must answer like the original.
-    probe_p = int(store.columnar.pso_p[len(store) // 2])
+    probe_p = int(store.backend.pso_p[len(store) // 2])
     probe = pattern(Variable("s"), probe_p, Variable("o"))
     assert loaded.count_pattern(probe) == store.count_pattern(probe)
     assert len(loaded) == len(store)
@@ -243,7 +233,7 @@ def test_store_throughput(report, tmp_path):
     ):
         assert fast_value == slow_value
 
-    # Parallel labeling: same batch, sharded across a worker pool that
+    # Parallel labeling: same batch, split across a worker pool that
     # memory-maps the snapshot saved above (pool startup + read-only
     # attach included in the timing — the honest end-to-end number).
     just_queries = [q for _, _, q in queries]
@@ -260,52 +250,6 @@ def test_store_throughput(report, tmp_path):
     )
     parallel_qps = len(queries) / parallel_s
     parallel_speedup = fast_s / parallel_s
-
-    # Sharded store: fan-out matching.  The same graph is saved twice
-    # through the ShardedBackend — once as a single shard, once split
-    # in two — and the same pooled `match_patterns` path runs the same
-    # multi-pattern batch against both, so the only variable is how
-    # many per-shard workers the fan-out can keep busy.  The batch is
-    # repeated-variable self-join patterns (?x p ?x over the heaviest
-    # predicates): their matching cost scales with the rows scanned,
-    # not the rows returned, which is the data-parallel work sharding
-    # divides; outputs are small, so the merge and IPC stay off the
-    # critical path.  Byte-identical results against the in-process
-    # serial matcher are asserted for both layouts.
-    sharded_dir = tmp_path / "sharded-snapshot"
-    store.save_snapshot(sharded_dir, record_source=False, shards=2)
-    single_dir = tmp_path / "single-shard-snapshot"
-    store.save_snapshot(single_dir, record_source=False, shards=1)
-    col = store.columnar
-    bench_preds, bench_pred_counts = np.unique(
-        col.pso_p, return_counts=True
-    )
-    heavy = bench_preds[np.argsort(bench_pred_counts)[-8:]]
-    shard_patterns = [
-        pattern(Variable("x"), int(p), Variable("x")) for p in heavy
-    ] * 150
-    serial_rows, shard_serial_s = _timed(
-        lambda: match_serial(store, shard_patterns)
-    )
-    single_rows, single_shard_s = _timed(
-        lambda: match_patterns(
-            shard_patterns, snapshot_dir=single_dir, workers=2
-        )
-    )
-    fanout_rows, fanout_s = _timed(
-        lambda: match_patterns(
-            shard_patterns, snapshot_dir=sharded_dir, workers=2
-        )
-    )
-    for reference, got in zip(serial_rows, fanout_rows):
-        assert np.array_equal(reference, got), (
-            "sharded fan-out match diverged from the serial matcher"
-        )
-    for reference, got in zip(serial_rows, single_rows):
-        assert np.array_equal(reference, got), (
-            "single-shard pooled match diverged from the serial matcher"
-        )
-    fanout_speedup = single_shard_s / fanout_s
 
     # Batch estimation QPS through the framework router.
     labelled = [
@@ -591,16 +535,6 @@ def test_store_throughput(report, tmp_path):
             "parallel_speedup": round(parallel_speedup, 2),
             "cpu_count": available_cpus(),
         },
-        "sharded_store": {
-            "num_shards": 2,
-            "shard_by": "subject",
-            "num_patterns": len(shard_patterns),
-            "serial_match_s": round(shard_serial_s, 3),
-            "single_shard_match_s": round(single_shard_s, 3),
-            "fanout_match_s": round(fanout_s, 3),
-            "fanout_speedup": round(fanout_speedup, 2),
-            "cpu_count": available_cpus(),
-        },
         "batch_estimation": {
             "estimate_loop_qps": round(len(serve) / loop_s, 1),
             "estimate_batch_qps": round(len(serve) / batch_s, 1),
@@ -691,15 +625,6 @@ def test_store_throughput(report, tmp_path):
                     round(parallel_speedup, 2),
                 ],
                 [
-                    "sharded match s (serial / 1-shard / 2-shard)",
-                    f"{shard_serial_s:.2f} / {single_shard_s:.2f} / "
-                    f"{fanout_s:.2f}",
-                ],
-                [
-                    "sharded fan-out speedup (2 vs 1 shard)",
-                    round(fanout_speedup, 2),
-                ],
-                [
                     "estimate loop q/s",
                     results["batch_estimation"]["estimate_loop_qps"],
                 ],
@@ -787,17 +712,6 @@ def test_store_throughput(report, tmp_path):
         assert parallel_speedup >= 2.0, (
             f"parallel labeling speedup {parallel_speedup:.2f}x < 2x "
             f"on {PARALLEL_WORKERS} workers"
-        )
-    # The acceptance gate of the sharded store.  Both sides run the
-    # same pooled fan-out code; a second shard must buy >= 1.5x on the
-    # scan-heavy batch.  Like the parallel-labeling gate, the speedup
-    # is physically bounded by the CPUs the pool may use, so the gate
-    # only binds where both shard workers can actually run in parallel.
-    if available_cpus() >= 2:
-        assert fanout_speedup >= 1.5, (
-            f"2-shard fan-out match {fanout_speedup:.2f}x < 1.5x the "
-            f"single-shard pooled path ({fanout_s:.2f}s vs "
-            f"{single_shard_s:.2f}s)"
         )
     # The acceptance gate of the array-native encoders: turning queries
     # into features must stay the smaller part of a batched estimate.

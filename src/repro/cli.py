@@ -7,7 +7,7 @@ Subcommands:
 - ``estimate``— estimate a SPARQL query with a trained checkpoint,
 - ``workload``— generate a labelled query workload as TSV,
 - ``label``   — generate a labelled training workload with the
-  cardinality labeling sharded across worker processes that share one
+  cardinality labeling split across worker processes that share one
   memory-mapped snapshot (``--workers N``; ``--workers 0`` uses every
   core, ``--snapshot DIR`` attaches to an existing snapshot),
 - ``plan``    — pick a join order for a SPARQL query and compare it
@@ -15,9 +15,9 @@ Subcommands:
 - ``snapshot``— persist a graph as a memory-mapped columnar snapshot
   (``snapshot save``), load/inspect one without per-triple work
   (``snapshot load``; ``--no-verify`` skips the checksum pass), and
-  describe one from its manifest alone — format version, flat/sharded
-  layout, per-shard row counts and CRC32s — without attaching a single
-  column (``snapshot info``; ``--json`` for machines),
+  describe one from its manifest alone — format version, row count and
+  CRC32 — without attaching a single column (``snapshot info``;
+  ``--json`` for machines),
 - ``maintain``— incrementally maintain a trained estimator over a
   mutating graph (``maintain run``): diff the live store against the
   last materialization's watermark, relabel only the affected training
@@ -34,7 +34,7 @@ Subcommands:
   ``GET /healthz``, ``GET /stats``); attaches to a store snapshot
   (``--snapshot DIR``), answers through an ``LMKG.save`` checkpoint
   (``--checkpoint DIR``) or deterministic startup-fit defaults, and
-  optionally shards estimation across *supervised* worker processes
+  optionally spreads estimation across *supervised* worker processes
   that share the snapshot read-only (``--workers N``): dead or hung
   workers (``--request-timeout``) are restarted with exponential
   backoff under ``--restart-budget`` and their in-flight requests
@@ -379,22 +379,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_snapshot_save(args) -> int:
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     store = _load_store(args)
     start = time.perf_counter()
-    manifest = store.save_snapshot(
-        args.out, shards=args.shards, shard_by=args.shard_by
-    )
+    manifest = store.save_snapshot(args.out)
     elapsed = time.perf_counter() - start
-    layout = (
-        f"{args.shards} shard(s) by {args.shard_by}"
-        if args.shards is not None
-        else "single snapshot"
-    )
     print(
         f"{len(store)} triples snapshotted to {args.out} "
-        f"({layout}) in {elapsed * 1000:.1f} ms"
+        f"(single snapshot) in {elapsed * 1000:.1f} ms"
     )
     print(f"manifest: {manifest}")
     return 0
@@ -424,42 +415,22 @@ def cmd_snapshot_load(args) -> int:
 def cmd_snapshot_info(args) -> int:
     import json
 
-    from repro.rdf.backend import (
-        read_sharded_manifest,
-        snapshot_format,
-    )
     from repro.rdf.columnar import SnapshotError, read_manifest
 
     try:
-        layout = snapshot_format(args.dir)
-        if layout == "repro-sharded":
-            manifest = read_sharded_manifest(args.dir)
-        else:
-            manifest = read_manifest(args.dir)
+        manifest = read_manifest(args.dir)
     except SnapshotError as exc:
         raise SystemExit(f"snapshot inspection failed: {exc}")
     info = {
         "directory": str(args.dir),
         "format": manifest.get("format"),
         "version": manifest.get("version"),
-        "layout": "sharded" if layout == "repro-sharded" else "flat",
+        "layout": "flat",
         "num_triples": manifest.get("num_triples"),
         "has_dictionary": bool(manifest.get("has_dictionary")),
         "dictionary_checksum": manifest.get("dictionary_checksum"),
+        "crc32": manifest.get("checksum"),
     }
-    if info["layout"] == "sharded":
-        info["num_shards"] = manifest["num_shards"]
-        info["shard_by"] = manifest["shard_by"]
-        info["shards"] = [
-            {
-                "directory": entry["directory"],
-                "num_triples": entry["num_triples"],
-                "crc32": entry["checksum"],
-            }
-            for entry in manifest["shards"]
-        ]
-    else:
-        info["crc32"] = manifest.get("checksum")
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
@@ -476,16 +447,7 @@ def cmd_snapshot_info(args) -> int:
         )
     else:
         print("dictionary:  no")
-    if info["layout"] == "sharded":
-        print(f"shards:      {info['num_shards']} by {info['shard_by']}")
-        for sid, entry in enumerate(info["shards"]):
-            print(
-                f"  shard {sid}: {entry['directory']}  "
-                f"rows={entry['num_triples']}  "
-                f"crc32={entry['crc32']}"
-            )
-    else:
-        print(f"crc32:       {info['crc32']}")
+    print(f"crc32:       {info['crc32']}")
     return 0
 
 
@@ -642,44 +604,6 @@ def cmd_maintain_gc(args) -> int:
     return 0
 
 
-def _reshard_for_serving(snapshot: str, shards: Optional[int]):
-    """``--shards N``: re-shard *snapshot* into a scratch directory so
-    the service and every pool worker attach the sharded layout.  A
-    snapshot already sharded that way (or no ``--shards``) is served in
-    place.  Returns ``(snapshot_dir, scratch TemporaryDirectory|None)``.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.rdf.backend import (
-        SnapshotError,
-        read_sharded_manifest,
-        snapshot_format,
-    )
-
-    if shards is None:
-        return snapshot, None
-    try:
-        already = snapshot_format(snapshot) == "repro-sharded"
-    except SnapshotError as exc:
-        raise SystemExit(f"snapshot inspection failed: {exc}")
-    if already and read_sharded_manifest(snapshot)["num_shards"] == shards:
-        return snapshot, None
-    scratch = tempfile.TemporaryDirectory(prefix="repro-shards-")
-    snapshot_dir = str(Path(scratch.name) / "snapshot")
-    try:
-        TripleStore.load_snapshot(snapshot, verify=False).save_snapshot(
-            snapshot_dir, record_source=False, shards=shards
-        )
-    except SnapshotError as exc:
-        scratch.cleanup()
-        raise SystemExit(f"re-sharding failed: {exc}")
-    print(
-        f"re-sharded {snapshot} into {shards} shard(s) at {snapshot_dir}"
-    )
-    return snapshot_dir, scratch
-
-
 def _inline_or_file(text: str) -> str:
     """A flag value that is the content itself or a path to it."""
     import os
@@ -751,76 +675,67 @@ def cmd_serve(args) -> int:
 
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     fault_spec = None
     if args.faults:
         try:
             fault_spec = FaultSpec.from_json(_inline_or_file(args.faults))
         except FaultSpecError as exc:
             raise SystemExit(f"--faults: {exc}")
-    snapshot_dir, shard_tempdir = _reshard_for_serving(
-        args.snapshot, args.shards
+    try:
+        app = ServingApp(
+            args.snapshot,
+            args.checkpoint,
+            save_checkpoint=args.save_checkpoint,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            max_batch=args.max_batch,
+            max_delay_ms=args.max_delay_ms,
+            max_queue=args.max_queue,
+            fit_defaults=FitDefaults(
+                queries_per_shape=args.fit_queries,
+                epochs=args.fit_epochs,
+            ),
+            request_timeout=args.request_timeout,
+            restart_budget=args.restart_budget,
+            breaker_threshold=args.breaker_threshold,
+            breaker_reset_s=args.breaker_reset_s,
+            fallback=not args.no_fallback,
+            admission=not args.no_admission,
+            freshness_policy=FreshnessPolicy(
+                warn_after=args.freshness_warn,
+                error_after=args.freshness_error,
+            ),
+            fault_spec=fault_spec,
+            quiet=not args.verbose,
+        )
+    except (ServiceError, SupervisorError) as exc:
+        raise SystemExit(str(exc))
+    if args.save_checkpoint:
+        print(f"checkpoint written to {args.save_checkpoint}")
+    got_sigterm = _install_serve_signals(app)
+    print(
+        f"serving {len(app.service.store)} triples at "
+        f"{app.url} ({args.workers} worker(s), "
+        f"max_batch={args.max_batch}, "
+        f"max_delay={args.max_delay_ms} ms, "
+        f"fallback={'off' if args.no_fallback else 'independence'}, "
+        f"admission={'off' if args.no_admission else 'on'})",
+        flush=True,
     )
     try:
-        try:
-            app = ServingApp(
-                snapshot_dir,
-                args.checkpoint,
-                save_checkpoint=args.save_checkpoint,
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                max_batch=args.max_batch,
-                max_delay_ms=args.max_delay_ms,
-                max_queue=args.max_queue,
-                fit_defaults=FitDefaults(
-                    queries_per_shape=args.fit_queries,
-                    epochs=args.fit_epochs,
-                ),
-                request_timeout=args.request_timeout,
-                restart_budget=args.restart_budget,
-                breaker_threshold=args.breaker_threshold,
-                breaker_reset_s=args.breaker_reset_s,
-                fallback=not args.no_fallback,
-                admission=not args.no_admission,
-                freshness_policy=FreshnessPolicy(
-                    warn_after=args.freshness_warn,
-                    error_after=args.freshness_error,
-                ),
-                fault_spec=fault_spec,
-                quiet=not args.verbose,
-            )
-        except (ServiceError, SupervisorError) as exc:
-            raise SystemExit(str(exc))
-        if args.save_checkpoint:
-            print(f"checkpoint written to {args.save_checkpoint}")
-        got_sigterm = _install_serve_signals(app)
-        print(
-            f"serving {len(app.service.store)} triples at "
-            f"{app.url} ({args.workers} worker(s), "
-            f"max_batch={args.max_batch}, "
-            f"max_delay={args.max_delay_ms} ms, "
-            f"fallback={'off' if args.no_fallback else 'independence'}, "
-            f"admission={'off' if args.no_admission else 'on'})",
-            flush=True,
-        )
-        try:
-            app.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            drained = app.close()
-            if got_sigterm.is_set():
-                print(
-                    "SIGTERM: drained "
-                    + ("cleanly" if drained else "with stragglers")
-                    + ", exiting 0",
-                    flush=True,
-                )
+        app.serve_forever()
+    except KeyboardInterrupt:
+        pass
     finally:
-        if shard_tempdir is not None:
-            shard_tempdir.cleanup()
+        drained = app.close()
+        if got_sigterm.is_set():
+            print(
+                "SIGTERM: drained "
+                + ("cleanly" if drained else "with stragglers")
+                + ", exiting 0",
+                flush=True,
+            )
     return 0
 
 
@@ -1166,21 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap_save.add_argument(
         "--out", required=True, help="snapshot directory to write"
     )
-    p_snap_save.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "split the snapshot into this many shard directories "
-            "(default: one flat columnar snapshot)"
-        ),
-    )
-    p_snap_save.add_argument(
-        "--shard-by",
-        choices=["subject", "predicate"],
-        default="subject",
-        help="shard routing key (only meaningful with --shards)",
-    )
     p_snap_save.set_defaults(func=cmd_snapshot_save)
     p_snap_load = snap_sub.add_parser(
         "load",
@@ -1203,8 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap_info = snap_sub.add_parser(
         "info",
         help=(
-            "describe a snapshot from its manifest alone (layout, "
-            "shard rows, CRC32s) without loading any column"
+            "describe a snapshot from its manifest alone (format, "
+            "rows, CRC32) without loading any column"
         ),
     )
     p_snap_info.add_argument(
@@ -1405,15 +1305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "estimation worker processes sharing the snapshot "
             "(1 = in-process)"
-        ),
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "re-shard the snapshot into this many shards before "
-            "serving (default: serve the snapshot as saved)"
         ),
     )
     p_serve.add_argument(

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.estimator import Estimator
 from repro.nn.masked import MADE
-from repro.rdf.backend import splitmix64
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import PatternTerm, Variable, is_bound
@@ -69,6 +68,25 @@ _GUMBEL_TABLE_SIZE = 1 << 21
 #: rounds to 0.0 in the fused float32 sweep — a "dead conditional",
 #: an all-zero probability row over the real values.
 _DEAD_LOG_MARGIN = np.float32(-104.0)
+
+
+def splitmix64(values: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser over an integer array, as a new uint64 array.
+
+    Signed input is read as its two's-complement bits.  The Gumbel
+    stream's window bases must be identical across processes, platforms
+    and numpy versions, and uniform even for structured keys
+    (consecutive query indices, strided positions), so they come from
+    this fixed integer mix rather than a seeded generator per key.
+    """
+    x = np.asarray(values).astype(np.uint64)
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 class GumbelStream:

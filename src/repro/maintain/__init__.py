@@ -16,7 +16,7 @@ Modules:
 - :mod:`repro.maintain.freshness`  — dbt-sources-style max-staleness
   thresholds (pass/warn/error) for ``/healthz``,
 - :mod:`repro.maintain.planner`    — delta triples → stale shapes and
-  model keys through array-native :class:`StoreBackend` accessors,
+  model keys through the store's array-native backend accessors,
 - :mod:`repro.maintain.relabel`    — incremental relabel + merge of the
   labelled workload materialization,
 - :mod:`repro.maintain.finetune`   — few-epoch fine-tuning of touched

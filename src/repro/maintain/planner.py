@@ -4,7 +4,7 @@ The dbt incremental idiom's "what changed" step: given the last
 materialization's :class:`~repro.maintain.watermark.Watermark` and a
 retained base snapshot of the graph the models were trained against,
 compute the delta triples (live rows absent from the base, via the
-array-native ``StoreBackend.isin_rows``), then derive what the delta
+array-native ``ColumnarBackend.isin_rows``), then derive what the delta
 can actually touch:
 
 - **affected training queries** per shape (exact — a label can only
@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.grouping import GroupingStrategy
 from repro.maintain.relabel import affected_mask
 from repro.maintain.watermark import Watermark
-from repro.rdf.backend import StoreBackend
+from repro.rdf.columnar import ColumnarBackend
 from repro.rdf.store import TripleStore
 from repro.sampling.workload import QueryRecord
 
@@ -98,13 +98,11 @@ class MaintenancePlan:
 
 
 def compute_delta(
-    store: TripleStore, base: StoreBackend
+    store: TripleStore, base: ColumnarBackend
 ) -> np.ndarray:
     """Triples in the live *store* but not in the *base* snapshot.
 
-    One vectorised membership probe over the live row set — the same
-    ``isin_rows`` contract every backend implements (the sharded
-    backend owner-routes the probe per shard).
+    One vectorised ``isin_rows`` membership probe over the live row set.
     """
     live = store.backend.rows()
     if live.shape[0] == 0:
@@ -129,7 +127,7 @@ def _degrees_of(
 
 
 def _universe_moved(
-    shape: Shape, delta: np.ndarray, backend: StoreBackend
+    shape: Shape, delta: np.ndarray, backend: ColumnarBackend
 ) -> bool:
     """Can the delta create (or extend) instances of *shape*?
 
@@ -165,7 +163,7 @@ def _universe_moved(
 def plan_maintenance(
     store: TripleStore,
     watermark: Optional[Watermark],
-    base: Optional[StoreBackend],
+    base: Optional[ColumnarBackend],
     records_by_shape: Dict[Shape, Sequence[QueryRecord]],
     grouping: GroupingStrategy,
     force_full: bool = False,

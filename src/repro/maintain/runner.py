@@ -57,8 +57,7 @@ from repro.maintain.watermark import (
     read_watermark,
     write_watermark,
 )
-from repro.rdf.backend import StoreBackend, load_backend
-from repro.rdf.columnar import SnapshotError
+from repro.rdf.columnar import ColumnarBackend, SnapshotError
 from repro.rdf.store import TripleStore
 from repro.sampling.io import load_workload, save_workload
 from repro.sampling.workload import QueryRecord, generate_workload
@@ -186,7 +185,7 @@ class MaintenanceRunner:
 
     def _base_backend(
         self, watermark: Optional[Watermark]
-    ) -> Optional[StoreBackend]:
+    ) -> Optional[ColumnarBackend]:
         """Attach the watermark generation's snapshot as the diff base."""
         if watermark is None:
             return None
@@ -194,12 +193,11 @@ class MaintenanceRunner:
         if not directory.is_dir():
             return None
         try:
-            backend, _ = load_backend(
+            return ColumnarBackend.load(
                 directory, mmap_mode="r", verify=False
             )
         except SnapshotError:
             return None
-        return backend
 
     # ------------------------------------------------------------------
     # Planning / status

@@ -1,4 +1,4 @@
-"""The flat columnar store backend: four sorted permutation indexes.
+"""The columnar store backend: four sorted permutation indexes.
 
 A :class:`ColumnarBackend` holds one immutable snapshot of a dictionary-
 encoded graph as four sorted ``int64`` column triples — the SPO, POS,
@@ -13,9 +13,7 @@ The backend is deliberately free of dense id-space arrays: all lookups
 are binary searches over the sorted primary columns, so sparse or very
 large term ids cost nothing beyond the triples themselves.
 
-It implements the :class:`~repro.rdf.backend.StoreBackend` protocol
-directly, and it is also the shard type of
-:class:`~repro.rdf.backend.ShardedBackend`.
+It is the store's only backend:
 :class:`~repro.rdf.store.TripleStore` owns mutation and rebuilds its
 backend lazily (guarded by a generation counter); the vectorized
 counters (:mod:`repro.rdf.fastcount`), samplers
@@ -28,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -49,8 +46,6 @@ PERMUTATION_COLUMNS = (
     "osp_o", "osp_s", "osp_p",
     "pso_p", "pso_s", "pso_o",
 )
-
-_EMPTY_ROWS = np.empty((0, 3), dtype=np.int64)
 
 
 class SnapshotError(RuntimeError):
@@ -228,121 +223,7 @@ def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[pos] == needles
 
 
-@dataclass(frozen=True)
-class BackendStats:
-    """Shape and footprint summary of one backend (for ``/stats`` etc.)."""
-
-    backend: str
-    num_triples: int
-    num_shards: int
-    attached_shards: int
-    shard_by: Optional[str]
-    memory_bytes: int
-    generation: int
-
-
-class PatternOps:
-    """Pattern-level ``lookup``/``count`` shared by every backend.
-
-    Both are expressed purely through the accessor contract, so any
-    backend that implements the accessors answers patterns in the exact
-    same order as the flat backend — the matcher facade on top never
-    sees which implementation is underneath.
-    """
-
-    __slots__ = ()
-
-    def lookup(
-        self,
-        s: Optional[int] = None,
-        p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> np.ndarray:
-        """Matching triples of one bound-position pattern, ``(N, 3)``.
-
-        Row order mirrors the permutation each shape is answered from
-        (identical across backends): SPO for bound-s shapes, PSO for
-        bound-p, OSP for bound-o, SPO for the full scan.
-        """
-        if s is not None and p is not None and o is not None:
-            if self.contains(s, p, o):
-                return np.array([[s, p, o]], dtype=np.int64)
-            return _EMPTY_ROWS
-        if s is not None and p is not None:
-            objs = self.objects_of(s, p)
-            return _fill_rows(s, p, objs, objs.size, "o")
-        if p is not None and o is not None:
-            subs = self.subjects_of(p, o)
-            return _fill_rows(subs, p, o, subs.size, "s")
-        if s is not None and o is not None:
-            preds = self.predicates_between(s, o)
-            return _fill_rows(s, preds, o, preds.size, "p")
-        if s is not None:
-            preds, objs = self.out_slice(s)
-            return _fill_rows(s, preds, objs, preds.size, "po")
-        if p is not None:
-            subs, objs = self.pred_slice(p)
-            return _fill_rows(subs, p, objs, subs.size, "so")
-        if o is not None:
-            subs, preds = self.in_slice(o)
-            return _fill_rows(subs, preds, o, subs.size, "sp")
-        return self.rows()
-
-    def count(
-        self,
-        s: Optional[int] = None,
-        p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> int:
-        """Exact match count of one bound-position pattern."""
-        if s is not None and p is not None and o is not None:
-            return 1 if self.contains(s, p, o) else 0
-        if s is not None and p is not None:
-            return self.count_sp(s, p)
-        if p is not None and o is not None:
-            return self.count_po(p, o)
-        if s is not None and o is not None:
-            return self.count_so(s, o)
-        if s is not None:
-            return self.out_degree(s)
-        if p is not None:
-            return self.predicate_count(p)
-        if o is not None:
-            return self.in_degree(o)
-        return self.size
-
-    def subject_predicate_groups(self):
-        """Yield (predicates, fanouts) lists per distinct subject.
-
-        Groups :meth:`distinct_sp_pairs` by subject (SPO order), giving
-        each subject's characteristic set and per-predicate fan-outs in
-        one pass — shared by the CSET synopsis and the co-occurrence
-        statistics.
-        """
-        pair_s, pair_p, fanouts = self.distinct_sp_pairs()
-        if pair_s.size == 0:
-            return
-        starts = run_starts(pair_s).tolist()
-        preds = pair_p.tolist()
-        fans = fanouts.tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            yield preds[lo:hi], fans[lo:hi]
-
-
-def _fill_rows(s, p, o, n: int, varying: str) -> np.ndarray:
-    """Assemble ``(n, 3)`` rows from per-position scalars/arrays."""
-    if n == 0:
-        return _EMPTY_ROWS
-    out = np.empty((n, 3), dtype=np.int64)
-    for column, value, name in ((0, s, "s"), (1, p, "p"), (2, o, "o")):
-        if name in varying:
-            out[:, column] = value
-        else:
-            out[:, column] = int(value)
-    return out
-
-
-class ColumnarBackend(PatternOps):
+class ColumnarBackend:
     """Immutable sorted-permutation snapshot of a set of triples.
 
     ``generation`` is the stamp the owning store sets when it commits
@@ -400,10 +281,6 @@ class ColumnarBackend(PatternOps):
         """Build from an ``(N, 3)`` array without tuple round-trips."""
         rows = coerce_rows(rows)
         return cls(rows[:, 0], rows[:, 1], rows[:, 2])
-
-    def rebuild(self, rows: np.ndarray) -> "ColumnarBackend":
-        """A fresh backend over *rows* (the store's consolidation step)."""
-        return ColumnarBackend.from_rows(rows)
 
     def rows(self) -> np.ndarray:
         """The stored triples as an ``(N, 3)`` array, in SPO order."""
@@ -694,6 +571,29 @@ class ColumnarBackend(PatternOps):
     def count_so(self, s: int, o: int) -> int:
         return self.predicates_between(s, o).size
 
+    def count(
+        self,
+        s: Optional[int] = None,
+        p: Optional[int] = None,
+        o: Optional[int] = None,
+    ) -> int:
+        """Exact match count of one bound-position pattern."""
+        if s is not None and p is not None and o is not None:
+            return 1 if self.contains(s, p, o) else 0
+        if s is not None and p is not None:
+            return self.count_sp(s, p)
+        if p is not None and o is not None:
+            return self.count_po(p, o)
+        if s is not None and o is not None:
+            return self.count_so(s, o)
+        if s is not None:
+            return self.out_degree(s)
+        if p is not None:
+            return self.predicate_count(p)
+        if o is not None:
+            return self.in_degree(o)
+        return self.size
+
     def out_predicates(self, s: int) -> np.ndarray:
         """Sorted distinct predicates leaving subject *s*."""
         preds, _ = self.out_slice(s)
@@ -719,6 +619,23 @@ class ColumnarBackend(PatternOps):
         idx = np.flatnonzero(boundary)
         fanouts = np.diff(np.append(idx, s_col.size))
         return s_col[idx], p_col[idx], fanouts
+
+    def subject_predicate_groups(self):
+        """Yield (predicates, fanouts) lists per distinct subject.
+
+        Groups :meth:`distinct_sp_pairs` by subject (SPO order), giving
+        each subject's characteristic set and per-predicate fan-outs in
+        one pass — shared by the CSET synopsis and the co-occurrence
+        statistics.
+        """
+        pair_s, pair_p, fanouts = self.distinct_sp_pairs()
+        if pair_s.size == 0:
+            return
+        starts = run_starts(pair_s).tolist()
+        preds = pair_p.tolist()
+        fans = fanouts.tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            yield preds[lo:hi], fans[lo:hi]
 
     # ------------------------------------------------------------------
     # Per-predicate distinct-term statistics
@@ -787,14 +704,3 @@ class ColumnarBackend(PatternOps):
     def memory_bytes(self) -> int:
         """Resident bytes of the four permutations (12 int64 columns)."""
         return self.size * 3 * 8 * 4
-
-    def stats(self) -> BackendStats:
-        return BackendStats(
-            backend="columnar",
-            num_triples=self.size,
-            num_shards=1,
-            attached_shards=1,
-            shard_by=None,
-            memory_bytes=self.memory_bytes(),
-            generation=self.generation,
-        )

@@ -6,8 +6,7 @@ with their true cardinality.  The generic backtracking matcher
 the answer size; for the two topologies LMKG supports there are
 closed-form/DP counters whose cost is independent of the result
 cardinality, and both run as **array reductions over the store
-backend** (:mod:`repro.rdf.backend`) with no per-triple Python work —
-identically on a single columnar index or a sharded store:
+backend** (:mod:`repro.rdf.columnar`) with no per-triple Python work:
 
 - **Star** (?s shared, objects distinct variables or bound): the count is
   ``sum over candidate subjects of the product over triples of the

@@ -10,9 +10,7 @@ selectivity-first join order, the standard approach in RDF engines).
 Single-pattern probes go through the store facade
 (:meth:`TripleStore.match_pattern` / :meth:`TripleStore.count_pattern`),
 which routes each bound-position shape to the best permutation slice of
-the committed :class:`~repro.rdf.backend.StoreBackend` — so the join is
-backend-agnostic: it produces identical bindings over a single columnar
-index and over a sharded store.
+the committed :class:`~repro.rdf.columnar.ColumnarBackend`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Training-set generation labels tens of thousands of star/chain queries
 with their exact cardinality.  The vectorized counters
 (:mod:`repro.rdf.fastcount`) removed the per-triple Python work; this
-module removes the single-core ceiling by sharding a query batch across
-a ``multiprocessing`` pool.
+module removes the single-core ceiling by splitting a query batch
+across a ``multiprocessing`` pool.
 
 The design follows directly from the snapshot subsystem:
 
@@ -43,14 +43,9 @@ import traceback
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.rdf.backend import SHARDED_FORMAT, snapshot_format
-from repro.rdf.columnar import SnapshotError
 from repro.rdf.fastcount import count_query
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import TriplePattern, is_bound
 
 #: Chunks handed out per worker (dynamic scheduling granularity): enough
 #: that one expensive chunk cannot stall the pool for long, few enough
@@ -70,10 +65,6 @@ _WORKER_INIT_ERROR: Optional[str] = None
 
 class ParallelLabelingError(RuntimeError):
     """A labeling worker failed; carries the worker-side traceback."""
-
-
-class ParallelMatchError(RuntimeError):
-    """A match worker failed; carries the worker-side traceback."""
 
 
 def available_cpus() -> int:
@@ -132,9 +123,7 @@ def chunk_queries(
     ]
 
 
-def _init_worker(
-    snapshot_dir: str, shard_ids: Optional[Sequence[int]] = None
-) -> None:
+def _init_worker(snapshot_dir: str) -> None:
     """Pool initializer: attach this process to the shared snapshot.
 
     ``verify=False`` skips the CRC32 pass — the parent verified (or
@@ -145,9 +134,6 @@ def _init_worker(
     private per-worker copy.  ``read_only=True`` turns any accidental
     worker mutation into a loud
     :class:`~repro.rdf.store.ReadOnlyStoreError`.
-
-    ``shard_ids`` attaches only those shards of a sharded snapshot —
-    the per-shard worker mode of :func:`match_patterns`.
 
     A failed attach must not raise here: ``multiprocessing.Pool``
     respawns a worker whose initializer dies, which loops forever
@@ -161,7 +147,6 @@ def _init_worker(
             verify=False,
             read_only=True,
             load_dictionary=False,
-            shard_ids=shard_ids,
         )
     except BaseException:
         _WORKER_STORE = None
@@ -204,7 +189,7 @@ def label_queries(
     chunk_size: Optional[int] = None,
     mp_context: Union[str, multiprocessing.context.BaseContext, None] = None,
 ) -> List[int]:
-    """Exact cardinalities of *queries*, sharded across worker processes.
+    """Exact cardinalities of *queries*, split across worker processes.
 
     Exactly one data source is required: an in-memory *store*, an
     on-disk *snapshot_dir*, or both (the directory then takes priority
@@ -299,215 +284,3 @@ def _label_pooled(
                 )
             counts[offset:offset + len(chunk_counts)] = chunk_counts
     return counts  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Parallel pattern matching
-# ----------------------------------------------------------------------
-
-
-def _pattern_rows(store: TripleStore, tp: TriplePattern) -> np.ndarray:
-    """All matching triples of one pattern as an ``(N, 3)`` int64 array.
-
-    For every bound-position shape the backend's lookup order coincides
-    with the global SPO row order of the matches, so this is canonical
-    without any extra sort; repeated-variable patterns go through the
-    facade's filtered enumeration (same order, fewer rows).
-    """
-    if len(tp.variables) == len(set(tp.variables)):
-        return store.backend.lookup(
-            tp.s if is_bound(tp.s) else None,
-            tp.p if is_bound(tp.p) else None,
-            tp.o if is_bound(tp.o) else None,
-        )
-    rows = list(store.match_pattern(tp))
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
-
-
-def match_serial(
-    store: TripleStore, patterns: Sequence[TriplePattern]
-) -> List[np.ndarray]:
-    """The serial reference path: one lookup per pattern, input order."""
-    return [_pattern_rows(store, tp) for tp in patterns]
-
-
-def _match_chunk(task: tuple) -> tuple:
-    """Match one ``(offset, patterns)`` chunk against the worker snapshot."""
-    offset, patterns = task
-    store = _WORKER_STORE
-    try:
-        if store is None:
-            raise RuntimeError(
-                "worker failed to attach to the shared snapshot:\n"
-                f"{_WORKER_INIT_ERROR or '(no attach was attempted)'}"
-            )
-        return (offset, [_pattern_rows(store, tp) for tp in patterns], None)
-    except BaseException:
-        return (offset, None, traceback.format_exc())
-
-
-def _match_shard(task: tuple) -> tuple:
-    """Answer every pattern against one shard of a sharded snapshot.
-
-    The attach happens inside the task (not a pool initializer) because
-    each task maps a *different* shard subset; with ``verify=False`` it
-    is a handful of O(1) memmap opens.  Errors ship as data, like the
-    labeling chunks.
-    """
-    snapshot_dir, shard_id, patterns = task
-    try:
-        store = TripleStore.load_snapshot(
-            snapshot_dir,
-            verify=False,
-            read_only=True,
-            load_dictionary=False,
-            shard_ids=[shard_id],
-        )
-        return (
-            shard_id,
-            [_pattern_rows(store, tp) for tp in patterns],
-            None,
-        )
-    except BaseException:
-        return (shard_id, None, traceback.format_exc())
-
-
-def match_patterns(
-    patterns: Sequence[TriplePattern],
-    store: Optional[TripleStore] = None,
-    snapshot_dir: Union[str, Path, None] = None,
-    workers: Optional[int] = 1,
-    chunk_size: Optional[int] = None,
-    mp_context: Union[str, multiprocessing.context.BaseContext, None] = None,
-) -> List[np.ndarray]:
-    """Enumerate the matches of many patterns, fanned out across workers.
-
-    Returns one ``(N, 3)`` int64 array per pattern, rows in global SPO
-    order — byte-identical to :func:`match_serial` regardless of worker
-    count, snapshot format, or completion order.
-
-    The data-source rules match :func:`label_queries` (in-memory store,
-    on-disk snapshot, or both with the staleness guard).  The pool mode
-    depends on the snapshot format:
-
-    - **Sharded snapshot**: one task per shard; each worker attaches
-      *only its shard* (``shard_ids=[i]``) and answers every pattern on
-      it, so a worker's resident set is one shard's columns, not the
-      whole graph.  The parent concatenates the per-shard matches of
-      each pattern and restores SPO order with one lexsort — exact,
-      because shards partition the matches.  This is the path that
-      scales enumeration past one mmap'd index: per-worker copy work
-      shrinks with the shard, where per-pattern counting overhead would
-      not.
-    - **Single-index snapshot**: patterns are chunked dynamically across
-      workers attached to the shared image, like labeling.
-
-    Raises :class:`ParallelMatchError` when a worker fails, with the
-    worker-side traceback in the message.
-    """
-    if store is None and snapshot_dir is None:
-        raise ValueError("match_patterns needs a store or a snapshot_dir")
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if store is None:
-        store = TripleStore.load_snapshot(snapshot_dir)
-    patterns = list(patterns)
-    if workers == 1 or len(patterns) <= 1:
-        return match_serial(store, patterns)
-
-    if snapshot_dir is not None and store.snapshot_source != Path(
-        snapshot_dir
-    ):
-        snapshot_dir = None
-    if snapshot_dir is None:
-        snapshot_dir = store.snapshot_source
-
-    context = resolve_context(mp_context)
-    if snapshot_dir is not None:
-        return _match_pooled(
-            Path(snapshot_dir), patterns, workers, chunk_size, context
-        )
-    with tempfile.TemporaryDirectory(prefix="repro-match-") as tmp:
-        shared = Path(tmp) / "snapshot"
-        store.save_snapshot(shared, record_source=False)
-        return _match_pooled(shared, patterns, workers, chunk_size, context)
-
-
-def _match_pooled(
-    snapshot_dir: Path,
-    patterns: List[TriplePattern],
-    workers: int,
-    chunk_size: Optional[int],
-    context: multiprocessing.context.BaseContext,
-) -> List[np.ndarray]:
-    """Dispatch to the per-shard or chunked pool by snapshot format."""
-    try:
-        sharded = snapshot_format(snapshot_dir) == SHARDED_FORMAT
-    except SnapshotError:
-        sharded = False
-    if sharded:
-        from repro.rdf.backend import read_sharded_manifest
-
-        manifest = read_sharded_manifest(snapshot_dir)
-        return _match_sharded(
-            snapshot_dir, patterns, workers, manifest["num_shards"], context
-        )
-    results: List[Optional[np.ndarray]] = [None] * len(patterns)
-    tasks = chunk_queries(patterns, workers, chunk_size)
-    workers = min(workers, len(tasks))
-    with context.Pool(
-        processes=workers,
-        initializer=_init_worker,
-        initargs=(str(snapshot_dir),),
-    ) as pool:
-        for offset, arrays, error in pool.imap_unordered(
-            _match_chunk, tasks
-        ):
-            if error is not None:
-                raise ParallelMatchError(
-                    f"match worker failed on chunk at offset {offset}:"
-                    f"\n{error}"
-                )
-            results[offset:offset + len(arrays)] = arrays
-    return results  # type: ignore[return-value]
-
-
-def _match_sharded(
-    snapshot_dir: Path,
-    patterns: List[TriplePattern],
-    workers: int,
-    num_shards: int,
-    context: multiprocessing.context.BaseContext,
-) -> List[np.ndarray]:
-    """One worker task per shard; merge each pattern back to SPO order."""
-    tasks = [
-        (str(snapshot_dir), shard_id, patterns)
-        for shard_id in range(num_shards)
-    ]
-    per_pattern: List[List[np.ndarray]] = [[] for _ in patterns]
-    with context.Pool(processes=min(workers, num_shards)) as pool:
-        for shard_id, arrays, error in pool.imap_unordered(
-            _match_shard, tasks
-        ):
-            if error is not None:
-                raise ParallelMatchError(
-                    f"match worker failed on shard {shard_id}:\n{error}"
-                )
-            for idx, rows in enumerate(arrays):
-                if rows.size:
-                    per_pattern[idx].append(rows)
-    merged: List[np.ndarray] = []
-    for parts in per_pattern:
-        if not parts:
-            merged.append(np.empty((0, 3), dtype=np.int64))
-        elif len(parts) == 1:
-            merged.append(parts[0])
-        else:
-            rows = np.concatenate(parts)
-            order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-            merged.append(rows[order])
-    return merged

@@ -1,25 +1,22 @@
-"""An indexed RDF triple store over pluggable array-native backends.
+"""An indexed RDF triple store over an array-native columnar backend.
 
 Triples are dictionary-encoded and kept in a **committed**
-:class:`~repro.rdf.backend.StoreBackend` — by default the flat
-:class:`~repro.rdf.columnar.ColumnarBackend`, four sorted ``int64``
+:class:`~repro.rdf.columnar.ColumnarBackend` — four sorted ``int64``
 permutations (SPO, POS, OSP, PSO) that answer every
-single-triple-pattern access path; a
-:class:`~repro.rdf.backend.ShardedBackend` splits the same graph across
-N snapshot directories when it outgrows one index — plus two small
+single-triple-pattern access path — plus two small
 write-side structures: a *delta set* of triples inserted one at a time
 and a list of *pending bulk batches* ingested through the array-native
 :meth:`TripleStore.add_all`.  Each arriving batch is deduplicated on
 the spot — against itself, the committed backend
-(:meth:`~repro.rdf.backend.StoreBackend.isin_rows`, packed-key binary
-search, no index rebuild), and the batches already pending, all through
-one :class:`~repro.rdf.columnar.RowKeys` encoding — so the
+(:meth:`~repro.rdf.columnar.ColumnarBackend.isin_rows`, packed-key
+binary search, no index rebuild), and the batches already pending, all
+through one :class:`~repro.rdf.columnar.RowKeys` encoding — so the
 staged parts stay mutually disjoint and chunked ingest stays amortized:
 the permutation sorts run once, at the next read, not once per batch.
 Reads consolidate lazily: the first backend access after a mutation
-folds delta and pending rows into a fresh committed backend (same
-backend type, same shard layout), so steady-state queries always run
-against flat arrays with no per-triple Python overhead.
+folds delta and pending rows into a fresh committed backend, so
+steady-state queries always run against flat arrays with no per-triple
+Python overhead.
 
 :class:`TripleStore` is a *facade* over mutation, statistics and
 persistence; pattern access paths (``objects_of``, ``out_slice``, ...)
@@ -31,11 +28,10 @@ cache built before a mutation can therefore never be served afterwards.
 
 Stores round-trip to disk: :meth:`TripleStore.save_snapshot` writes the
 backend's columns as ``.npy`` files next to a versioned manifest (and
-the term dictionaries, when present) — pass ``shards=N`` to write a
-sharded snapshot instead — and :meth:`TripleStore.load_snapshot` maps
-either format back as read-only memmaps (``shard_ids=[...]`` attaches a
-shard subset of a sharded snapshot); no per-triple deserialisation,
-pages shared across worker processes; the default checksum verification
+the term dictionaries, when present) and
+:meth:`TripleStore.load_snapshot` maps it back as read-only memmaps; no
+per-triple deserialisation, pages shared across worker processes; the
+default checksum verification
 is one sequential CRC32 pass over the columns, skippable via
 ``verify=False`` for a truly O(1) load.  A memmap-backed store is
 demoted to in-memory arrays on its first mutation; the on-disk snapshot
@@ -64,12 +60,12 @@ from typing import (
 
 import numpy as np
 
-from repro.rdf.backend import ShardedBackend, StoreBackend, load_backend
 from repro.rdf.columnar import (
     ColumnarBackend,
     RowKeys,
     SnapshotError,
     coerce_rows,
+    read_manifest,
 )
 from repro.rdf.dictionary import GraphDictionary
 from repro.rdf.terms import Triple, TriplePattern, Variable, is_bound
@@ -101,7 +97,7 @@ def _coerce_batch(triples) -> np.ndarray:
 
 
 class TripleStore:
-    """Triple store facade over a pluggable array-native backend.
+    """Triple store facade over an array-native columnar backend.
 
     Attributes:
         dictionary: the node/predicate dictionaries when the store was built
@@ -124,7 +120,7 @@ class TripleStore:
         self._snapshot_path: Optional[Path] = None
         self._snapshot_generation: int = -1
         # Committed backend + write-side staging (see module docstring).
-        self._committed: StoreBackend = ColumnarBackend.from_rows(
+        self._committed: ColumnarBackend = ColumnarBackend.from_rows(
             np.empty((0, 3), dtype=np.int64)
         )
         self._delta: Set[Triple] = set()
@@ -134,8 +130,7 @@ class TripleStore:
         # probes; invalidated whenever pending changes.
         self._pending_probe: Optional[Set[Triple]] = None
         # Generation-stamped caches: (generation, payload).
-        self._backend_cache: Optional[Tuple[int, StoreBackend]] = None
-        self._merged_cache: Optional[Tuple[int, ColumnarBackend]] = None
+        self._backend_cache: Optional[Tuple[int, ColumnarBackend]] = None
         self._nodes_cache: Optional[Tuple[int, List[int]]] = None
 
     # ------------------------------------------------------------------
@@ -208,7 +203,7 @@ class TripleStore:
     @staticmethod
     def _dedupe_batch(
         rows: np.ndarray,
-        existing: Optional[StoreBackend],
+        existing: Optional[ColumnarBackend],
         pending: Sequence[np.ndarray] = (),
     ) -> np.ndarray:
         """Unique rows of *rows* absent from *existing* and *pending*.
@@ -217,10 +212,9 @@ class TripleStore:
         and every pending batch: packed int64 keys when the ids allow,
         void records otherwise, uniqued with an explicit sort +
         neighbour-diff.  Membership against the committed data is one
-        backend :meth:`~repro.rdf.backend.StoreBackend.isin_rows` pass —
-        a packed binary search on the columnar backend, per-owning-shard
-        searches on the sharded one; never an index rebuild, so chunked
-        ingest stays amortized.
+        :meth:`~repro.rdf.columnar.ColumnarBackend.isin_rows` pass — a
+        packed binary search, never an index rebuild, so chunked ingest
+        stays amortized.
         """
         keys = RowKeys.spanning(rows, *pending)
         fresh = np.sort(keys.of(rows))
@@ -238,11 +232,9 @@ class TripleStore:
 
         All parts are mutually disjoint and internally deduplicated by
         construction, so consolidation is one concatenation plus the
-        backend rebuild — never a set round-trip.  The rebuild preserves
-        the backend's representation (a sharded backend stays sharded,
-        same layout).  A memmap-backed committed backend is replaced
-        (its pages copied into fresh in-memory arrays), never written
-        through.
+        backend rebuild — never a set round-trip.  A memmap-backed
+        committed backend is replaced (its pages copied into fresh
+        in-memory arrays), never written through.
         """
         if not self._pending and not self._delta:
             return
@@ -257,7 +249,7 @@ class TripleStore:
         rows = np.concatenate(parts) if parts else np.empty(
             (0, 3), dtype=np.int64
         )
-        self._committed = self._committed.rebuild(rows)
+        self._committed = ColumnarBackend.from_rows(rows)
         self._delta = set()
         self._pending = []
         self._pending_rows = 0
@@ -268,13 +260,14 @@ class TripleStore:
     # ------------------------------------------------------------------
 
     @property
-    def backend(self) -> StoreBackend:
-        """The committed array-native backend of the current generation.
+    def backend(self) -> ColumnarBackend:
+        """The committed columnar backend of the current generation.
 
-        Built lazily on first access after a mutation; all vectorized
-        paths (fast counters, samplers, stats, baselines) read through
-        this.  The returned backend carries the store's generation as
-        its :attr:`~repro.rdf.backend.StoreBackend.generation` stamp.
+        Built lazily on first access after a mutation (no copy otherwise
+        — memmap identity is preserved for loaded snapshots); all
+        vectorized paths (fast counters, samplers, stats, baselines)
+        read through this.  The returned backend carries the store's
+        generation as its ``generation`` stamp.
         """
         cache = self._backend_cache
         if cache is None or cache[0] != self.generation:
@@ -282,30 +275,6 @@ class TripleStore:
             self._committed.generation = self.generation
             self._backend_cache = (self.generation, self._committed)
         return self._backend_cache[1]
-
-    @property
-    def columnar(self) -> ColumnarBackend:
-        """A single sorted-permutation backend of the current generation.
-
-        On a flat store this *is* :attr:`backend` (no copy — memmap
-        identity is preserved for loaded snapshots).  On a sharded
-        backend it is a merged in-memory :class:`ColumnarBackend` built
-        from all attached shards, cached per generation: the dense
-        fallback for consumers that read raw permutation columns (the
-        vectorized samplers, range workloads).  Accessor-level consumers
-        should prefer :attr:`backend`, which routes to shards without
-        merging.
-        """
-        backend = self.backend
-        if isinstance(backend, ColumnarBackend):
-            return backend
-        cache = self._merged_cache
-        if cache is None or cache[0] != self.generation:
-            self._merged_cache = (
-                self.generation,
-                ColumnarBackend.from_rows(backend.rows()),
-            )
-        return self._merged_cache[1]
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -457,8 +426,7 @@ class TripleStore:
         """Exact result count of a single triple pattern.
 
         Every no-repeated-variable shape is a pure range width on one
-        permutation (routed to the owning shard on a sharded backend) —
-        no candidate materialisation.
+        permutation — no candidate materialisation.
         """
         has_repeat = len(tp.variables) != len(set(tp.variables))
         if has_repeat:
@@ -488,7 +456,7 @@ class TripleStore:
     @classmethod
     def from_backend(
         cls,
-        backend: StoreBackend,
+        backend: ColumnarBackend,
         dictionary: Optional[GraphDictionary] = None,
     ) -> "TripleStore":
         """Adopt an existing backend as the committed state, as-is.
@@ -536,21 +504,13 @@ class TripleStore:
         self,
         directory: Union[str, Path],
         record_source: bool = True,
-        shards: Optional[int] = None,
-        shard_by: str = "subject",
     ) -> Path:
         """Persist the store (backend + dictionaries) to *directory*.
 
-        With ``shards=None`` (default) the committed backend is written
-        in its own representation — a columnar store writes the familiar
-        single-index snapshot, a sharded store its shard directories.
-        ``shards=N`` re-shards the full triple set into N directories
-        (``shard_by`` selects ``"subject"`` — the default, uniform hash
-        of the subject — or ``"predicate"`` routing) behind a top-level
-        manifest listing every shard with its triple count and CRC32.
-        In every case the term dictionaries are written as JSON when
-        present, the manifest carries the dictionary checksum, and the
-        manifest is written last.  Returns the manifest path.
+        The committed backend's columns are written as ``.npy`` files;
+        the term dictionaries are written as JSON when present, the
+        manifest carries the dictionary checksum, and the manifest is
+        written last.  Returns the manifest path.
 
         By default the directory is recorded as this store's
         :attr:`snapshot_source`.  Pass ``record_source=False`` for
@@ -568,17 +528,7 @@ class TripleStore:
                 json.dumps(self.dictionary.to_payload()) + "\n",
                 encoding="utf-8",
             )
-        backend = self.backend
-        if shards is not None:
-            if (
-                not isinstance(backend, ShardedBackend)
-                or backend.num_shards != shards
-                or backend.shard_by != shard_by
-            ):
-                backend = ShardedBackend.from_rows(
-                    backend.rows(), shards, shard_by
-                )
-        manifest = backend.save(directory, extra_manifest=extra)
+        manifest = self.backend.save(directory, extra_manifest=extra)
         if record_source:
             self._snapshot_path = directory
             self._snapshot_generation = self.generation
@@ -592,18 +542,8 @@ class TripleStore:
         verify: bool = True,
         read_only: bool = False,
         load_dictionary: bool = True,
-        shard_ids: Optional[Sequence[int]] = None,
     ) -> "TripleStore":
         """Load a saved store: columns come back as read-only memmaps.
-
-        Works on both snapshot formats — the manifest's ``format``
-        marker picks :class:`~repro.rdf.columnar.ColumnarBackend` or
-        :class:`ShardedBackend`, so callers need not know how the
-        snapshot was saved.  ``shard_ids=[...]`` attaches only those
-        shards of a sharded snapshot (the per-shard worker mode; the
-        store then answers as if it held exactly those shards' triples);
-        passing it for a single-index snapshot raises
-        :class:`SnapshotError`.
 
         There is no per-triple work; with the default ``verify=True``
         the load still performs one O(N) sequential CRC32 pass over the
@@ -619,15 +559,14 @@ class TripleStore:
         dictionary in every worker process would be the one non-O(1),
         non-shared part of their attach.  Raises
         :class:`~repro.rdf.columnar.SnapshotError` on a missing,
-        corrupted, truncated, or version-mismatched snapshot.
+        corrupted, truncated, version-mismatched or foreign-format
+        snapshot.
         """
         directory = Path(directory)
-        backend, manifest = load_backend(
-            directory,
-            mmap_mode=mmap_mode,
-            verify=verify,
-            shard_ids=shard_ids,
+        backend = ColumnarBackend.load(
+            directory, mmap_mode=mmap_mode, verify=verify
         )
+        manifest = read_manifest(directory)
         dictionary = None
         if manifest.get("has_dictionary") and load_dictionary:
             path = directory / DICTIONARY_NAME
@@ -661,7 +600,6 @@ class TripleStore:
         """Resident size of the permutation columns, in bytes.
 
         Used by the Table II memory comparison: four permutations of
-        three int64 columns each, 96 bytes per triple (shard count does
-        not change the total — shards partition the triples).
+        three int64 columns each, 96 bytes per triple.
         """
         return len(self) * 3 * 8 * 4

@@ -107,8 +107,8 @@ def count_tree(store: TripleStore, query: QueryPattern) -> Optional[int]:
     root, children = _build_rooted_tree(query)
 
     # The DP makes huge numbers of tiny (term, value) probes; each is
-    # one sorted-range slice on the backend (routed to the owning shard
-    # on a sharded store), memoised per (tree node, graph value).
+    # one sorted-range slice on the backend, memoised per (tree node,
+    # graph value).
     backend = store.backend
 
     memo: Dict[Tuple[PatternTerm, int], int] = {}

@@ -51,7 +51,7 @@ def count_star_instances(store: TripleStore, size: int) -> int:
     """
     if size < 1:
         raise ValueError("star size must be >= 1")
-    _, degrees = store.columnar.subject_degrees()
+    _, degrees = store.backend.subject_degrees()
     return sum(d ** size for d in degrees.tolist())
 
 
@@ -67,7 +67,7 @@ def chain_walk_counts(
     """
     if size < 1:
         raise ValueError("chain size must be >= 1")
-    col = store.columnar
+    col = store.backend
     nodes = col.nodes().tolist()
     src = col.spo_s.tolist()
     dst = col.spo_o.tolist()
@@ -87,7 +87,7 @@ def count_chain_instances(store: TripleStore, size: int) -> int:
     """Number of directed walks with *size* edges (exact)."""
     if size < 1:
         raise ValueError("chain size must be >= 1")
-    arrays = _chain_walk_arrays(store.columnar, size)
+    arrays = _chain_walk_arrays(store.backend, size)
     return _exact_chain_universe(store, size, arrays)
 
 
@@ -152,7 +152,7 @@ class StarSampler:
         self.store = store
         self.size = size
         self._rng = np.random.default_rng(seed)
-        col = store.columnar
+        col = store.backend
         self._col = col
         subjects, degrees = col.subject_degrees()
         weights = degrees.astype(np.float64) ** size
@@ -202,7 +202,7 @@ class ChainSampler:
         self.store = store
         self.size = size
         self._rng = np.random.default_rng(seed)
-        col = store.columnar
+        col = store.backend
         self._col = col
         arrays = _chain_walk_arrays(col, size)
         nodes, _, dst_idx, levels = arrays
@@ -311,7 +311,7 @@ def biased_rw_star(
     distribution; kept for the sampling-quality ablation.  Returns None
     when the start node has no out-edges.
     """
-    col = store.columnar
+    col = store.backend
     nodes = col.nodes()
     s = int(nodes[rng.integers(nodes.size)])
     lo, hi = col.s_range(s)
@@ -328,7 +328,7 @@ def biased_rw_chain(
     store: TripleStore, size: int, rng: np.random.Generator
 ) -> Optional[Instance]:
     """The paper's RW chain sampler; None when the walk dead-ends."""
-    col = store.columnar
+    col = store.backend
     nodes = col.nodes()
     node = int(nodes[rng.integers(nodes.size)])
     flat: List[int] = [node]
@@ -355,7 +355,7 @@ def _biased_rw_batch(
     Dead-ended walks are dropped (the caller retries), matching the
     per-draw ``None`` of the scalar samplers.
     """
-    col = store.columnar
+    col = store.backend
     nodes = col.nodes()
     if nodes.size == 0 or count <= 0:
         return []

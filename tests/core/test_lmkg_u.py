@@ -221,6 +221,20 @@ class TestCheckpointSampler:
         with pytest.raises(CheckpointError, match="_meta_sampler"):
             LMKG.load(tmp_path / "ckpt", lubm_store)
 
+    def test_splitmix64_golden_values(self):
+        """The Gumbel window bases hang on these exact bits: a change
+        to the mix silently moves every LMKG-U estimate."""
+        mixed = lmkg_u.splitmix64(
+            np.array([0, 1, -1, 2**63 - 1], dtype=np.int64)
+        )
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [
+            0xE220A8397B1DCDAF,
+            0x910A2DEC89025CC1,
+            0xE4D971771B652C20,
+            0x2A67D7552E039EA7,
+        ]
+
 
 class TestInferenceTrunk:
     """The fused float32 sweep: block-width invariance, float64 parity,

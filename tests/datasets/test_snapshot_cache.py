@@ -45,7 +45,7 @@ class TestCachedStore:
         assert len(calls) == 1
         assert sorted(first) == sorted(second)
         # The cache hit is memmap-backed — no generator, no set build.
-        assert isinstance(second.columnar.spo_s, np.memmap)
+        assert isinstance(second.backend.spo_s, np.memmap)
 
     def test_stale_checksum_forces_rebuild(self, tmp_path):
         calls = []
@@ -153,7 +153,7 @@ class TestGeneratorCache:
         cached = generate_lubm(universities=1, seed=5, cache_dir=tmp_path)
         reloaded = generate_lubm(universities=1, seed=5, cache_dir=tmp_path)
         assert set(direct) == set(cached) == set(reloaded)
-        assert isinstance(reloaded.columnar.spo_s, np.memmap)
+        assert isinstance(reloaded.backend.spo_s, np.memmap)
 
     def test_profile_participates_in_cache_key(self, tmp_path):
         """Regression: a custom profile must not hit the default-profile

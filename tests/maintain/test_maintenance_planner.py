@@ -11,7 +11,7 @@ from repro.maintain.planner import (
     plan_maintenance,
 )
 from repro.maintain.watermark import Watermark
-from repro.rdf.backend import load_backend
+from repro.rdf.columnar import ColumnarBackend
 from repro.sampling.workload import generate_workload
 
 
@@ -20,8 +20,7 @@ def base_backend(live_store, tmp_path):
     """The retained snapshot of the watermark generation."""
     directory = tmp_path / "base"
     live_store.save_snapshot(directory, record_source=False)
-    backend, _ = load_backend(directory, mmap_mode="r", verify=False)
-    return backend
+    return ColumnarBackend.load(directory, mmap_mode="r", verify=False)
 
 
 @pytest.fixture

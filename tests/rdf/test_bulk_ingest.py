@@ -51,7 +51,7 @@ def bulk_store(batches, as_array=True):
 
 
 def assert_identical_columns(a: TripleStore, b: TripleStore) -> None:
-    col_a, col_b = a.columnar, b.columnar
+    col_a, col_b = a.backend, b.backend
     assert col_a.size == col_b.size
     for name in PERMUTATION_COLUMNS:
         assert np.array_equal(
@@ -115,11 +115,11 @@ class TestGenerationSemantics:
         store = TripleStore()
         store.add_all([(1, 1, 2), (2, 1, 3)])
         generation = store.generation
-        index = store.columnar
+        index = store.backend
         assert store.add_all([(1, 1, 2), (2, 1, 3), (1, 1, 2)]) == 0
         assert store.generation == generation
         # The cached snapshot must survive a no-op batch untouched.
-        assert store.columnar is index
+        assert store.backend is index
 
     def test_empty_batch_is_a_noop(self):
         store = TripleStore()
@@ -132,13 +132,13 @@ class TestGenerationSemantics:
     def test_batch_invalidates_all_caches(self):
         store = TripleStore()
         store.add_all([(1, 1, 2), (2, 2, 3)])
-        index = store.columnar
+        index = store.backend
         nodes = store.nodes()
         assert store.backend.out_slice(1)[1].tolist() == [2]
         assert 9 not in nodes
         added = store.add_all([(9, 1, 1), (1, 1, 2)])
         assert added == 1
-        assert store.columnar is not index
+        assert store.backend is not index
         assert 9 in store.nodes()
         assert store.backend.objects_of(9, 1).tolist() == [1]
 
@@ -148,10 +148,10 @@ class TestGenerationSemantics:
         """Snapshots are reused while unchanged, replaced after changes."""
         store = TripleStore()
         for batch in batches:
-            before = store.columnar
+            before = store.backend
             rows = np.array(list(batch), dtype=np.int64).reshape(-1, 3)
             added = store.add_all(rows)
-            after = store.columnar
+            after = store.backend
             if added:
                 assert after is not before
                 assert after.size == before.size + added
@@ -180,7 +180,7 @@ class TestChunkedIngest:
         assert store.add_all([(5, 1, 6), (95, 1, 96)]) == 1
         assert len(store) == 41
         # One consolidation serves the read.
-        assert store.columnar.size == 41
+        assert store.backend.size == 41
         assert store._pending == []
 
     def test_chunked_equals_single_batch(self):

@@ -145,11 +145,11 @@ class TestStoreIntegration:
     def test_store_snapshot_tracks_generation(self):
         store = TripleStore()
         store.add(1, 1, 2)
-        first = store.columnar
+        first = store.backend
         assert first.size == 1
-        assert store.columnar is first  # cached while unchanged
+        assert store.backend is first  # cached while unchanged
         store.add(2, 1, 3)
-        second = store.columnar
+        second = store.backend
         assert second is not first
         assert second.size == 2
 
@@ -157,4 +157,4 @@ class TestStoreIntegration:
         store = TripleStore()
         store.add_all([(1, 1, 2), (2, 1, 3)])
         assert store.memory_bytes() == 2 * 96
-        assert store.columnar.memory_bytes() == 2 * 96
+        assert store.backend.memory_bytes() == 2 * 96

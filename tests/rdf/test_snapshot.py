@@ -89,8 +89,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("mmap_mode", ["r", None])
     def test_slices_identical(self, graph_store, tmp_path, mmap_mode):
         loaded = roundtrip(graph_store, tmp_path, mmap_mode)
-        original = graph_store.columnar
-        reloaded = loaded.columnar
+        original = graph_store.backend
+        reloaded = loaded.backend
         for s in range(0, 62):
             assert np.array_equal(
                 original.out_slice(s)[0], reloaded.out_slice(s)[0]
@@ -173,7 +173,7 @@ class TestMemmapSemantics:
         self, graph_store, tmp_path
     ):
         loaded = roundtrip(graph_store, tmp_path)
-        column = loaded.columnar.spo_s
+        column = loaded.backend.spo_s
         assert isinstance(column, np.memmap)
         assert not column.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
@@ -190,7 +190,7 @@ class TestMemmapSemantics:
         }
         loaded = TripleStore.load_snapshot(directory)
         assert loaded.add(1000, 1000, 1000) is True
-        col = loaded.columnar
+        col = loaded.backend
         assert not isinstance(col.spo_s, np.memmap)
         assert col.contains(1000, 1000, 1000)
         assert len(loaded) == len(graph_store) + 1
@@ -206,7 +206,7 @@ class TestMemmapSemantics:
             np.array([[2000, 1, 2001], [2001, 1, 2002]], dtype=np.int64)
         )
         assert added == 2
-        assert not isinstance(loaded.columnar.spo_s, np.memmap)
+        assert not isinstance(loaded.backend.spo_s, np.memmap)
         assert len(loaded) == len(graph_store) + 2
 
     def test_duplicate_add_keeps_memmap_backing(
@@ -215,7 +215,7 @@ class TestMemmapSemantics:
         loaded = roundtrip(graph_store, tmp_path)
         existing = next(iter(loaded))
         assert loaded.add(*existing) is False
-        assert isinstance(loaded.columnar.spo_s, np.memmap)
+        assert isinstance(loaded.backend.spo_s, np.memmap)
 
     def test_resave_into_own_directory_is_safe(
         self, graph_store, tmp_path
@@ -256,12 +256,15 @@ class TestCorruption:
             TripleStore.load_snapshot(directory)
 
     def test_foreign_format_rejected(self, tmp_path):
-        directory = self.save(tmp_path)
-        manifest = self.manifest(directory)
-        manifest["format"] = "parquet"
-        self.write_manifest(directory, manifest)
-        with pytest.raises(SnapshotError, match="not a repro-columnar"):
-            TripleStore.load_snapshot(directory)
+        # "repro-sharded" is the retired multi-directory layout: a
+        # leftover one on disk is a typed error, not a traceback.
+        for foreign in ("parquet", "repro-sharded"):
+            directory = self.save(tmp_path / foreign)
+            manifest = self.manifest(directory)
+            manifest["format"] = foreign
+            self.write_manifest(directory, manifest)
+            with pytest.raises(SnapshotError, match="not a repro-columnar"):
+                TripleStore.load_snapshot(directory)
 
     def test_version_mismatch_rejected(self, tmp_path):
         directory = self.save(tmp_path)

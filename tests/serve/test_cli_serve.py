@@ -101,69 +101,6 @@ def served(snapshot_dir, tmp_path_factory):
             process.kill()
 
 
-@pytest.fixture(scope="module")
-def served_sharded(served, snapshot_dir, tmp_path_factory):
-    """`repro serve --shards 2` on the same snapshot and checkpoint.
-
-    Reusing the flat server's saved checkpoint pins the model, so any
-    divergence between the two servers is the sharded store's fault.
-    """
-    _, checkpoint = served
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--snapshot",
-            str(snapshot_dir),
-            "--shards",
-            "2",
-            "--port",
-            "0",
-            "--checkpoint",
-            str(checkpoint),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    port = None
-    try:
-        deadline = time.monotonic() + 180.0
-        for line in process.stdout:
-            if "serving" in line and "http://" in line:
-                port = int(line.split("http://", 1)[1]
-                           .split(" ", 1)[0].rsplit(":", 1)[1])
-                break
-            if time.monotonic() > deadline:
-                break
-        assert port is not None, "sharded server never reported its port"
-        base = f"http://127.0.0.1:{port}"
-        for _ in range(600):
-            try:
-                with urllib.request.urlopen(
-                    f"{base}/healthz", timeout=5
-                ) as response:
-                    if json.load(response)["status"] == "ok":
-                        break
-            except (urllib.error.URLError, OSError):
-                time.sleep(0.1)
-        yield base
-    finally:
-        process.terminate()
-        try:
-            process.wait(10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-
-
 class TestServeCLI:
     def test_estimates_byte_identical_to_framework(
         self, served, service
@@ -206,29 +143,6 @@ class TestServeCLI:
         assert all(status == 200 for status, _ in responses)
         values = [payload["estimates"][0] for _, payload in responses]
         assert np.allclose(values, expected, rtol=1e-9)
-
-    def test_sharded_server_byte_identical_50_concurrent(
-        self, served, served_sharded
-    ):
-        """Acceptance: a 2-shard `repro serve --shards 2` answers 50
-        concurrent requests byte-identical to the unsharded server."""
-        base, _ = served
-        expected_status, expected = post(
-            f"{base}/estimate", {"queries": [QUERY]}
-        )
-        assert expected_status == 200
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            responses = list(
-                pool.map(
-                    lambda _: post(
-                        f"{served_sharded}/estimate", {"queries": [QUERY]}
-                    ),
-                    range(50),
-                )
-            )
-        assert all(status == 200 for status, _ in responses)
-        for _, payload in responses:
-            assert payload["estimates"] == expected["estimates"]
 
     def test_healthz_and_stats_served(self, served):
         base, _ = served

@@ -410,35 +410,39 @@ class TestSnapshotInfo:
             == store.dictionary.checksum()
         )
 
-    def test_sharded_layout_lists_per_shard_rows(
-        self, tmp_path, capsys
-    ):
+    def test_sharded_layout_fails_cleanly(self, tmp_path):
+        """A directory in the retired ``repro-sharded`` layout: one
+        columnar shard under a top-level manifest naming it."""
         import json
 
-        from repro.datasets import load_dataset
+        from repro.rdf import TripleStore
 
-        store = load_dataset("lubm", scale=0.25)
         directory = tmp_path / "sharded"
-        store.save_snapshot(directory, shards=2)
-        assert (
-            main(["snapshot", "info", "--dir", str(directory), "--json"])
-            == 0
+        store = TripleStore()
+        store.add_all([(1, 1, 2), (2, 1, 3)])
+        store.save_snapshot(directory / "shard-0000")
+        (directory / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format": "repro-sharded",
+                    "version": 1,
+                    "num_triples": 2,
+                    "num_shards": 1,
+                    "shards": [
+                        {
+                            "directory": "shard-0000",
+                            "num_triples": 2,
+                            "checksum": "00000000",
+                        }
+                    ],
+                }
+            )
         )
-        info = json.loads(capsys.readouterr().out)
-        assert info["layout"] == "sharded"
-        assert info["num_shards"] == 2
-        assert len(info["shards"]) == 2
-        assert (
-            sum(entry["num_triples"] for entry in info["shards"])
-            == len(store)
-        )
-        for entry in info["shards"]:
-            assert entry["crc32"]
-        capsys.readouterr()
-        assert main(["snapshot", "info", "--dir", str(directory)]) == 0
-        out = capsys.readouterr().out
-        assert "(sharded)" in out
-        assert "shard 0:" in out and "shard 1:" in out
+        with pytest.raises(
+            SystemExit,
+            match="snapshot inspection failed: .*not a repro-columnar",
+        ):
+            main(["snapshot", "info", "--dir", str(directory)])
 
     def test_missing_dir_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="snapshot inspection"):
