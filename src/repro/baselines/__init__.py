@@ -5,9 +5,16 @@ Summary-based: :class:`CharacteristicSets` (CSET), :class:`SumRDF`,
 Sampling-based: :class:`WanderJoin` (WJ), :class:`JSUB`, :class:`Impr`.
 Learned: :class:`MSCN` (MSCN-0 / MSCN-1k via ``MSCNConfig.num_samples``).
 Plus the :class:`IndependenceEstimator` floor.
+
+Every baseline subclasses :class:`repro.core.estimator.Estimator` and
+implements the per-query hook ``_estimate_one(query) -> float`` (or,
+with a vectorized path like MSCN, ``_estimate_batch``); the public
+``estimate`` / ``estimate_batch`` surface and its validation live there.
+Sampling-based estimators also expose ``runs`` — the repetitions G-CARE
+averages over (30 in the paper); their ``_estimate_one`` performs the
+averaging, so benches measure the same work the paper timed.
 """
 
-from repro.baselines.base import CardinalityEstimator
 from repro.baselines.bayesnet import (
     BayesNetEstimator,
     ChainHistogram,
@@ -23,7 +30,6 @@ from repro.baselines.wanderjoin import WanderJoin
 
 __all__ = [
     "BayesNetEstimator",
-    "CardinalityEstimator",
     "ChainHistogram",
     "CharacteristicSets",
     "StarBayesNet",

@@ -29,8 +29,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
 from repro.baselines.independence import IndependenceEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Variable, is_bound
@@ -208,7 +208,7 @@ class ChainHistogram:
         return (len(self._joins) + len(self._pred_counts)) * 8
 
 
-class BayesNetEstimator(CardinalityEstimator):
+class BayesNetEstimator(Estimator):
     """Huang & Liu-style estimator: BN for stars, bigram histogram for
     chains, independence fallback elsewhere.
 

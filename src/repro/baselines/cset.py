@@ -24,13 +24,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, Tuple
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import is_bound
 
 
-class CharacteristicSets(CardinalityEstimator):
+class CharacteristicSets(Estimator):
     """The CSET synopsis plus star/chain estimation."""
 
     name = "cset"

@@ -25,13 +25,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Variable, is_bound
 
 
-class Impr(CardinalityEstimator):
+class Impr(Estimator):
     """Random-walk graphlet estimator with label-matching correction."""
 
     name = "impr"

@@ -14,13 +14,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Variable
 
 
-class IndependenceEstimator(CardinalityEstimator):
+class IndependenceEstimator(Estimator):
     """Per-triple histogram product with join-uniformity correction."""
 
     name = "indep"

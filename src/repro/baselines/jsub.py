@@ -15,14 +15,14 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
 from repro.baselines.wanderjoin import order_patterns
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import TriplePattern, Variable, is_bound
 
 
-class JSUB(CardinalityEstimator):
+class JSUB(Estimator):
     """Sampling estimator producing cardinality upper bounds."""
 
     name = "jsub"

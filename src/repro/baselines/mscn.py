@@ -24,8 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
 from repro.core.encoders import make_encoders
+from repro.core.estimator import Estimator
 from repro.nn.layers import Linear, ReLU, Sequential, Sigmoid
 from repro.nn.losses import QErrorLoss
 from repro.nn.optimizers import Adam
@@ -49,7 +49,7 @@ class MSCNConfig:
     seed: int = 0
 
 
-class MSCN(CardinalityEstimator):
+class MSCN(Estimator):
     """Set-based supervised estimator."""
 
     def __init__(

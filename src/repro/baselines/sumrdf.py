@@ -27,14 +27,14 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.matcher import iter_bindings
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import TriplePattern, Variable, is_bound
 
 
-class SumRDF(CardinalityEstimator):
+class SumRDF(Estimator):
     """Bucket summary estimator."""
 
     name = "sumrdf"

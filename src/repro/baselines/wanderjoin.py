@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import TriplePattern, Variable
@@ -52,7 +52,7 @@ def order_patterns(
     return ordered
 
 
-class WanderJoin(CardinalityEstimator):
+class WanderJoin(Estimator):
     """Random-walk join sampling estimator."""
 
     name = "wj"

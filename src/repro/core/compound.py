@@ -27,7 +27,7 @@ from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.core.metrics import q_error
 from repro.rdf.pattern import QueryPattern
 from repro.sampling.workload import QueryRecord
@@ -58,7 +58,7 @@ class ShapeWeights:
         return 1.0 - self.supervised
 
 
-class CompoundEstimator(CardinalityEstimator):
+class CompoundEstimator(Estimator):
     """One estimate from a supervised and an unsupervised LMKG model.
 
     Args:

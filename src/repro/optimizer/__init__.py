@@ -4,7 +4,7 @@ The paper's motivation (§I) is that "producing efficient query plans
 heavily relies on accurate cardinality estimates".  This subpackage turns
 that motivation into a measurable substrate: left-deep join plans over
 BGP triple patterns, a C_out cost model fed by any
-:class:`~repro.baselines.base.CardinalityEstimator`, plan enumeration
+:class:`~repro.core.estimator.Estimator`, plan enumeration
 (exhaustive, greedy, and Held–Karp DP), a pipelined index-nested-loop
 executor that measures the *true* intermediate sizes a plan produces,
 and a plan-quality harness in the style of "How good are query
@@ -14,7 +14,7 @@ Typical use::
 
     from repro.optimizer import Optimizer, plan_quality
 
-    optimizer = Optimizer(estimator)        # any CardinalityEstimator
+    optimizer = Optimizer(estimator)        # any Estimator
     plan = optimizer.optimize(query)        # best left-deep order
     result = execute_order(store, query, plan.order)
     report = plan_quality(store, estimator, queries)

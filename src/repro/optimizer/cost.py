@@ -8,7 +8,7 @@ must produce it, so it cannot differentiate orders.
 The model is parametric in where cardinalities come from: the true
 counter (:func:`true_cost_fn`) gives the oracle cost an ideal optimizer
 would minimise; :func:`estimator_cost_fn` plugs in any
-:class:`~repro.baselines.base.CardinalityEstimator`, which is how
+:class:`~repro.core.estimator.Estimator`, which is how
 estimation error becomes plan regret.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.optimizer.plans import prefix_patterns
 from repro.rdf.fastcount import count_query
 from repro.rdf.pattern import QueryPattern
@@ -48,7 +48,7 @@ def true_cost_fn(store: TripleStore) -> CostModel:
     return cardinality
 
 
-def estimator_cost_fn(estimator: CardinalityEstimator) -> CostModel:
+def estimator_cost_fn(estimator: Estimator) -> CostModel:
     """Cost model backed by a cardinality estimator.
 
     Estimates are clamped at zero: a negative intermediate size is

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.optimizer.cost import CostModel, cout_cost, estimator_cost_fn
 from repro.optimizer.plans import (
     JoinOrder,
@@ -159,7 +159,7 @@ class Optimizer:
     """Pick join orders for BGP queries using a cardinality source.
 
     Args:
-        cardinality: a :class:`CardinalityEstimator` or a bare
+        cardinality: a :class:`Estimator` or a bare
             ``QueryPattern -> float`` cost model.
         strategy: ``"dp"`` (default, optimal), ``"exhaustive"``
             (optimal, factorial — validation only), or ``"greedy"``.
@@ -167,7 +167,7 @@ class Optimizer:
 
     def __init__(
         self,
-        cardinality: Union[CardinalityEstimator, CostModel],
+        cardinality: Union[Estimator, CostModel],
         strategy: str = "dp",
     ) -> None:
         if strategy not in _STRATEGIES:
@@ -176,8 +176,8 @@ class Optimizer:
                 f"expected one of {sorted(_STRATEGIES)}"
             )
         if hasattr(cardinality, "estimate"):
-            # Anything with the estimator protocol (CardinalityEstimator
-            # subclasses, the LMKG façade, ad-hoc adapters).
+            # Anything with the estimator protocol (Estimator subclasses,
+            # the LMKG façade, ad-hoc adapters).
             self.cost_model: CostModel = estimator_cost_fn(cardinality)
         elif callable(cardinality):
             self.cost_model = cardinality

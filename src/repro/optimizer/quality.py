@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.optimizer.cost import cout_cost, estimator_cost_fn, true_cost_fn
 from repro.optimizer.enumeration import dp_best_order
 from repro.optimizer.plans import JoinOrder
@@ -98,7 +98,7 @@ class PlanQualityReport:
 
 def plan_query(
     store: TripleStore,
-    estimator: CardinalityEstimator,
+    estimator: Estimator,
     query: QueryPattern,
 ) -> QueryPlanOutcome:
     """Plan one query under the estimator and the oracle, cost both truly."""
@@ -115,7 +115,7 @@ def plan_query(
 
 def plan_quality(
     store: TripleStore,
-    estimator: CardinalityEstimator,
+    estimator: Estimator,
     queries: Sequence[QueryPattern],
     max_size: Optional[int] = None,
 ) -> PlanQualityReport:

@@ -8,8 +8,8 @@ the maintenance runner to race against traffic.
 
 It is also the :class:`~repro.replay.timeline.TimelineContext`: the
 ``kill worker`` / ``reload`` / ``mutate`` / ``maintain`` / ``corrupt``
-actions all dispatch here.  ``repro replay run`` and the replay bench
-build one; tests build smaller ones.
+actions all dispatch here.  ``repro replay run`` builds one; tests
+build smaller ones.
 """
 
 from __future__ import annotations

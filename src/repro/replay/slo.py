@@ -2,12 +2,11 @@
 
 The driver hands every request's :class:`RequestOutcome` to
 :func:`build_report`, which turns them into an :class:`SLOReport` — the
-JSON-ready record that lands in ``BENCH_store.json`` under ``replay``
-and in CI artifacts.  Latency is measured from the **scheduled arrival
-time**, not the send time: in an open-loop run, time a request spends
-waiting for a free client connection is server-induced queueing and
-must count against the SLO (measuring from send hides overload —
-coordinated omission).
+JSON-ready record ``repro replay run --report`` writes and CI uploads.
+Latency is measured from the **scheduled arrival time**, not the send
+time: in an open-loop run, time a request spends waiting for a free
+client connection is server-induced queueing and must count against the
+SLO (measuring from send hides overload — coordinated omission).
 
 :class:`SLO` declares the budget; :meth:`SLOReport.evaluate` renders
 the verdict (``ok`` / ``violated`` plus the violated clauses), so a

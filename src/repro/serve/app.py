@@ -9,9 +9,8 @@ Every serving number the repo reports comes from one chain —
 :class:`~repro.serve.supervisor.ServingRuntime` →
 :func:`~repro.serve.http.make_server` — and :class:`ServingApp` is the
 one place that assembles it and the one place that takes it apart.
-``repro serve``, the replay harness, the serve/replay test fixtures and
-the throughput bench all build through it, so a serving value exists
-either here or nowhere.
+``repro serve``, the replay harness and the serve/replay test fixtures
+all build through it, so a serving value exists either here or nowhere.
 """
 
 from __future__ import annotations

@@ -50,8 +50,6 @@ class TestCoutCost:
             def estimate(self, query):
                 return -5.0
 
-        from repro.baselines.base import CardinalityEstimator
-
         est = Negative()
         fn = estimator_cost_fn.__wrapped__ if hasattr(
             estimator_cost_fn, "__wrapped__"

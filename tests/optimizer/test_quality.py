@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.baselines import IndependenceEstimator
-from repro.baselines.base import CardinalityEstimator
+from repro.core.estimator import Estimator
 from repro.optimizer import plan_quality
 from repro.optimizer.quality import (
     PlanQualityReport,
@@ -21,7 +21,7 @@ def v(name):
     return Variable(name)
 
 
-class OracleEstimator(CardinalityEstimator):
+class OracleEstimator(Estimator):
     """Answers with the exact count — must plan perfectly."""
 
     name = "oracle"
@@ -33,7 +33,7 @@ class OracleEstimator(CardinalityEstimator):
         return float(count_query(self.store, query))
 
 
-class AdversarialEstimator(CardinalityEstimator):
+class AdversarialEstimator(Estimator):
     """Returns the negated true count, inverting every comparison."""
 
     name = "adversarial"

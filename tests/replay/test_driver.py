@@ -4,10 +4,21 @@ Clean replay, overload shedding with server-derived backoff, and
 deadline accounting.
 """
 
+import json
+import threading
+import time
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.replay import ReplayDriver, generate_trace
 from repro.replay.driver import _retry_after_s
+
+
+def _stats(server):
+    with urllib.request.urlopen(f"{server.url}/stats", timeout=10) as r:
+        return json.load(r)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +97,40 @@ class TestOverload:
         yield h
         h.close()
 
+    @pytest.fixture()
+    def gated_server(self, snapshot_dir, harness):
+        """The same under-provisioned server, but its first batch blocks
+        until the test sets the returned gate, so a burst finds the
+        queue full however fast the machine is."""
+        from repro.replay import ReplayHarness
+
+        h = ReplayHarness(
+            snapshot_dir,
+            harness.checkpoint_dir,
+            workers=1,
+            max_batch=2,
+            max_delay_ms=25.0,
+            max_queue=2,
+        )
+        gate, entered = threading.Event(), threading.Event()
+        estimate_batch = h.service.framework.estimate_batch
+
+        def gated(queries):
+            if not entered.is_set():
+                entered.set()
+                assert gate.wait(30.0)
+            return estimate_batch(queries)
+
+        h.backend.swap_primary(gated)
+        h.wait_ready()
+        yield h, gate
+        gate.set()
+        h.close()
+
     def test_sheds_and_honors_retry_after(
-        self, tiny_server, replay_store
+        self, gated_server, replay_store
     ):
+        server, gate = gated_server
         trace = generate_trace(
             replay_store,
             rate_qps=1500.0,
@@ -97,25 +139,36 @@ class TestOverload:
             seed=9,
             arrivals="uniform",
         )
+        # A deadline far past the retry hints: every outcome is a 200 or
+        # a 429, never a deadline miss, however slow the machine.
         driver = ReplayDriver(
-            tiny_server.host,
-            tiny_server.port,
-            deadline_s=5.0,
+            server.host,
+            server.port,
+            deadline_s=30.0,
             connections=16,
             max_retries=2,
         )
-        report, outcomes = driver.run(trace)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            running = pool.submit(driver.run, trace)
+            # While the gate is shut nothing completes, so a client's
+            # request is refused until it is shed on its third refusal
+            # (max_retries=2).  More than two refusals per connection
+            # therefore means some request retried and was shed.
+            deadline = time.monotonic() + 30.0
+            while _stats(server)["rejected"] <= 2 * driver.connections:
+                assert time.monotonic() < deadline, _stats(server)
+                time.sleep(0.05)
+            gate.set()
+            report, _ = running.result(120.0)
         # conservation: every request ends exactly one way
         assert (
             report.completed + report.shed + report.errors
             == report.requests
         )
         assert report.errors == 0, report.status_counts
-        # the queue of 2 cannot absorb a 1500 qps burst
-        assert report.shed > 0 or report.retries > 0
+        assert report.shed > 0
         # derived backoff reached the client and was honored
-        if report.shed:
-            assert report.retries > 0
+        assert report.retries > 0
 
     def test_deadline_misses_recorded(self, tiny_server, replay_store):
         trace = generate_trace(

@@ -1,8 +1,9 @@
 """`python -m repro serve` end-to-end: the real subprocess, real HTTP.
 
-The shape the CI `serving-smoke` job runs: save a snapshot, start the
-server against it, wait for /healthz, fire concurrent requests, and
-check the answers against the served checkpoint loaded client-side.
+Save a snapshot, start the server against it, wait for /healthz, fire
+concurrent requests, and check the answers against the served
+checkpoint loaded client-side; then drive a `--faults` plan given on
+the command line through a worker kill-storm.
 """
 
 import json
@@ -158,3 +159,30 @@ class TestServeCLI:
         )
         assert status == 400
         assert "error" in payload
+
+
+class TestServeFaultsCLI:
+    def test_kill_every_answers_every_request(
+        self, cli_serve, checkpoint_dir
+    ):
+        """``--faults`` JSON on the command line reaches the pool
+        workers: a kill-every-5th-request plan kills workers under 40
+        single-query requests, every one is still answered, and the
+        supervisor keeps a worker alive."""
+        _, url = cli_serve(
+            "--checkpoint",
+            str(checkpoint_dir),
+            "--workers",
+            "2",
+            "--faults",
+            '{"kill_every": 5}',
+        )
+        statuses = [
+            post(f"{url}/estimate", {"queries": [QUERY]})[0]
+            for _ in range(40)
+        ]
+        assert statuses == [200] * 40
+        with urllib.request.urlopen(f"{url}/healthz", timeout=30) as r:
+            pool = json.load(r)["pool"]
+        assert pool["deaths"] >= 1, pool
+        assert any(worker["alive"] for worker in pool["workers"]), pool

@@ -527,6 +527,50 @@ class TestMaintainCommands:
         assert "freshness:   pass" in out
         assert "next run:    noop" in out
 
+    def test_drift_warns_then_runs_incremental(self, tmp_path, capsys):
+        """A ~1% vocabulary-preserving delta after the first full run:
+        status warns and plans an incremental run, and the run is one."""
+        import json
+
+        import numpy as np
+
+        from repro.rdf import TripleStore
+        from repro.replay.harness import vocab_preserving_delta
+
+        snapshot, state, base = self.materialize(tmp_path, capsys)
+        assert main(base) == 0
+        capsys.readouterr()
+        store = TripleStore.load_snapshot(snapshot)
+        store.add_all(
+            vocab_preserving_delta(
+                store, len(store) // 100, np.random.default_rng(13)
+            )
+        )
+        live = tmp_path / "live"
+        store.save_snapshot(live)
+        on_live = [
+            str(live) if arg == str(snapshot) else arg for arg in base
+        ]
+        status_args = [
+            "maintain",
+            "status",
+            "--snapshot",
+            str(live),
+            "--state-dir",
+            str(state),
+            "--shapes",
+            "star:2",
+            "--json",
+        ]
+        assert main(status_args) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["freshness"]["status"] == "warn"
+        assert status["plan"]["full"] is False
+        assert main(on_live + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["action"] == "incremental"
+        assert report["run"] == 2
+
     def test_status_before_first_run(self, tmp_path, capsys):
         snapshot, state, _ = self.materialize(tmp_path, capsys)
         assert (
