@@ -28,25 +28,29 @@ Subcommands:
   ``/admin/reload`` for a zero-downtime swap.  The first run (or
   ``--full``) materializes everything from scratch; ``--dry-run``
   prints the plan without touching anything; ``maintain status``
-  reports the watermark, freshness verdict, and pending delta,
+  reports the watermark, freshness verdict, and pending delta.  Models
+  are grouped by size, fine-tuned for ``DEFAULT_FINETUNE_EPOCHS`` and
+  graded by the ``FreshnessPolicy()`` defaults,
 - ``serve``   — serve the batched estimation API over HTTP with
   micro-batching across concurrent requests (``POST /estimate``,
-  ``GET /healthz``, ``GET /stats``); attaches to a store snapshot
-  (``--snapshot DIR``), answers through an ``LMKG.save`` checkpoint
-  (``--checkpoint DIR``) or deterministic startup-fit defaults, and
-  optionally spreads estimation across *supervised* worker processes
-  that share the snapshot read-only (``--workers N``): dead or hung
-  workers (``--request-timeout``) are restarted with exponential
-  backoff under ``--restart-budget`` and their in-flight requests
-  retried on siblings.  Model-path failures degrade onto the
-  independence baseline behind a circuit breaker
-  (``--breaker-threshold`` / ``--breaker-reset-s``; ``--no-fallback``
-  disables), uncovered query shapes are 422'd at parse time
-  (``--no-admission`` disables), and ``POST /admin/reload`` or SIGHUP
-  hot-swaps the checkpoint with zero downtime.  ``--faults`` injects
-  deterministic chaos (see :mod:`repro.serve.faults`).
-  Micro-batching knobs: ``--max-batch``, ``--max-delay-ms``,
-  ``--max-queue``.  SIGTERM drains gracefully: new requests get 503,
+  ``GET /healthz``, ``GET /stats``).  Nine flags: ``--snapshot DIR``
+  (the store), ``--checkpoint DIR`` (an ``LMKG.save`` checkpoint; else
+  a deterministic startup fit of ``--fit-queries`` / ``--fit-epochs``,
+  kept with ``--save-checkpoint DIR``), ``--host`` / ``--port``,
+  ``--workers N`` (*supervised* worker processes sharing the snapshot
+  read-only) and ``--faults`` (deterministic chaos, see
+  :mod:`repro.serve.faults`).  Everything else is one fixed policy,
+  held by the class that owns it: micro-batching by
+  ``BatchScheduler.MAX_BATCH`` / ``MAX_DELAY_MS`` / ``MAX_QUEUE``; dead
+  or hung workers restarted with backoff and their requests retried on
+  siblings under ``SupervisedPool.REQUEST_TIMEOUT`` /
+  ``RESTART_BUDGET``; model-path failures degraded onto the
+  independence baseline behind a breaker of
+  ``CircuitBreaker.FAILURE_THRESHOLD`` / ``RESET_TIMEOUT_S``; uncovered
+  query shapes 422'd at parse time; ``/healthz`` freshness graded by
+  the ``FreshnessPolicy()`` defaults; no request log.
+  ``POST /admin/reload`` or SIGHUP hot-swaps the checkpoint with zero
+  downtime.  SIGTERM drains gracefully: new requests get 503,
   in-flight batches flush, then the process exits 0,
 - ``replay``  — prove the stack under fire (``repro.replay``):
   ``replay record`` generates a recorded trace (shape mixes,
@@ -78,7 +82,7 @@ Examples::
     python -m repro maintain status --snapshot /tmp/lubm_snap \
         --state-dir /tmp/lubm_maintain
     python -m repro serve --snapshot /tmp/lubm_snap --port 8310 \
-        --max-batch 128 --max-delay-ms 2 --workers 2
+        --workers 2
     python -m repro replay record --snapshot /tmp/lubm_snap \
         --rate 80 --duration 30 --out /tmp/lubm.trace
     python -m repro replay run --trace /tmp/lubm.trace \
@@ -452,7 +456,7 @@ def cmd_snapshot_info(args) -> int:
 
 
 def _make_maintenance_runner(args):
-    from repro.maintain import FreshnessPolicy, MaintenanceRunner
+    from repro.maintain import MaintenanceRunner
     from repro.rdf.columnar import SnapshotError
 
     if args.snapshot:
@@ -472,14 +476,8 @@ def _make_maintenance_runner(args):
         shapes=_parse_shapes(args.shapes),
         queries_per_shape=args.queries,
         epochs=args.epochs,
-        finetune_epochs=args.finetune_epochs,
         hidden_sizes=tuple(args.hidden),
         seed=args.seed,
-        grouping=args.grouping,
-        policy=FreshnessPolicy(
-            warn_after=args.freshness_warn,
-            error_after=args.freshness_error,
-        ),
     )
 
 
@@ -663,7 +661,6 @@ def _install_serve_signals(app):
 
 
 def cmd_serve(args) -> int:
-    from repro.maintain.freshness import FreshnessPolicy
     from repro.serve import (
         FaultSpec,
         FaultSpecError,
@@ -689,25 +686,11 @@ def cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            max_queue=args.max_queue,
             fit_defaults=FitDefaults(
                 queries_per_shape=args.fit_queries,
                 epochs=args.fit_epochs,
             ),
-            request_timeout=args.request_timeout,
-            restart_budget=args.restart_budget,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset_s=args.breaker_reset_s,
-            fallback=not args.no_fallback,
-            admission=not args.no_admission,
-            freshness_policy=FreshnessPolicy(
-                warn_after=args.freshness_warn,
-                error_after=args.freshness_error,
-            ),
             fault_spec=fault_spec,
-            quiet=not args.verbose,
         )
     except (ServiceError, SupervisorError) as exc:
         raise SystemExit(str(exc))
@@ -716,11 +699,7 @@ def cmd_serve(args) -> int:
     got_sigterm = _install_serve_signals(app)
     print(
         f"serving {len(app.service.store)} triples at "
-        f"{app.url} ({args.workers} worker(s), "
-        f"max_batch={args.max_batch}, "
-        f"max_delay={args.max_delay_ms} ms, "
-        f"fallback={'off' if args.no_fallback else 'independence'}, "
-        f"admission={'off' if args.no_admission else 'on'})",
+        f"{app.url} ({args.workers} worker(s))",
         flush=True,
     )
     try:
@@ -859,9 +838,6 @@ def cmd_replay_run(args) -> int:
             args.checkpoint,
             workers=args.workers,
             fit_defaults=FitDefaults(**fit_kwargs),
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            max_queue=args.max_queue,
             maintain_state_dir=args.maintain_state_dir,
             maintain_options={"shapes": shapes} if shapes else None,
             seed=args.seed,
@@ -1117,9 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_snap_info.set_defaults(func=cmd_snapshot_info)
 
-    from repro.maintain.finetune import DEFAULT_FINETUNE_EPOCHS
-    from repro.maintain.freshness import FreshnessPolicy
-
     p_maint = sub.add_parser(
         "maintain",
         help=(
@@ -1167,33 +1140,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="training epochs for a full materialization",
         )
         sub_parser.add_argument(
-            "--finetune-epochs",
-            type=int,
-            default=DEFAULT_FINETUNE_EPOCHS,
-            help="epochs per touched model on an incremental run",
-        )
-        sub_parser.add_argument(
             "--hidden", type=int, nargs="+", default=[64, 64]
         )
         sub_parser.add_argument("--seed", type=int, default=0)
-        sub_parser.add_argument(
-            "--grouping",
-            choices=("specialized", "type", "size", "single"),
-            default="size",
-            help="model grouping strategy (must stay fixed per state dir)",
-        )
-        sub_parser.add_argument(
-            "--freshness-warn",
-            type=int,
-            default=FreshnessPolicy.warn_after,
-            help="triple lag at which freshness degrades to warn",
-        )
-        sub_parser.add_argument(
-            "--freshness-error",
-            type=int,
-            default=FreshnessPolicy.error_after,
-            help="triple lag at which freshness degrades to error",
-        )
         sub_parser.add_argument(
             "--json",
             action="store_true",
@@ -1283,13 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-checkpoint",
         help="write the served framework to this checkpoint directory",
     )
-    from repro.serve import (
-        DEFAULT_HOST,
-        DEFAULT_PORT,
-        BatchScheduler,
-        CircuitBreaker,
-        SupervisedPool,
-    )
+    from repro.serve import DEFAULT_HOST, DEFAULT_PORT
 
     p_serve.add_argument("--host", default=DEFAULT_HOST)
     p_serve.add_argument(
@@ -1306,24 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
             "estimation worker processes sharing the snapshot "
             "(1 = in-process)"
         ),
-    )
-    p_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=BatchScheduler.MAX_BATCH,
-        help="flush a micro-batch once this many queries are pending",
-    )
-    p_serve.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=BatchScheduler.MAX_DELAY_MS,
-        help="longest a request waits to be co-batched",
-    )
-    p_serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=BatchScheduler.MAX_QUEUE,
-        help="pending-query capacity before requests get 429",
     )
     from repro.serve.service import (
         DEFAULT_FIT_EPOCHS,
@@ -1343,78 +1268,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="startup-fit training epochs (no --checkpoint)",
     )
     p_serve.add_argument(
-        "--request-timeout",
-        type=float,
-        default=SupervisedPool.REQUEST_TIMEOUT,
-        help=(
-            "seconds a worker may spend on one chunk before it is "
-            "declared hung and restarted (multi-worker mode)"
-        ),
-    )
-    p_serve.add_argument(
-        "--restart-budget",
-        type=int,
-        default=SupervisedPool.RESTART_BUDGET,
-        help="total worker restarts allowed over the server's lifetime",
-    )
-    p_serve.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=CircuitBreaker.FAILURE_THRESHOLD,
-        help=(
-            "consecutive model-path failures before the circuit "
-            "breaker opens and traffic degrades to the fallback"
-        ),
-    )
-    p_serve.add_argument(
-        "--breaker-reset-s",
-        type=float,
-        default=CircuitBreaker.RESET_TIMEOUT_S,
-        help="seconds the breaker stays open before a half-open probe",
-    )
-    p_serve.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help=(
-            "disable graceful degradation onto the independence "
-            "baseline (model-path failures then surface as errors)"
-        ),
-    )
-    p_serve.add_argument(
-        "--no-admission",
-        action="store_true",
-        help=(
-            "disable parse-time admission control by trained shape "
-            "(uncovered shapes then 422 after reaching the backend)"
-        ),
-    )
-    p_serve.add_argument(
-        "--freshness-warn",
-        type=int,
-        default=FreshnessPolicy.warn_after,
-        help=(
-            "triple lag between the served model's watermark and the "
-            "live store at which /healthz freshness degrades to warn"
-        ),
-    )
-    p_serve.add_argument(
-        "--freshness-error",
-        type=int,
-        default=FreshnessPolicy.error_after,
-        help="triple lag at which /healthz freshness degrades to error",
-    )
-    p_serve.add_argument(
         "--faults",
         help=(
             "chaos testing: a FaultSpec as inline JSON or a path to a "
             'JSON file, e.g. \'{"kill_every": 50}\' (worker kills need '
             "--workers > 1; in-process mode use fail_every/delay_ms)"
         ),
-    )
-    p_serve.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log every HTTP request",
     )
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1510,15 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--fit-queries", type=int, default=100)
     p_run.add_argument("--fit-epochs", type=int, default=4)
-    p_run.add_argument(
-        "--max-batch", type=int, default=BatchScheduler.MAX_BATCH
-    )
-    p_run.add_argument(
-        "--max-delay-ms", type=float, default=BatchScheduler.MAX_DELAY_MS
-    )
-    p_run.add_argument(
-        "--max-queue", type=int, default=BatchScheduler.MAX_QUEUE
-    )
     p_run.add_argument(
         "--deadline-s",
         type=float,

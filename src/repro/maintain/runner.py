@@ -35,18 +35,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import LMKG
-from repro.core.grouping import GroupingStrategy, make_grouping
+from repro.core.grouping import SizeGrouping
 from repro.core.lmkg_s import LMKGSConfig
 from repro.maintain.finetune import (
     DEFAULT_FINETUNE_EPOCHS,
     FinetuneReport,
     finetune_models,
 )
-from repro.maintain.freshness import (
-    FreshnessPolicy,
-    FreshnessStatus,
-    check_freshness,
-)
+from repro.maintain.freshness import FreshnessStatus, check_freshness
 from repro.maintain.planner import (
     MaintenancePlan,
     plan_maintenance,
@@ -111,7 +107,12 @@ class MaintenanceReport:
 
 
 class MaintenanceRunner:
-    """Materialize, then maintain, the estimator over a mutating store."""
+    """Materialize, then maintain, the estimator over a mutating store.
+
+    Models are always grouped by size (:class:`SizeGrouping`), so every
+    generation of a state directory routes queries the same way;
+    freshness is graded under the default :class:`FreshnessPolicy`.
+    """
 
     def __init__(
         self,
@@ -123,8 +124,6 @@ class MaintenanceRunner:
         finetune_epochs: int = DEFAULT_FINETUNE_EPOCHS,
         hidden_sizes: Tuple[int, ...] = (64, 64),
         seed: int = 0,
-        grouping: Union[str, GroupingStrategy] = "size",
-        policy: Optional[FreshnessPolicy] = None,
     ) -> None:
         self.store = store
         self.state_dir = Path(state_dir)
@@ -136,12 +135,7 @@ class MaintenanceRunner:
         self.finetune_epochs = finetune_epochs
         self.hidden_sizes = tuple(hidden_sizes)
         self.seed = seed
-        self.grouping: GroupingStrategy = (
-            grouping
-            if isinstance(grouping, GroupingStrategy)
-            else make_grouping(grouping)
-        )
-        self.policy = policy or FreshnessPolicy()
+        self.grouping = SizeGrouping()
 
     # ------------------------------------------------------------------
     # State-directory accessors
@@ -215,9 +209,7 @@ class MaintenanceRunner:
         )
 
     def freshness(self) -> FreshnessStatus:
-        return check_freshness(
-            self.watermark(), self.store, self.policy
-        )
+        return check_freshness(self.watermark(), self.store)
 
     def status(self) -> dict:
         """Watermark vs. live store, freshness verdict, delta summary."""

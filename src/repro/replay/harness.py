@@ -76,7 +76,7 @@ class ReplayHarness(ServingApp):
         maintain_options: kwargs forwarded to
             :class:`~repro.maintain.runner.MaintenanceRunner` (shapes,
             queries_per_shape, epochs, finetune_epochs, hidden_sizes,
-            seed, grouping).
+            seed).
         seed: seeds the ``mutate`` deltas.
         **serving: every other :class:`ServingApp` argument (``workers``
             > 1 is required for ``kill worker``); the port defaults to

@@ -10,7 +10,8 @@ Every serving number the repo reports comes from one chain —
 :func:`~repro.serve.http.make_server` — and :class:`ServingApp` is the
 one place that assembles it and the one place that takes it apart.
 ``repro serve``, the replay harness and the serve/replay test fixtures
-all build through it, so a serving value exists either here or nowhere.
+all build through it, in one configuration: every serving value is the
+default of the class that owns it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.serve.http import DEFAULT_HOST, DEFAULT_PORT, make_server
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.service import EstimatorService, FitDefaults
 from repro.serve.supervisor import (
-    CircuitBreaker,
     ResilientBackend,
     ServingRuntime,
     SupervisedPool,
@@ -53,15 +53,20 @@ class ServingApp:
             it.  A startup-fit behind a pool is checkpointed to a
             scratch directory when no path is given — workers rebuild
             the framework from disk.
+        host / port: where to listen (``port=0``: ephemeral).
         workers: > 1 serves through a :class:`SupervisedPool`.
-        fallback: degrade onto the independence baseline when the model
-            path is down.
-        admission: 422 uncovered query shapes at parse time.
+        fit_defaults: the startup-fit recipe when *checkpoint* is None.
         fault_spec: chaos testing; shipped to the workers of a pool,
             else injected into the in-process backend.
 
-    The remaining arguments are the constructor arguments of the layer
-    they configure, under the same names and defaults.
+    Every other serving value is the default of the layer that owns it
+    (``BatchScheduler.MAX_*``, ``SupervisedPool.REQUEST_TIMEOUT`` /
+    ``RESTART_BUDGET``, ``CircuitBreaker.FAILURE_THRESHOLD`` /
+    ``RESET_TIMEOUT_S``, ``FreshnessPolicy()``).  Model-path failures
+    always degrade onto the independence baseline and uncovered shapes
+    are always 422'd at parse time.  A test that needs another value
+    sets the layer's attribute after construction, e.g.
+    ``app.scheduler.max_queue = 1``.
     """
 
     def __init__(
@@ -73,19 +78,8 @@ class ServingApp:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         workers: int = 1,
-        max_batch: int = BatchScheduler.MAX_BATCH,
-        max_delay_ms: float = BatchScheduler.MAX_DELAY_MS,
-        max_queue: int = BatchScheduler.MAX_QUEUE,
         fit_defaults: Optional[FitDefaults] = None,
-        request_timeout: float = SupervisedPool.REQUEST_TIMEOUT,
-        restart_budget: int = SupervisedPool.RESTART_BUDGET,
-        breaker_threshold: int = CircuitBreaker.FAILURE_THRESHOLD,
-        breaker_reset_s: float = CircuitBreaker.RESET_TIMEOUT_S,
-        fallback: bool = True,
-        admission: bool = True,
-        freshness_policy=None,
         fault_spec: Optional[FaultSpec] = None,
-        quiet: bool = True,
     ) -> None:
         self.snapshot_dir = str(snapshot)
         self.pool = self.scheduler = self.server = None
@@ -126,33 +120,18 @@ class ServingApp:
                     self.snapshot_dir,
                     self.checkpoint_dir,
                     workers,
-                    request_timeout=request_timeout,
-                    restart_budget=restart_budget,
                     fault_spec=fault_spec,
                 )
                 primary = self.pool.estimate_batch
                 fault_spec = None  # the workers inject their own
             self.backend = ResilientBackend(
                 primary,
-                fallback=(
-                    IndependenceEstimator(
-                        self.service.store
-                    ).estimate_batch
-                    if fallback
-                    else None
-                ),
-                breaker=CircuitBreaker(
-                    failure_threshold=breaker_threshold,
-                    reset_timeout_s=breaker_reset_s,
-                ),
+                fallback=IndependenceEstimator(
+                    self.service.store
+                ).estimate_batch,
                 faults=fault_spec,
             )
-            self.scheduler = BatchScheduler(
-                self.backend,
-                max_batch=max_batch,
-                max_delay_ms=max_delay_ms,
-                max_queue=max_queue,
-            )
+            self.scheduler = BatchScheduler(self.backend)
             artifact = self.service.artifact
             self.runtime = ServingRuntime(
                 self.service,
@@ -168,15 +147,12 @@ class ServingApp:
                 ),
                 artifact=artifact,
                 checkpoint_dir=self.checkpoint_dir,
-                admission_enabled=admission,
-                freshness_policy=freshness_policy,
             )
             self.server = make_server(
                 self.service,
                 self.scheduler,
                 host=host,
                 port=port,
-                quiet=quiet,
                 runtime=self.runtime,
             )
         except BaseException:

@@ -24,10 +24,9 @@ concurrent requests into batched ``estimate_batch`` calls.  Routes:
   :class:`~repro.serve.supervisor.ServingRuntime.reload`).  A checkpoint
   that fails the artifact gate is a 409 with the typed ``reason``
   (``corrupt`` / ``checksum`` / ``incompatible`` / ...) and the old
-  checkpoint keeps serving; servers started without a runtime answer
-  501.
-- ``GET /healthz`` — liveness, the served graph/model summary, and (with
-  a runtime) the fault-tolerance surface: checkpoint generation + schema
+  checkpoint keeps serving.
+- ``GET /healthz`` — liveness, the served graph/model summary, and the
+  fault-tolerance surface: checkpoint generation + schema
   version, per-worker liveness/restart counts, circuit-breaker state,
   and the dbt-sources-style ``freshness`` block (model generation vs.
   store generation, triple lag classified pass/warn/error against the
@@ -35,7 +34,8 @@ concurrent requests into batched ``estimate_batch`` calls.  Routes:
 - ``GET /stats`` — scheduler counters and latency percentiles.
 
 Everything else is a 404.  The server never dies on a bad request: all
-errors are JSON responses with the matching status code.
+errors are JSON responses with the matching status code.  Requests are
+not logged.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ _BAD_BODY = object()
 
 
 class EstimatorHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service + scheduler."""
+    """ThreadingHTTPServer carrying the service, scheduler and runtime."""
 
     daemon_threads = True
     #: socketserver's default listen backlog of 5 resets connections
@@ -86,13 +86,11 @@ class EstimatorHTTPServer(ThreadingHTTPServer):
         address: Tuple[str, int],
         service: EstimatorService,
         scheduler: BatchScheduler,
-        quiet: bool = True,
-        runtime: Optional[ServingRuntime] = None,
+        runtime: ServingRuntime,
     ) -> None:
         super().__init__(address, _Handler)
         self.service = service
         self.scheduler = scheduler
-        self.quiet = quiet
         self.runtime = runtime
         self.started_at = time.monotonic()
         self._inflight = 0
@@ -158,8 +156,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             }
             payload.update(self.server.service.describe())
-            if self.server.runtime is not None:
-                payload.update(self.server.runtime.healthz_extras())
+            payload.update(self.server.runtime.healthz_extras())
             self._send_json(200, payload)
         elif self.path == "/stats":
             self._send_json(200, self.server.scheduler.stats())
@@ -202,22 +199,20 @@ class _Handler(BaseHTTPRequestHandler):
         except ParseError as exc:
             self._send_json(400, {"error": f"bad query: {exc}"})
             return
-        runtime = self.server.runtime
-        if runtime is not None and runtime.admission is not None:
-            try:
-                runtime.admission.admit_all(queries)
-            except AdmissionError as exc:
-                # Rejected at parse time: the doomed query never costs
-                # a queue slot or a worker round trip.
-                self._send_json(
-                    422,
-                    {
-                        "error": str(exc),
-                        "reason": exc.reason,
-                        "query_index": exc.query_index,
-                    },
-                )
-                return
+        try:
+            self.server.runtime.admission.admit_all(queries)
+        except AdmissionError as exc:
+            # Rejected at parse time: the doomed query never costs a
+            # queue slot or a worker round trip.
+            self._send_json(
+                422,
+                {
+                    "error": str(exc),
+                    "reason": exc.reason,
+                    "query_index": exc.query_index,
+                },
+            )
+            return
         try:
             values, meta = self.server.scheduler.submit_with_meta(
                 queries
@@ -271,19 +266,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_reload(self) -> None:
         """``POST /admin/reload`` — zero-downtime checkpoint swap."""
-        runtime = self.server.runtime
         body = self._read_body(allow_empty=True)
         if body is _BAD_BODY:
             return  # error response already sent
-        if runtime is None:
-            self._send_json(
-                501,
-                {
-                    "error": "this server was started without a "
-                    "ServingRuntime; hot-reload is unavailable"
-                },
-            )
-            return
         checkpoint = None
         snapshot = None
         if body:
@@ -318,7 +303,9 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
         try:
-            summary = runtime.reload(checkpoint, snapshot_dir=snapshot)
+            summary = self.server.runtime.reload(
+                checkpoint, snapshot_dir=snapshot
+            )
         except ArtifactError as exc:
             # Typed gate rejection; the old checkpoint keeps serving.
             self._send_json(
@@ -420,8 +407,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:
-            super().log_message(format, *args)
+        pass
 
 
 def make_server(
@@ -429,17 +415,15 @@ def make_server(
     scheduler: BatchScheduler,
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
-    quiet: bool = True,
-    runtime: Optional[ServingRuntime] = None,
+    *,
+    runtime: ServingRuntime,
 ) -> EstimatorHTTPServer:
     """Bind (but do not run) the estimation endpoint.
 
     ``port=0`` binds an ephemeral port (tests); the bound address is
     ``server.server_address``.  Call ``serve_forever()`` to run and
-    ``shutdown()`` from another thread to stop.  With a *runtime*,
-    ``POST /admin/reload`` and the fault-tolerance ``/healthz`` surface
-    are enabled.
+    ``shutdown()`` from another thread to stop.  *runtime* answers
+    ``POST /admin/reload``, admission and the fault-tolerance
+    ``/healthz`` surface.
     """
-    return EstimatorHTTPServer(
-        (host, port), service, scheduler, quiet, runtime=runtime
-    )
+    return EstimatorHTTPServer((host, port), service, scheduler, runtime)

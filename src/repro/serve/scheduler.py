@@ -129,8 +129,7 @@ class BatchScheduler:
     is gone (see ``benchmarks/README.md``, Serving).
     """
 
-    #: the batching policy defaults; :mod:`repro.serve.app` and the CLI
-    #: read them from here instead of restating the literals.
+    #: the batching policy every server runs with (no flag overrides it).
     MAX_BATCH = 64
     MAX_DELAY_MS = 2.0
     MAX_QUEUE = 4096

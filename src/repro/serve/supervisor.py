@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import multiprocessing
+import os
 import threading
 import time
 import traceback
@@ -62,7 +64,7 @@ from typing import (
 import numpy as np
 
 from repro.core.framework import EstimationError
-from repro.rdf.parallel import resolve_context
+from repro.rdf.parallel import available_cpus
 from repro.rdf.pattern import QueryPattern
 from repro.serve.admission import ShapeManifest
 from repro.serve.artifacts import CheckpointArtifact, load_checkpoint
@@ -149,6 +151,40 @@ def _worker_main(
             return
 
 
+#: the BLAS thread-count variables a worker is spawned with.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+#: serializes the environment edit around a worker's start(): a
+#: restart racing a reload, or two pools, must not undo each other's.
+_SPAWN_ENV_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _blas_thread_budget(workers: int):
+    """Set each unset :data:`BLAS_THREAD_VARS` to the cores one of
+    *workers* workers may use, for a child started inside the block.
+
+    A spawned worker reads its environment before numpy loads, and
+    BLAS sizes its thread pool from it once: N workers each threading
+    over every core oversubscribe the machine N times.  A value already
+    set in this process wins.
+    """
+    budget = str(max(1, available_cpus() // workers))
+    with _SPAWN_ENV_LOCK:
+        unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+        for name in unset:
+            os.environ[name] = budget
+        try:
+            yield
+        finally:
+            for name in unset:
+                os.environ.pop(name, None)
+
+
 # Worker slot states.
 _STARTING = "starting"
 _READY = "ready"
@@ -216,12 +252,15 @@ class SupervisedPool:
             lifetime; beyond it a slot is permanently failed (and with
             every slot failed, :class:`NoWorkersError` surfaces to the
             caller — typically into the circuit breaker).
-        backoff_base / backoff_max: restart delay is
-            ``min(backoff_base * 2**(consecutive_failures - 1),
-            backoff_max)`` per slot, so a crash-looping worker does not
-            spin the supervisor.
+        backoff_base: restart delay is ``min(backoff_base *
+            2**(consecutive_failures - 1), BACKOFF_MAX_S)`` per slot, so
+            a crash-looping worker does not spin the supervisor.
         fault_spec: optional :class:`FaultSpec` shipped to every worker
             (chaos testing).
+
+    Each worker is spawned with :data:`BLAS_THREAD_VARS` set to
+    ``available_cpus() // workers`` (at least 1) unless this process
+    already sets them.
     """
 
     #: a chunk stranded by worker deaths is retried at most this many
@@ -229,10 +268,14 @@ class SupervisedPool:
     #: kills every worker on every request).
     MAX_CHUNK_RETRIES = 16
 
-    #: supervision defaults; :mod:`repro.serve.app` and the CLI read
-    #: them from here instead of restating the literals.
+    #: the supervision policy every server runs with (no flag overrides
+    #: it).
     REQUEST_TIMEOUT = 30.0
     RESTART_BUDGET = 16
+    #: ceiling of the exponential restart backoff.
+    BACKOFF_MAX_S = 5.0
+    #: how long a whole worker set may take to attach and handshake.
+    STARTUP_TIMEOUT_S = 120.0
 
     def __init__(
         self,
@@ -242,10 +285,7 @@ class SupervisedPool:
         request_timeout: float = REQUEST_TIMEOUT,
         restart_budget: int = RESTART_BUDGET,
         backoff_base: float = 0.2,
-        backoff_max: float = 5.0,
         fault_spec: Optional[FaultSpec] = None,
-        mp_context=None,
-        startup_timeout: float = 120.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -257,9 +297,7 @@ class SupervisedPool:
         self.request_timeout = request_timeout
         self.restart_budget = restart_budget
         self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self.fault_spec = fault_spec
-        self.startup_timeout = startup_timeout
         # Spawn, not fork: restarts and blue-green reloads create
         # workers from the supervisor thread while scheduler/HTTP
         # threads are live, and a fork taken then can inherit held
@@ -267,9 +305,7 @@ class SupervisedPool:
         # checkpoint load — as well as inheriting the listening socket
         # and sibling pipe fds.  A spawned worker starts from a clean
         # interpreter with only its own pipe.
-        self._context = resolve_context(
-            mp_context if mp_context is not None else "spawn"
-        )
+        self._context = multiprocessing.get_context("spawn")
         #: serializes estimate_batch callers and reload's set swap.
         #: Re-entrant so whoever labels answers with a generation can
         #: hold it from reading the label to the end of the dispatch
@@ -283,7 +319,9 @@ class SupervisedPool:
         self._deaths = 0
         self._timeouts = 0
         self._chunk_retries = 0
-        self._workers = self._spawn_set(self.checkpoint_dir)
+        self._workers = self._spawn_set(
+            self.checkpoint_dir, self.snapshot_dir
+        )
         self._supervisor = threading.Thread(
             target=self._supervise,
             name="repro-pool-supervisor",
@@ -296,16 +334,17 @@ class SupervisedPool:
     # ------------------------------------------------------------------
 
     def _spawn_worker(
-        self, worker: _Worker, checkpoint_dir: str
+        self, worker: _Worker, checkpoint_dir: str, snapshot_dir: str
     ) -> None:
-        """Start *worker*'s process; state stays ``_STARTING`` until the
-        handshake is consumed by :meth:`_await_handshake`."""
+        """Start *worker*'s process on one (checkpoint, snapshot) pair;
+        state stays ``_STARTING`` until the handshake is consumed by
+        :meth:`_await_handshake`."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
             args=(
                 worker.id,
-                self.snapshot_dir,
+                snapshot_dir,
                 checkpoint_dir,
                 child_conn,
                 self.fault_spec.to_dict() if self.fault_spec else None,
@@ -313,7 +352,8 @@ class SupervisedPool:
             name=f"repro-serve-worker-{worker.id}",
             daemon=True,
         )
-        process.start()
+        with _blas_thread_budget(self.workers):
+            process.start()
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn
@@ -334,7 +374,9 @@ class SupervisedPool:
             return None
         return str(detail)
 
-    def _spawn_set(self, checkpoint_dir: str) -> List[_Worker]:
+    def _spawn_set(
+        self, checkpoint_dir: str, snapshot_dir: str
+    ) -> List[_Worker]:
         """Spawn and handshake a complete worker set (startup/reload).
 
         All-or-nothing: any attach failure kills the partial set and
@@ -344,8 +386,8 @@ class SupervisedPool:
         workers = [_Worker(i) for i in range(self.workers)]
         try:
             for worker in workers:
-                self._spawn_worker(worker, checkpoint_dir)
-            deadline = time.monotonic() + self.startup_timeout
+                self._spawn_worker(worker, checkpoint_dir, snapshot_dir)
+            deadline = time.monotonic() + self.STARTUP_TIMEOUT_S
             for worker in workers:
                 error = self._await_handshake(
                     worker, max(0.1, deadline - time.monotonic())
@@ -408,12 +450,18 @@ class SupervisedPool:
                     self._restarts_used += 1
                     worker.restarts += 1
                     worker.state = _STARTING
+                # The pair the serving set was started on: reload moves
+                # both only at its flip, so a restart during a reload's
+                # spawn still attaches the old set's store.
                 checkpoint_dir = self.checkpoint_dir
+                snapshot_dir = self.snapshot_dir
             for worker in due:
                 if worker.state != _STARTING:
                     continue
                 try:
-                    self._spawn_worker(worker, checkpoint_dir)
+                    self._spawn_worker(
+                        worker, checkpoint_dir, snapshot_dir
+                    )
                     error = self._await_handshake(worker, 60.0)
                 except BaseException:
                     error = traceback.format_exc()
@@ -439,11 +487,14 @@ class SupervisedPool:
     def _backoff(self, consecutive_failures: int) -> float:
         return min(
             self.backoff_base * (2 ** max(consecutive_failures - 1, 0)),
-            self.backoff_max,
+            self.BACKOFF_MAX_S,
         )
 
-    def _declare_dead(self, worker: _Worker, reason: str) -> None:
-        """Kill + mark a worker dead (state lock held by caller)."""
+    def _declare_dead(
+        self, worker: _Worker, reason: str, timed_out: bool = False
+    ) -> None:
+        """Kill + mark a worker dead (state lock held by caller);
+        *timed_out* counts it as a hung worker."""
         worker.kill()
         worker.consecutive_failures += 1
         worker.not_before = time.monotonic() + self._backoff(
@@ -454,7 +505,7 @@ class SupervisedPool:
         worker.state = _DEAD
         worker.last_error = reason
         self._deaths += 1
-        if "timeout" in reason:
+        if timed_out:
             self._timeouts += 1
         self._state_cv.notify_all()
 
@@ -490,11 +541,13 @@ class SupervisedPool:
         outstanding: Dict[int, _Worker] = {}  # offset -> worker
         pending_error: Optional[BaseException] = None
 
-        def requeue(worker: _Worker, reason: str) -> None:
+        def requeue(
+            worker: _Worker, reason: str, timed_out: bool = False
+        ) -> None:
             nonlocal pending_error
             offset, chunk, retries = worker.task
             outstanding.pop(offset, None)
-            self._declare_dead(worker, reason)
+            self._declare_dead(worker, reason, timed_out)
             self._chunk_retries += 1
             if retries + 1 > self.MAX_CHUNK_RETRIES:
                 pending_error = pending_error or SupervisorError(
@@ -584,6 +637,7 @@ class SupervisedPool:
                             f"request timeout "
                             f"({self.request_timeout:.1f}s) — worker "
                             "hung",
+                            timed_out=True,
                         )
                     elif (
                         worker.process is None
@@ -621,22 +675,23 @@ class SupervisedPool:
         different snapshot — the maintenance path, which publishes a
         fresh snapshot with every checkpoint generation because a
         fine-tuned checkpoint only gate-checks against the graph it
-        was fine-tuned on.  The old set keeps serving the old snapshot
-        until the flip, and a failed spawn restores it for restarts.
+        was fine-tuned on.  The pool's (checkpoint, snapshot) pair moves
+        at the flip, so an old-set worker restarted before it attaches
+        the old pair.
         """
-        old_snapshot = self.snapshot_dir
-        if snapshot_dir is not None:
-            self.snapshot_dir = str(snapshot_dir)
-        try:
-            new_workers = self._spawn_set(str(checkpoint_dir))
-        except BaseException:
-            self.snapshot_dir = old_snapshot
-            raise
+        checkpoint_dir = str(checkpoint_dir)
+        snapshot_dir = (
+            str(snapshot_dir)
+            if snapshot_dir is not None
+            else self.snapshot_dir
+        )
+        new_workers = self._spawn_set(checkpoint_dir, snapshot_dir)
         with self.dispatch_lock:
             with self._state_cv:
                 old_workers = self._workers
                 self._workers = new_workers
-                self.checkpoint_dir = str(checkpoint_dir)
+                self.checkpoint_dir = checkpoint_dir
+                self.snapshot_dir = snapshot_dir
                 self._set_generation += 1
                 generation = self._set_generation
                 self._state_cv.notify_all()
@@ -712,8 +767,7 @@ class CircuitBreaker:
     tests drive the schedule deterministically.
     """
 
-    #: breaker defaults; :mod:`repro.serve.app` and the CLI read them
-    #: from here instead of restating the literals.
+    #: the breaker policy every server runs with (no flag overrides it).
     FAILURE_THRESHOLD = 3
     RESET_TIMEOUT_S = 5.0
 
@@ -807,7 +861,7 @@ class ResilientBackend:
     """The scheduler-facing backend with degradation and generations.
 
     Wraps a primary ``estimate_batch`` callable (a framework or a
-    :class:`SupervisedPool`) and an optional fallback.  Calls return
+    :class:`SupervisedPool`) and a fallback.  Calls return
     ``(values, meta)`` where ``meta`` records the checkpoint
     ``generation`` that computed the batch, whether it was ``degraded``
     (fallback-served), and which ``backend`` ran — captured atomically
@@ -829,10 +883,9 @@ class ResilientBackend:
     def __init__(
         self,
         primary: Callable[[List], np.ndarray],
-        fallback: Optional[Callable[[List], np.ndarray]] = None,
+        fallback: Callable[[List], np.ndarray],
         breaker: Optional[CircuitBreaker] = None,
         faults: Optional[FaultSpec] = None,
-        generation: int = 1,
     ) -> None:
         self._lock = threading.Lock()
         self._primary = primary
@@ -841,7 +894,7 @@ class ResilientBackend:
         self._injector = (
             FaultInjector(faults) if faults and faults.enabled else None
         )
-        self._generation = generation
+        self._generation = 1
         self._call_lock = contextlib.nullcontext()
         self._primary_batches = 0
         self._degraded_batches = 0
@@ -875,12 +928,7 @@ class ResilientBackend:
         with self._lock:
             fn = self._primary
             generation = self._generation
-        route = (
-            self.breaker.route()
-            if self._fallback is not None
-            else "primary"
-        )
-        if route != "primary":
+        if self.breaker.route() != "primary":
             return self._run_fallback(queries, generation, cause=None)
         try:
             if self._injector is not None:
@@ -890,8 +938,6 @@ class ResilientBackend:
             raise
         except Exception as exc:  # noqa: BLE001 — classified below
             self.breaker.record_failure()
-            if self._fallback is None:
-                raise
             if (
                 isinstance(exc, _INFRASTRUCTURE_ERRORS)
                 or self.breaker.is_open
@@ -948,7 +994,8 @@ class ResilientBackend:
                 "generation": self._generation,
                 "primary_batches": self._primary_batches,
                 "degraded_batches": self._degraded_batches,
-                "fallback_available": self._fallback is not None,
+                # A fallback always exists; the key keeps /healthz's shape.
+                "fallback_available": True,
             }
         snapshot["circuit_breaker"] = self.breaker.state_dict()
         return snapshot
@@ -970,11 +1017,11 @@ class ServingRuntime:
         service,
         scheduler,
         backend: ResilientBackend,
+        *,
+        admission: ShapeManifest,
         pool: Optional[SupervisedPool] = None,
-        admission: Optional[ShapeManifest] = None,
         artifact: Optional[CheckpointArtifact] = None,
         checkpoint_dir: Union[str, Path, None] = None,
-        admission_enabled: bool = True,
         freshness_policy=None,
     ) -> None:
         self.service = service
@@ -985,8 +1032,8 @@ class ServingRuntime:
             # reload() flips pool and backend together under this lock.
             backend.serialize_with(pool.dispatch_lock)
         self.artifact = artifact
-        self.admission_enabled = admission_enabled
-        self.admission = admission if admission_enabled else None
+        #: the trained-shape manifest requests are admitted against.
+        self.admission = admission
         self.checkpoint_dir = (
             str(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -1062,8 +1109,7 @@ class ServingRuntime:
                 self.service.store = store
                 self.service.framework = framework
                 self.artifact = artifact
-                if self.admission_enabled:
-                    self.admission = artifact.shapes
+                self.admission = artifact.shapes
                 self.checkpoint_dir = path
                 self.reloads += 1
 
@@ -1134,9 +1180,8 @@ class ServingRuntime:
             "backend": self.backend.stats(),
             "reloads": self.reloads,
             "freshness": self.freshness(),
+            "admitted_shapes": self.admission.to_dict(),
         }
-        if self.admission is not None:
-            payload["admitted_shapes"] = self.admission.to_dict()
         if self.pool is not None:
             payload["pool"] = self.pool.stats()
         else:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.maintain import (
-    FreshnessPolicy,
-    MaintenanceError,
-    MaintenanceRunner,
-)
+from repro.maintain import MaintenanceError, MaintenanceRunner
 from repro.rdf.fastcount import count_query
 from repro.serve.artifacts import load_checkpoint
 
@@ -20,8 +16,6 @@ def make_runner(store, state_dir, **overrides):
         finetune_epochs=1,
         hidden_sizes=(16, 16),
         seed=0,
-        grouping="size",
-        policy=FreshnessPolicy(warn_after=1, error_after=10_000),
     )
     options.update(overrides)
     return MaintenanceRunner(store, state_dir, **options)

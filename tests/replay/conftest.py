@@ -55,8 +55,6 @@ def harness(snapshot_dir):
         snapshot_dir,
         workers=2,
         fit_defaults=FIT,
-        max_batch=64,
-        max_delay_ms=2.0,
         maintain_options={"shapes": FIT.shapes, "queries_per_shape": 40},
         seed=0,
     )

@@ -77,22 +77,23 @@ class TestCleanReplay:
         )
 
 
+def under_provisioned(snapshot_dir, checkpoint_dir):
+    """One worker thread, batch of 2, a 25 ms window, queue of 2 —
+    on a checkpoint that already exists, so no refit."""
+    from repro.replay import ReplayHarness
+
+    h = ReplayHarness(snapshot_dir, checkpoint_dir, workers=1)
+    h.scheduler.max_batch = 2
+    h.scheduler.max_delay = 0.025
+    h.scheduler.max_queue = 2
+    return h
+
+
 class TestOverload:
     @pytest.fixture(scope="class")
     def tiny_server(self, snapshot_dir, harness):
-        """A deliberately under-provisioned server: one worker thread,
-        batch of 2, queue of 2 — reuses the session checkpoint so no
-        refit."""
-        from repro.replay import ReplayHarness
-
-        h = ReplayHarness(
-            snapshot_dir,
-            harness.checkpoint_dir,
-            workers=1,
-            max_batch=2,
-            max_delay_ms=25.0,
-            max_queue=2,
-        )
+        """A deliberately under-provisioned server."""
+        h = under_provisioned(snapshot_dir, harness.checkpoint_dir)
         h.wait_ready()
         yield h
         h.close()
@@ -102,16 +103,7 @@ class TestOverload:
         """The same under-provisioned server, but its first batch blocks
         until the test sets the returned gate, so a burst finds the
         queue full however fast the machine is."""
-        from repro.replay import ReplayHarness
-
-        h = ReplayHarness(
-            snapshot_dir,
-            harness.checkpoint_dir,
-            workers=1,
-            max_batch=2,
-            max_delay_ms=25.0,
-            max_queue=2,
-        )
+        h = under_provisioned(snapshot_dir, harness.checkpoint_dir)
         gate, entered = threading.Event(), threading.Event()
         estimate_batch = h.service.framework.estimate_batch
 

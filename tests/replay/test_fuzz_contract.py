@@ -251,7 +251,6 @@ class TestDegradedConformance:
             harness.checkpoint_dir,
             workers=2,
             fault_spec=FaultSpec(fail_every=2),
-            max_delay_ms=1.0,
         )
         h.wait_ready()
         yield h

@@ -54,16 +54,20 @@ def star_queries(service):
 
 @pytest.fixture()
 def gated_app(snapshot_dir, checkpoint_dir):
-    """``gated_app(first_only=..., **serving)`` -> ``(app, gate, entered)``:
+    """``gated_app(first_only=..., **policy)`` -> ``(app, gate, entered)``:
     a started ServingApp whose model path sets *entered* and then
     blocks until *gate* is set — on every batch, or on the first only.
-    Released and closed at teardown."""
+    *policy* overrides scheduler attributes (``max_batch``,
+    ``max_delay`` in seconds, ``max_queue``).  Released and closed at
+    teardown."""
     built = []
 
-    def build(*, first_only, **serving):
+    def build(*, first_only, **policy):
         gate, entered = threading.Event(), threading.Event()
-        app = ServingApp(snapshot_dir, checkpoint_dir, port=0, **serving)
+        app = ServingApp(snapshot_dir, checkpoint_dir, port=0)
         built.append((app, gate))
+        for name, value in policy.items():
+            setattr(app.scheduler, name, value)
         estimate_batch = app.service.framework.estimate_batch
 
         def gated(queries):

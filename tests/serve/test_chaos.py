@@ -37,17 +37,12 @@ def v2_checkpoint(service, tmp_path_factory):
 @pytest.fixture(scope="module")
 def stack(snapshot_dir, v2_checkpoint):
     """Pool-backed serving stack (the `--workers N` production shape)."""
-    app = ServingApp(
-        snapshot_dir,
-        v2_checkpoint,
-        port=0,
-        workers=2,
-        restart_budget=64,
-        max_delay_ms=1.0,
-        max_queue=8192,
-    )
-    # The storms kill a worker every 0.4 s: restart faster than that.
+    app = ServingApp(snapshot_dir, v2_checkpoint, port=0, workers=2)
+    # The storms kill a worker every 0.4 s: restart faster than that,
+    # as often as it takes, and queue every client of a 50-client storm.
     app.pool.backoff_base = 0.05
+    app.pool.restart_budget = 64
+    app.scheduler.max_queue = 8192
     app.start()
     yield {
         "addr": (app.host, app.port),
@@ -291,7 +286,7 @@ class TestReloadUnderLoad:
         from repro.serve import default_framework
 
         app = ServingApp(
-            snapshot_dir, v2_checkpoint, port=0, workers=2, max_delay_ms=1.0
+            snapshot_dir, v2_checkpoint, port=0, workers=2
         ).start()
         addr = (app.host, app.port)
         stop = threading.Event()

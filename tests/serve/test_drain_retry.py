@@ -93,7 +93,7 @@ class TestDerivedRetryAfter:
 
     def test_http_429_carries_derived_backoff(self, gated_app):
         app, gate, entered = gated_app(
-            first_only=True, max_batch=1, max_delay_ms=1000.0, max_queue=1
+            first_only=True, max_batch=1, max_delay=1.0, max_queue=1
         )
         host, port = app.host, app.port
         from concurrent.futures import ThreadPoolExecutor
@@ -133,13 +133,7 @@ class TestDrainStateMachine:
     def draining_server(self, snapshot_dir, checkpoint_dir):
         from repro.serve import ServingApp
 
-        app = ServingApp(
-            snapshot_dir,
-            checkpoint_dir,
-            port=0,
-            max_batch=8,
-            max_delay_ms=1.0,
-        ).start()
+        app = ServingApp(snapshot_dir, checkpoint_dir, port=0).start()
         yield app.server
         app.close()
 
@@ -159,9 +153,7 @@ class TestDrainStateMachine:
     def test_wait_inflight_blocks_until_request_finishes(
         self, gated_app
     ):
-        app, gate, entered = gated_app(
-            first_only=False, max_batch=8, max_delay_ms=1.0
-        )
+        app, gate, entered = gated_app(first_only=False)
         srv = app.server
         from concurrent.futures import ThreadPoolExecutor
 

@@ -2,7 +2,6 @@
 
 import json
 import shutil
-import threading
 import urllib.error
 import urllib.request
 
@@ -13,7 +12,6 @@ from repro.serve import (
     ResilientBackend,
     ServingApp,
     ServingRuntime,
-    make_server,
 )
 from repro.serve.artifacts import save_checkpoint
 from repro.serve.faults import corrupt_checkpoint
@@ -34,9 +32,7 @@ def v2_checkpoint(service, tmp_path_factory):
 @pytest.fixture()
 def stack(snapshot_dir, v2_checkpoint):
     """A full runtime-backed server (in-process primary, no pool)."""
-    app = ServingApp(
-        snapshot_dir, v2_checkpoint, port=0, max_batch=32, max_delay_ms=1.0
-    ).start()
+    app = ServingApp(snapshot_dir, v2_checkpoint, port=0).start()
     yield app.url, app.runtime
     app.close()
 
@@ -155,36 +151,21 @@ class TestReloadEndpoint:
         assert runtime.generation == generation
 
 
-class TestReloadWithoutRuntime:
-    def test_501_when_runtime_absent(self, service):
-        scheduler = BatchScheduler(
-            service.framework.estimate_batch, max_delay_ms=1.0
-        )
-        server = make_server(service, scheduler, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            status, payload = post(
-                f"http://{host}:{port}/admin/reload"
-            )
-            assert status == 501
-        finally:
-            server.shutdown()
-            server.server_close()
-            scheduler.close()
-            thread.join(5.0)
-
-
 class TestRuntimeNoPath:
     def test_reload_error_without_any_checkpoint(self, service):
-        from repro.serve import ReloadError
+        from repro.serve import ReloadError, ShapeManifest
 
-        backend = ResilientBackend(service.framework.estimate_batch)
-        scheduler = BatchScheduler(backend, max_delay_ms=1.0)
-        runtime = ServingRuntime(service, scheduler, backend)
+        backend = ResilientBackend(
+            service.framework.estimate_batch,
+            fallback=service.framework.estimate_batch,
+        )
+        scheduler = BatchScheduler(backend)
+        runtime = ServingRuntime(
+            service,
+            scheduler,
+            backend,
+            admission=ShapeManifest.from_framework(service.framework),
+        )
         try:
             with pytest.raises(ReloadError):
                 runtime.reload()

@@ -44,15 +44,10 @@ def runtime_factory(snapshot_dir, fit_defaults):
 
     def build(checkpoint_dir=None, policy=None):
         app = ServingApp(
-            snapshot_dir,
-            checkpoint_dir,
-            port=0,
-            fit_defaults=fit_defaults,
-            max_batch=8,
-            max_delay_ms=1.0,
-            freshness_policy=policy,
+            snapshot_dir, checkpoint_dir, port=0, fit_defaults=fit_defaults
         )
         apps.append(app)
+        app.runtime.freshness_policy = policy
         return app.runtime
 
     yield build
@@ -124,9 +119,7 @@ class TestFreshnessVerdicts:
 
 @pytest.fixture()
 def stack(snapshot_dir, marked_checkpoint):
-    app = ServingApp(
-        snapshot_dir, marked_checkpoint, port=0, max_delay_ms=1.0
-    ).start()
+    app = ServingApp(snapshot_dir, marked_checkpoint, port=0).start()
     yield app.url, app.runtime
     app.close()
 

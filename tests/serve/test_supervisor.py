@@ -2,14 +2,17 @@
 
 import os
 import signal
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.framework import EstimationError
+from repro.rdf.parallel import available_cpus
 from repro.serve.faults import FaultSpec
 from repro.serve.supervisor import (
+    BLAS_THREAD_VARS,
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
@@ -197,14 +200,6 @@ class TestResilientBackend:
         values, meta = backend(["q"])
         assert meta["degraded"] is True
         assert calls["primary"] == before
-
-    def test_no_fallback_always_raises(self):
-        def primary(queries):
-            raise SupervisorError("down")
-
-        backend = ResilientBackend(primary, fallback=None)
-        with pytest.raises(SupervisorError):
-            backend(["q"])
 
     def test_fallback_failure_reraises_primary_cause(self):
         def primary(queries):
@@ -423,3 +418,95 @@ class TestSupervisedPoolFaults:
             ), pool.stats()
             with pytest.raises(NoWorkersError):
                 pool.estimate_batch(star_queries[:2])
+
+
+@pytest.fixture(scope="module")
+def generation_two(snapshot_dir, checkpoint_dir, tmp_path_factory):
+    """The (snapshot, checkpoint) pair a maintenance cycle publishes:
+    50 more triples than the session pair, so neither half loads
+    against the other half of the other pair."""
+    from repro.rdf.store import TripleStore
+    from repro.replay.harness import vocab_preserving_delta
+    from repro.serve.artifacts import load_checkpoint, save_checkpoint
+
+    store = TripleStore.load_snapshot(snapshot_dir)
+    store.add_all(
+        vocab_preserving_delta(store, 50, np.random.default_rng(3))
+    )
+    root = tmp_path_factory.mktemp("generation-two")
+    store.save_snapshot(root / "snapshot")
+    framework, _ = load_checkpoint(
+        checkpoint_dir, store, allow_stale_store=True
+    )
+    save_checkpoint(framework, root / "checkpoint")
+    return root / "snapshot", root / "checkpoint"
+
+
+class TestReloadRestartPair:
+    def test_restart_during_reload_attaches_the_serving_pair(
+        self, snapshot_dir, checkpoint_dir, generation_two, star_queries
+    ):
+        """A serving-set worker that dies while reload() spawns the next
+        set restarts on the serving (checkpoint, snapshot) pair — not
+        the old checkpoint against the next snapshot, which fails the
+        store fingerprint check and burns restart budget."""
+        next_snapshot, next_checkpoint = generation_two
+        restarted = {}
+        with SupervisedPool(
+            snapshot_dir, checkpoint_dir, workers=1, backoff_base=0.01
+        ) as pool:
+            victim = pool._workers[0]
+            spawn_set = pool._spawn_set
+
+            def spawn_set_after_a_restart(*args):
+                os.kill(victim.process.pid, signal.SIGKILL)
+                assert _wait(
+                    lambda: victim.restarts >= 1
+                    and victim.state != "starting"
+                ), pool.stats()
+                restarted.update(
+                    state=victim.state, error=victim.last_error
+                )
+                return spawn_set(*args)
+
+            pool._spawn_set = spawn_set_after_a_restart
+            pool.reload(next_checkpoint, snapshot_dir=next_snapshot)
+            values = pool.estimate_batch(star_queries[:4])
+        assert restarted == {"state": "ready", "error": None}
+        assert np.isfinite(values).all()
+
+
+def _environ(pid):
+    with open(f"/proc/{pid}/environ", "rb") as handle:
+        entries = handle.read().split(b"\0")
+    return dict(
+        entry.decode().split("=", 1) for entry in entries if b"=" in entry
+    )
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="reads a worker's environment from /proc",
+)
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_workers_spawn_with_a_blas_thread_budget(
+    snapshot_dir, checkpoint_dir, monkeypatch, preset
+):
+    """Each worker gets cores // workers BLAS threads unless this
+    process already chose a value; this process's environment is
+    left as it was."""
+    for name in BLAS_THREAD_VARS:
+        if preset is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, preset)
+    with SupervisedPool(snapshot_dir, checkpoint_dir, workers=2) as pool:
+        environs = [_environ(w.process.pid) for w in pool._workers]
+    expected = preset or str(max(1, available_cpus() // 2))
+    for environ in environs:
+        assert {name: environ.get(name) for name in BLAS_THREAD_VARS} == {
+            name: expected for name in BLAS_THREAD_VARS
+        }
+    assert {name: os.environ.get(name) for name in BLAS_THREAD_VARS} == {
+        name: preset for name in BLAS_THREAD_VARS
+    }

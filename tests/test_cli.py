@@ -21,6 +21,62 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_serving_and_maintenance_options_are_pinned(self):
+        """Every serving and maintenance option, by name: adding a knob
+        is a diff to this test.  The values no flag sets live on the
+        class that owns them (see the ``repro.cli`` docstring)."""
+        import argparse
+        import inspect
+
+        from repro.serve import ServingApp
+
+        def subcommand(parser, *path):
+            for name in path:
+                (action,) = [
+                    a
+                    for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)
+                ]
+                parser = action.choices[name]
+            return parser
+
+        def long_flags(*path):
+            parser = subcommand(build_parser(), *path)
+            return {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+
+        maintain = {
+            "--dataset", "--scale", "--ntriples", "--snapshot",
+            "--state-dir", "--shapes", "--queries", "--epochs",
+            "--hidden", "--seed", "--json",
+        }
+        assert long_flags("serve") == {
+            "--snapshot", "--checkpoint", "--save-checkpoint", "--host",
+            "--port", "--workers", "--fit-queries", "--fit-epochs",
+            "--faults",
+        }
+        assert long_flags("replay", "run") == {
+            "--trace", "--snapshot", "--checkpoint", "--url",
+            "--workers", "--timeline", "--maintain-state-dir",
+            "--fit-queries", "--fit-epochs", "--deadline-s",
+            "--connections", "--max-retries", "--no-retry-after",
+            "--rate-scale", "--seed", "--slo-p99-ms", "--slo-p999-ms",
+            "--slo-max-shed", "--slo-min-achieved", "--slo-max-errors",
+            "--report",
+        }
+        assert long_flags("maintain", "status") == maintain
+        assert long_flags("maintain", "run") == maintain | {
+            "--full", "--dry-run", "--reload-url",
+        }
+        assert list(inspect.signature(ServingApp).parameters) == [
+            "snapshot", "checkpoint", "save_checkpoint", "host", "port",
+            "workers", "fit_defaults", "fault_spec",
+        ]
+
     def test_bad_shape_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
