@@ -3,7 +3,10 @@
 Subcommands:
 
 - ``stats``   — Table I-style statistics for a built-in or N-Triples graph,
-- ``train``   — train an LMKG model and write a checkpoint,
+- ``train``   — train LMKG models for ``--shapes`` and write an
+  ``LMKG.save`` checkpoint directory, the one ``estimate``, ``serve
+  --checkpoint`` and ``maintain`` read (``--model lmkg-s-range`` writes
+  its own single-file model),
 - ``estimate``— estimate a SPARQL query with a trained checkpoint,
 - ``workload``— generate a labelled query workload as TSV,
 - ``label``   — generate a labelled training workload with the
@@ -66,8 +69,8 @@ Examples::
 
     python -m repro stats --dataset lubm
     python -m repro train --dataset lubm --model lmkg-s \
-        --shapes star:2 chain:2 --out /tmp/lubm_s.npz
-    python -m repro estimate --dataset lubm --checkpoint /tmp/lubm_s.npz \
+        --shapes star:2 chain:2 --out /tmp/lubm_ckpt
+    python -m repro estimate --dataset lubm --checkpoint /tmp/lubm_ckpt \
         --query 'SELECT ?x WHERE { ?x <ub:advisor> ?y . ?x <ub:takesCourse> ?z . }'
     python -m repro workload --dataset swdf --topology star --size 3 \
         --count 100
@@ -81,8 +84,8 @@ Examples::
         http://127.0.0.1:8310/admin/reload
     python -m repro maintain status --snapshot /tmp/lubm_snap \
         --state-dir /tmp/lubm_maintain
-    python -m repro serve --snapshot /tmp/lubm_snap --port 8310 \
-        --workers 2
+    python -m repro serve --snapshot /tmp/lubm_snap \
+        --checkpoint /tmp/lubm_ckpt --port 8310 --workers 2
     python -m repro replay record --snapshot /tmp/lubm_snap \
         --rate 80 --duration 30 --out /tmp/lubm.trace
     python -m repro replay run --trace /tmp/lubm.trace \
@@ -99,8 +102,9 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.lmkg_s import LMKGS, LMKGSConfig
-from repro.core.lmkg_u import LMKGU, LMKGUConfig
+from repro.core.framework import LMKG, CheckpointError, EstimationError
+from repro.core.lmkg_s import LMKGSConfig
+from repro.core.lmkg_u import LMKGUConfig
 from repro.datasets import DATASET_NAMES, load_dataset
 from repro.rdf import (
     compute_stats,
@@ -193,51 +197,30 @@ def cmd_train(args) -> int:
         model.save(args.out)
         print(f"checkpoint written to {args.out}")
         return 0
-    if args.model == "lmkg-s":
-        topologies = sorted({t for t, _ in shapes})
-        max_size = max(s for _, s in shapes)
-        model = LMKGS(
-            store,
-            topologies,
-            max_size,
-            LMKGSConfig(
-                hidden_sizes=tuple(args.hidden),
-                epochs=args.epochs,
-                seed=args.seed,
-            ),
-        )
-        records = []
-        for topology, size in shapes:
-            workload = generate_workload(
-                store, topology, size, args.queries, seed=args.seed
-            )
-            records.extend(workload.records)
-        history = model.fit(records)
-        print(
-            f"trained LMKG-S on {len(records)} queries; "
-            f"final loss {history.final_loss:.4f}"
-        )
-    else:
-        if len(shapes) != 1:
-            raise SystemExit("lmkg-u trains one topology:size per model")
-        topology, size = shapes[0]
-        model = LMKGU(
-            store,
-            topology,
-            size,
-            LMKGUConfig(
-                hidden_sizes=tuple(args.hidden),
-                epochs=args.epochs,
-                training_samples=args.queries,
-                seed=args.seed,
-            ),
-        )
-        history = model.fit()
-        print(
-            f"trained LMKG-U on {args.queries} instances; "
-            f"final NLL {history[-1]:.4f}"
-        )
-    model.save(args.out)
+    framework = LMKG(
+        store,
+        model_type=(
+            "unsupervised" if args.model == "lmkg-u" else "supervised"
+        ),
+        lmkgs_config=LMKGSConfig(
+            hidden_sizes=tuple(args.hidden),
+            epochs=args.epochs,
+            seed=args.seed,
+        ),
+        lmkgu_config=LMKGUConfig(
+            hidden_sizes=tuple(args.hidden),
+            epochs=args.epochs,
+            training_samples=args.queries,
+            seed=args.seed,
+        ),
+        seed=args.seed,
+    )
+    report = framework.fit(shapes, queries_per_shape=args.queries)
+    print(
+        f"trained {framework.num_models()} {args.model} model(s) on "
+        f"{sum(report.training_records.values())} training examples"
+    )
+    framework.save(args.out)
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -258,12 +241,14 @@ def cmd_estimate(args) -> int:
         estimate = model.estimate(query)
         truth = count_range_query(store, query) if args.exact else None
     else:
+        from repro.serve.artifacts import load_checkpoint
+
         query = parse_sparql(args.query, store.dictionary)
-        if args.model == "lmkg-s":
-            model = LMKGS.load(args.checkpoint, store)
-        else:
-            model = LMKGU.load(args.checkpoint, store)
-        estimate = model.estimate(query)
+        try:
+            framework, _ = load_checkpoint(args.checkpoint, store)
+            estimate = float(framework.estimate_batch([query])[0])
+        except (CheckpointError, EstimationError) as exc:
+            raise SystemExit(f"estimate failed: {exc}")
         truth = count_bgp(store, query) if args.exact else None
     print(f"estimate: {estimate:.1f}")
     if truth is not None:
@@ -962,7 +947,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="training queries (lmkg-s) or instances (lmkg-u) per shape",
     )
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--out", required=True, help="checkpoint path")
+    p_train.add_argument(
+        "--out",
+        required=True,
+        help="checkpoint directory (a single file for lmkg-s-range)",
+    )
     p_train.set_defaults(func=cmd_train)
 
     p_est = sub.add_parser("estimate", help="estimate a SPARQL query")
@@ -971,6 +960,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--model",
         choices=("lmkg-s", "lmkg-u", "lmkg-s-range"),
         default="lmkg-s",
+        help=(
+            "lmkg-s and lmkg-u both read a train checkpoint directory "
+            "(its artifact.json names the models); lmkg-s-range reads "
+            "a range-model file"
+        ),
     )
     p_est.add_argument("--checkpoint", required=True)
     p_est.add_argument("--query", required=True, help="SPARQL text")

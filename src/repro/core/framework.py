@@ -50,8 +50,9 @@ Shape = Tuple[str, int]
 
 ARTIFACT_FILENAME = "artifact.json"
 
-#: the artifact schema version ``LMKG.save`` writes.
-ARTIFACT_SCHEMA_VERSION = 2
+#: the artifact schema version ``LMKG.save`` writes and the only one
+#: :func:`read_artifact` accepts.
+ARTIFACT_SCHEMA_VERSION = 3
 
 
 def file_crc32(path: Path) -> int:
@@ -69,6 +70,98 @@ class EstimationError(RuntimeError):
 
 class CheckpointError(RuntimeError):
     """Raised when a framework checkpoint directory cannot be loaded."""
+
+
+class ArtifactError(CheckpointError):
+    """A checkpoint's ``artifact.json`` failed the gate.
+
+    ``reason`` codes:
+
+    - ``missing`` — no ``artifact.json`` at the path;
+    - ``corrupt`` — artifact present but unreadable or malformed, or a
+      listed file that is not a plain file name inside the checkpoint;
+    - ``checksum`` — a checkpoint file does not match its recorded CRC;
+    - ``incompatible`` — a schema version this reader does not support.
+    """
+
+    def __init__(self, message: str, reason: str = "corrupt") -> None:
+        super().__init__(message)
+        self.reason = reason
+
+
+def read_artifact(path: Path) -> Dict[str, object]:
+    """Parse and gate-check ``artifact.json`` under *path*.
+
+    The one reader of the record :meth:`LMKG.save` writes: it checks
+    the schema version, that every model entry names a plain file
+    inside *path*, and each file's CRC32 — before any weight is opened.
+    Raises :class:`ArtifactError` with a typed ``reason``.
+    """
+    artifact_path = path / ARTIFACT_FILENAME
+    if not artifact_path.is_file():
+        raise ArtifactError(
+            f"no checkpoint at {path} (no {ARTIFACT_FILENAME})",
+            reason="missing",
+        )
+    try:
+        record = json.loads(artifact_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ArtifactError(
+            f"corrupt artifact at {artifact_path}: {exc}"
+        ) from exc
+    if not isinstance(record, dict) or "schema_version" not in record:
+        raise ArtifactError(
+            f"artifact at {artifact_path} has no schema_version"
+        )
+    version = record["schema_version"]
+    if version != ARTIFACT_SCHEMA_VERSION:
+        raise ArtifactError(
+            f"checkpoint artifact schema version {version!r} is not "
+            f"supported by this reader (supports "
+            f"[{ARTIFACT_SCHEMA_VERSION}]); roll the serving fleet "
+            "forward, or re-save the checkpoint with this version",
+            reason="incompatible",
+        )
+    models = record.get("models")
+    if not (
+        isinstance(models, list)
+        and models
+        and all(isinstance(entry, dict) for entry in models)
+        and isinstance(record.get("trained_shapes"), dict)
+        and isinstance(record.get("grouping"), dict)
+        and isinstance(record.get("store"), dict)
+    ):
+        raise ArtifactError(
+            "artifact models must be a non-empty list of objects and "
+            "grouping, trained_shapes and store must be objects"
+        )
+    for entry in models:
+        name = entry.get("file")
+        if not (
+            isinstance(name, str)
+            and name not in ("", "..")
+            and Path(name).name == name
+        ):
+            raise ArtifactError(
+                f"model file {name!r} is not a plain file name inside "
+                "the checkpoint"
+            )
+        target = path / name
+        if not target.is_file():
+            raise ArtifactError(
+                f"checkpoint file {name} listed in the artifact is "
+                "missing",
+                reason="checksum",
+            )
+        actual = file_crc32(target)
+        if actual != entry.get("crc32"):
+            raise ArtifactError(
+                f"checkpoint file {name} fails its content checksum "
+                f"(recorded {entry.get('crc32')}, actual {actual}) — "
+                "the checkpoint is corrupt or was partially copied",
+                reason="checksum",
+            )
+    return record
 
 
 @dataclass
@@ -376,24 +469,20 @@ class LMKG(Estimator):
     # Checkpointing
     # ------------------------------------------------------------------
 
-    _MANIFEST_FORMAT = "repro-lmkg-framework"
-    _MANIFEST_VERSION = 1
-
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the whole framework to a checkpoint directory.
 
-        One ``model_<i>.npz`` per trained model, ``manifest.json``
-        recording the grouping strategy, model type, and each model's
-        routing extent (key, max size, topologies), and ``artifact.json``
-        — the schema-versioned record :mod:`repro.serve.artifacts` gates
-        on: a CRC32 per file, the covered shapes and the store
-        fingerprint.  The artifact is written last, so its presence
-        marks a complete checkpoint; its path is returned.
-        ``LMKG.load(path, store)`` rebuilds an identical framework
-        against the same store (or a snapshot of it).  Checkpoints hold
-        the float64 training masters bit-exactly; the fused float32
-        inference caches are derived state and rebuilt on first use
-        after a load.
+        One ``model_<i>.npz`` per trained model, then ``artifact.json``:
+        the one record :func:`read_artifact` gates on.  It holds the
+        schema version, the model type, seed and grouping strategy, each
+        model's entry (key, kind, file, CRC32, routing extent), the
+        covered shapes and the store fingerprint.  The artifact is
+        written last, so its presence marks a complete checkpoint; its
+        path is returned.  ``LMKG.load(path, store)`` rebuilds an
+        identical framework against the same store (or a snapshot of
+        it).  Checkpoints hold the float64 training masters bit-exactly;
+        the fused float32 inference caches are derived state and rebuilt
+        on first use after a load.
         """
         if not self.models:
             raise RuntimeError("save() before fit()")
@@ -411,6 +500,7 @@ class LMKG(Estimator):
                         "lmkg-u" if isinstance(model, LMKGU) else "lmkg-s"
                     ),
                     "file": filename,
+                    "crc32": file_crc32(path / filename),
                     "max_size": int(self._group_max_size.get(key, 0)),
                     "topologies": sorted(
                         self._group_topologies.get(key, set())
@@ -421,40 +511,18 @@ class LMKG(Estimator):
         boundaries = getattr(self.grouping, "boundaries", None)
         if boundaries is not None:
             grouping["boundaries"] = list(boundaries)
-        # Fingerprint of the training graph: the term encoders only
-        # derive widths from the store, so a checkpoint loaded against
-        # a *different* graph with matching widths would silently serve
-        # garbage — load() refuses instead.
-        store_info: Dict[str, object] = {
-            "num_triples": len(self.store),
-            "num_nodes": self.store.num_nodes,
-            "num_predicates": self.store.num_predicates,
-        }
-        if self.store.dictionary is not None:
-            store_info["dictionary_checksum"] = (
-                self.store.dictionary.checksum()
-            )
-        manifest = {
-            "format": self._MANIFEST_FORMAT,
-            "version": self._MANIFEST_VERSION,
+        artifact = {
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
             "model_type": self.model_type,
             "seed": self.seed,
             "grouping": grouping,
-            "store": store_info,
             "models": entries,
-        }
-        (path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-        tracked = ["manifest.json"] + sorted(e["file"] for e in entries)
-        artifact = {
-            "schema_version": ARTIFACT_SCHEMA_VERSION,
-            "framework_manifest_version": self._MANIFEST_VERSION,
-            "file_checksums": {
-                name: file_crc32(path / name) for name in tracked
-            },
             "trained_shapes": self.covered_shapes(),
-            "store": store_info,
+            # The term encoders only derive widths from the store, so a
+            # checkpoint loaded against a *different* graph with
+            # matching widths would silently serve garbage — load()
+            # refuses instead.
+            "store": self.store.fingerprint(),
         }
         artifact_path = path / ARTIFACT_FILENAME
         artifact_path.write_text(
@@ -469,7 +537,23 @@ class LMKG(Estimator):
         store: TripleStore,
         allow_stale_store: bool = False,
     ) -> "LMKG":
-        """Rebuild a saved framework against *store*.
+        """Gate-check (:func:`read_artifact`) and rebuild a saved
+        framework against *store*; see :meth:`from_artifact`."""
+        path = Path(path)
+        return cls.from_artifact(
+            path, read_artifact(path), store, allow_stale_store
+        )
+
+    @classmethod
+    def from_artifact(
+        cls,
+        path: Path,
+        record: Dict[str, object],
+        store: TripleStore,
+        allow_stale_store: bool = False,
+    ) -> "LMKG":
+        """Rebuild the framework *record* — :func:`read_artifact`'s
+        result for the checkpoint at *path* — describes, against *store*.
 
         The store must be the graph the models were trained on (or a
         snapshot of it): the term encoders derive their widths from the
@@ -479,81 +563,66 @@ class LMKG(Estimator):
         triple-count equality — for the incremental-maintenance path
         (:mod:`repro.maintain`), which deliberately loads a checkpoint
         against a graph that has gained or lost triples since training
-        in order to fine-tune it.  The vocabulary gates (node/predicate
-        counts, dictionary checksum) still hold: the encoders derive
-        their widths from them, so a vocabulary change can never be
-        absorbed by fine-tuning and always forces a full rebuild.
+        in order to fine-tune it.  The vocabulary rule
+        (:meth:`~repro.rdf.store.TripleStore.vocabulary_mismatches`)
+        still holds: the encoders derive their widths from it, so a
+        vocabulary change can never be absorbed by fine-tuning and
+        always forces a full rebuild.
         """
-        path = Path(path)
-        manifest_path = path / "manifest.json"
-        if not manifest_path.is_file():
-            raise CheckpointError(
-                f"no framework manifest at {manifest_path}"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt manifest: {exc}") from exc
-        if manifest.get("format") != cls._MANIFEST_FORMAT:
-            raise CheckpointError(
-                f"not a framework checkpoint: {manifest_path}"
-            )
-        if manifest.get("version") != cls._MANIFEST_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version "
-                f"{manifest.get('version')!r}"
-            )
-        store_info = manifest.get("store", {})
-        checks = [
-            ("num_nodes", store.num_nodes),
-            ("num_predicates", store.num_predicates),
-        ]
-        if not allow_stale_store:
-            checks.insert(0, ("num_triples", len(store)))
-        mismatches = [
-            f"{key}: checkpoint {store_info[key]} vs store {actual}"
-            for key, actual in checks
-            if store_info.get(key) not in (None, actual)
-        ]
-        saved_checksum = store_info.get("dictionary_checksum")
-        if (
-            saved_checksum is not None
-            and store.dictionary is not None
-            and store.dictionary.checksum() != saved_checksum
+        recorded = record["store"]
+        mismatches = store.vocabulary_mismatches(recorded)
+        if not allow_stale_store and recorded.get("num_triples") not in (
+            None,
+            len(store),
         ):
-            mismatches.append("dictionary checksum differs")
+            mismatches.insert(
+                0,
+                f"num_triples: recorded {recorded['num_triples']} vs "
+                f"store {len(store)}",
+            )
         if mismatches:
             raise CheckpointError(
                 "checkpoint was saved against a different graph ("
                 + "; ".join(mismatches)
                 + ")"
             )
-        grouping_spec = manifest["grouping"]
-        kwargs = (
-            {"boundaries": tuple(grouping_spec["boundaries"])}
-            if "boundaries" in grouping_spec
-            else {}
-        )
-        framework = cls(
-            store,
-            model_type=manifest["model_type"],
-            grouping=make_grouping(grouping_spec["name"], **kwargs),
-            seed=int(manifest.get("seed", 0)),
-        )
-        for entry in manifest["models"]:
-            key: Hashable = (
-                tuple(entry["key"])
-                if entry.get("key_is_tuple")
-                else entry["key"]
+        try:
+            grouping_spec = record["grouping"]
+            kwargs = (
+                {"boundaries": tuple(grouping_spec["boundaries"])}
+                if "boundaries" in grouping_spec
+                else {}
             )
-            loader = LMKGU if entry["kind"] == "lmkg-u" else LMKGS
+            framework = cls(
+                store,
+                model_type=record["model_type"],
+                grouping=make_grouping(grouping_spec["name"], **kwargs),
+                seed=int(record.get("seed", 0)),
+            )
+            entries = [
+                (
+                    tuple(entry["key"])
+                    if entry.get("key_is_tuple")
+                    else entry["key"],
+                    LMKGU if entry["kind"] == "lmkg-u" else LMKGS,
+                    entry["file"],
+                    int(entry["max_size"]),
+                    set(entry["topologies"]),
+                )
+                for entry in record["models"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(
+                f"malformed artifact at {path}: {exc!r}"
+            ) from exc
+        for key, loader, filename, max_size, topologies in entries:
             try:
-                model = loader.load(path / entry["file"], store)
+                model = loader.load(path / filename, store)
             except (OSError, KeyError, ValueError) as exc:
                 raise CheckpointError(
-                    f"cannot load {entry['file']}: {exc}"
+                    f"cannot load {filename}: {exc}"
                 ) from exc
             framework.models[key] = model
-            framework._group_max_size[key] = int(entry["max_size"])
-            framework._group_topologies[key] = set(entry["topologies"])
+            framework._group_max_size[key] = max_size
+            framework._group_topologies[key] = topologies
         return framework

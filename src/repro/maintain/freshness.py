@@ -92,7 +92,7 @@ def watermark_from_fingerprint(
     fingerprint: Mapping,
 ) -> Optional[Watermark]:
     """A degraded watermark recovered from a checkpoint's store
-    fingerprint (``artifact.store`` / the framework manifest).
+    fingerprint (``artifact.store``).
 
     Pre-maintenance checkpoints carry no ``watermark.json``; their
     artifact still records the training graph's extent, which is enough

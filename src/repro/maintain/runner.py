@@ -7,7 +7,8 @@ estimator's incremental materialization, in dbt's on-disk shape::
       watermark.json            last materialization's high-water mark
       workload/<shape>.tsv      labelled training queries per shape
       checkpoints/gen-NNNN/     versioned framework checkpoints
-                                (artifact.json + watermark.json)
+                                (model_*.npz + artifact.json +
+                                watermark.json)
       snapshots/gen-NNNN/       store snapshot each generation was
                                 materialized against (doubles as the
                                 delta-diff base for the next run)

@@ -61,38 +61,22 @@ class Watermark:
 
     @classmethod
     def of_store(cls, store: TripleStore, run: int) -> "Watermark":
-        checksum = (
-            store.dictionary.checksum()
-            if store.dictionary is not None
-            else None
-        )
         return cls(
             run=int(run),
             generation=int(store.generation),
-            num_triples=len(store),
-            num_nodes=store.num_nodes,
-            num_predicates=store.num_predicates,
-            dictionary_checksum=checksum,
+            **store.fingerprint(),
         )
 
     def vocabulary_matches(self, store: TripleStore) -> bool:
         """True when *store* still speaks this watermark's vocabulary.
 
-        The necessary condition for the incremental path: encoder
-        widths and dictionary identity unchanged.  Triple count may
-        differ — that difference *is* the delta to process.
+        The necessary condition for the incremental path, by the same
+        rule the checkpoint loader applies
+        (:meth:`~repro.rdf.store.TripleStore.vocabulary_mismatches`).
+        Triple count may differ — that difference *is* the delta to
+        process.
         """
-        if self.num_nodes != store.num_nodes:
-            return False
-        if self.num_predicates != store.num_predicates:
-            return False
-        if (
-            self.dictionary_checksum is not None
-            and store.dictionary is not None
-            and store.dictionary.checksum() != self.dictionary_checksum
-        ):
-            return False
-        return True
+        return not store.vocabulary_mismatches(asdict(self))
 
     def to_dict(self) -> dict:
         payload = asdict(self)

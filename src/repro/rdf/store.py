@@ -48,9 +48,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import (
+    Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -331,6 +333,55 @@ class TripleStore:
     @property
     def num_predicates(self) -> int:
         return int(self.backend.predicates().size)
+
+    def fingerprint(self) -> Dict[str, object]:
+        """The graph extent a trained model is bound to.
+
+        Triple count, node and predicate counts (the term encoders
+        derive their widths from them) and the dictionary checksum
+        (None without a dictionary).  A checkpoint's ``artifact.json``
+        and a maintenance watermark both record it.
+        """
+        return {
+            "num_triples": len(self),
+            "num_nodes": self.num_nodes,
+            "num_predicates": self.num_predicates,
+            "dictionary_checksum": (
+                self.dictionary.checksum()
+                if self.dictionary is not None
+                else None
+            ),
+        }
+
+    def vocabulary_mismatches(
+        self, fingerprint: Mapping[str, object]
+    ) -> List[str]:
+        """How this store's vocabulary differs from a recorded
+        *fingerprint*; empty when it matches.
+
+        The one rule for "a model trained against *fingerprint* still
+        speaks this graph": equal node and predicate counts and, when
+        both sides carry one, an equal dictionary checksum.  The triple
+        count is not part of it — a grown or shrunk graph is the delta
+        maintenance fine-tunes over, while a vocabulary change can only
+        be rebuilt.
+        """
+        mismatches = [
+            f"{key}: recorded {fingerprint[key]} vs store {actual}"
+            for key, actual in (
+                ("num_nodes", self.num_nodes),
+                ("num_predicates", self.num_predicates),
+            )
+            if fingerprint.get(key) not in (None, actual)
+        ]
+        recorded = fingerprint.get("dictionary_checksum")
+        if (
+            recorded is not None
+            and self.dictionary is not None
+            and self.dictionary.checksum() != recorded
+        ):
+            mismatches.append("dictionary checksum differs")
+        return mismatches
 
     def subjects(self) -> List[int]:
         """All distinct subject ids (sorted)."""

@@ -8,7 +8,7 @@ called, typically in a thread racing an open-loop replay::
     at 8s: reload
     at 10s: mutate 500
     at 12s: maintain
-    at 15s: corrupt next checkpoint garbage-manifest
+    at 15s: corrupt next checkpoint garbage-artifact
     at 16s: mutate 200
     at 17s: maintain
 

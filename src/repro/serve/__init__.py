@@ -39,7 +39,6 @@ from repro.serve.admission import AdmissionError, ShapeManifest
 from repro.serve.app import ServingApp
 from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     ArtifactError,
     CheckpointArtifact,
     load_artifact,
@@ -113,7 +112,6 @@ __all__ = [
     "QueueFullError",
     "ReloadError",
     "ResilientBackend",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "SchedulerClosedError",
     "ServiceError",
     "ServingApp",

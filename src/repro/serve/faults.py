@@ -24,7 +24,7 @@ Counters are per-injector (= per worker process, or per in-process
 backend), so "every Nth request" is exact regardless of interleaving.
 
 :func:`corrupt_checkpoint` is the flip side for artifact testing:
-deterministic on-disk damage (truncated weights, garbage manifest, a
+deterministic on-disk damage (truncated weights, a garbage artifact, a
 schema version from the future) that the artifact gate must reject with
 a typed error.
 """
@@ -152,7 +152,6 @@ class FaultInjector:
 #: recognised :func:`corrupt_checkpoint` modes.
 CORRUPTION_MODES = (
     "truncate-model",
-    "garbage-manifest",
     "garbage-artifact",
     "future-schema",
 )
@@ -165,7 +164,6 @@ def corrupt_checkpoint(
 
     - ``truncate-model``: cut the first model ``.npz`` in half — the
       artifact gate's content checksum must catch it;
-    - ``garbage-manifest``: overwrite ``manifest.json`` with non-JSON;
     - ``garbage-artifact``: overwrite ``artifact.json`` with non-JSON;
     - ``future-schema``: rewrite ``artifact.json`` claiming a schema
       version this reader does not support (roll-forward from a newer
@@ -181,24 +179,15 @@ def corrupt_checkpoint(
         data = models[0].read_bytes()
         models[0].write_bytes(data[: max(1, len(data) // 2)])
         return models[0]
-    if mode == "garbage-manifest":
-        target = path / "manifest.json"
-        target.write_text("{definitely not json\n")
-        return target
     if mode == "garbage-artifact":
         target = path / "artifact.json"
         target.write_text("{definitely not json\n")
         return target
     if mode == "future-schema":
+        # The reader checks the version before anything else, so the
+        # rest of a future record is irrelevant.
         target = path / "artifact.json"
-        payload = {}
-        if target.is_file():
-            try:
-                payload = json.loads(target.read_text())
-            except json.JSONDecodeError:
-                payload = {}
-        payload["schema_version"] = 999
-        target.write_text(json.dumps(payload, indent=2) + "\n")
+        target.write_text(json.dumps({"schema_version": 999}) + "\n")
         return target
     raise ValueError(
         f"unknown corruption mode {mode!r}; known: {CORRUPTION_MODES}"

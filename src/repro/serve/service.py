@@ -134,16 +134,13 @@ class EstimatorService:
             )
         artifact = None
         if checkpoint_dir is not None:
-            from repro.serve.artifacts import (
-                ArtifactError,
-                load_checkpoint,
-            )
+            from repro.serve.artifacts import load_checkpoint
 
             try:
                 framework, artifact = load_checkpoint(
                     checkpoint_dir, store
                 )
-            except (ArtifactError, CheckpointError) as exc:
+            except CheckpointError as exc:
                 raise ServiceError(
                     f"checkpoint load failed: {exc}"
                 ) from exc

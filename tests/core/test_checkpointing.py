@@ -138,11 +138,16 @@ class TestFrameworkCheckpoint:
         from repro.core.framework import LMKG
 
         fitted.save(tmp_path / "meta")
-        manifest = json.loads(
-            (tmp_path / "meta" / "manifest.json").read_text()
+        # One record: model files plus artifact.json, written last.
+        assert sorted(p.name for p in (tmp_path / "meta").iterdir()) == [
+            "artifact.json"
+        ] + [f"model_{i}.npz" for i in range(fitted.num_models())]
+        record = json.loads(
+            (tmp_path / "meta" / "artifact.json").read_text()
         )
-        assert manifest["format"] == "repro-lmkg-framework"
-        assert manifest["grouping"]["name"] == "size"
+        assert record["schema_version"] == 3
+        assert record["grouping"]["name"] == "size"
+        assert record["model_type"] == "supervised"
         restored = LMKG.load(tmp_path / "meta", lubm_store)
         assert restored.num_models() == fitted.num_models()
         assert restored._group_max_size == fitted._group_max_size
@@ -217,9 +222,9 @@ class TestFrameworkCheckpoint:
     ):
         from repro.core.framework import CheckpointError, LMKG
 
-        with pytest.raises(CheckpointError, match="manifest"):
+        with pytest.raises(CheckpointError, match="no checkpoint"):
             LMKG.load(tmp_path / "nope", lubm_store)
         fitted.save(tmp_path / "bad")
-        (tmp_path / "bad" / "manifest.json").write_text("{not json")
+        (tmp_path / "bad" / "artifact.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="corrupt"):
             LMKG.load(tmp_path / "bad", lubm_store)

@@ -206,18 +206,24 @@ class TestCheckpointSampler:
         """A model file that lost its ``_meta_sampler`` entry (the
         sampler seed) is a CheckpointError — never a silent seed-0 load
         that returns different estimates."""
-        from repro.core.framework import LMKG, CheckpointError
+        import json
+
+        from repro.core.framework import LMKG, CheckpointError, file_crc32
         from repro.nn.serialization import load_arrays, save_arrays
 
         framework = LMKG(
             lubm_store, model_type="unsupervised", lmkgu_config=self.CONFIG
         )
         framework.fit(shapes=[("star", 2)])
-        framework.save(tmp_path / "ckpt")
+        record_path = framework.save(tmp_path / "ckpt")
         model_path = tmp_path / "ckpt" / "model_0.npz"
         arrays = load_arrays(model_path)
         del arrays["_meta_sampler"]
         save_arrays(model_path, arrays)
+        # Re-record the CRC, so the file passes the artifact gate.
+        record = json.loads(record_path.read_text())
+        record["models"][0]["crc32"] = file_crc32(model_path)
+        record_path.write_text(json.dumps(record))
         with pytest.raises(CheckpointError, match="_meta_sampler"):
             LMKG.load(tmp_path / "ckpt", lubm_store)
 

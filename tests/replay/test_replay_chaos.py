@@ -23,7 +23,7 @@ at 1.0s: mutate 400
 at 1.5s: maintain
 at 2.5s: mutate 200
 at 3.0s: maintain
-at 3.5s: corrupt next checkpoint garbage-manifest
+at 3.5s: corrupt next checkpoint garbage-artifact
 at 4.0s: mutate 150
 at 4.2s: maintain
 """

@@ -18,7 +18,7 @@ SCRIPT = """
 at 0.05s: kill worker
 at 0.02s: reload ; at 0.03s: mutate 500
 at 0.04s: maintain full
-at 0.01s: corrupt next checkpoint garbage-manifest
+at 0.01s: corrupt next checkpoint garbage-artifact
 """
 
 
@@ -64,7 +64,7 @@ class TestParse:
             "maintain",
             "kill_worker",
         ]
-        assert steps[0].args == ("garbage-manifest",)
+        assert steps[0].args == ("garbage-artifact",)
         assert steps[3].args == ("full",)
 
     def test_semicolons_and_comments(self):
@@ -84,7 +84,6 @@ class TestParse:
         (step,) = parse_timeline("at 1s: corrupt next checkpoint")
         assert step.args[0] in (
             "truncate-model",
-            "garbage-manifest",
             "garbage-artifact",
             "future-schema",
         )

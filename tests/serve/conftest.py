@@ -1,5 +1,6 @@
 """Shared serving fixtures: one tmpdir snapshot + fitted service."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,62 @@ def checkpoint_dir(service, tmp_path_factory):
     directory = tmp_path_factory.mktemp("serve-ckpt") / "checkpoint"
     service.framework.save(directory)
     return directory
+
+
+@pytest.fixture(scope="session")
+def damage_checkpoint():
+    """``damage_checkpoint(path, mode)``:
+    :func:`~repro.serve.faults.corrupt_checkpoint`, plus two shapes of
+    checkpoint no chaos mode writes:
+
+    - ``parent-format``: the layout the previous release saved — a
+      ``manifest.json`` beside a schema-2 ``artifact.json``;
+    - ``escaping-file``: the first model entry names an absolute path
+      outside the checkpoint, where an intact copy of the model (CRC
+      and all) waits.
+    """
+    return _damage_checkpoint
+
+
+def _damage_checkpoint(path, mode):
+    from repro.core.framework import file_crc32
+    from repro.serve.faults import corrupt_checkpoint
+
+    record_path = path / "artifact.json"
+    record = json.loads(record_path.read_text())
+    if mode == "parent-format":
+        models = [
+            {k: v for k, v in entry.items() if k != "crc32"}
+            for entry in record["models"]
+        ]
+        manifest = {
+            "format": "repro-lmkg-framework",
+            "version": 1,
+            "models": models,
+            **{
+                key: record[key]
+                for key in ("model_type", "seed", "grouping", "store")
+            },
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        files = ["manifest.json"] + [entry["file"] for entry in models]
+        record = {
+            "schema_version": 2,
+            "file_checksums": {
+                name: file_crc32(path / name) for name in files
+            },
+            "trained_shapes": record["trained_shapes"],
+            "store": record["store"],
+        }
+    elif mode == "escaping-file":
+        entry = record["models"][0]
+        outside = path.parent / f"{path.name}-outside.npz"
+        outside.write_bytes((path / entry["file"]).read_bytes())
+        entry["file"] = str(outside)
+    else:
+        return corrupt_checkpoint(path, mode)
+    record_path.write_text(json.dumps(record))
+    return record_path
 
 
 @pytest.fixture(scope="session")

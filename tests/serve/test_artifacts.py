@@ -10,7 +10,6 @@ from repro.serve import EstimatorService, ServiceError
 from repro.serve.artifacts import (
     ARTIFACT_FILENAME,
     ARTIFACT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     ArtifactError,
     load_artifact,
     load_checkpoint,
@@ -34,17 +33,17 @@ class TestWriteAndLoad:
             (artifact_ckpt / ARTIFACT_FILENAME).read_text()
         )
         assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION
-        assert "manifest.json" in payload["file_checksums"]
+        # One record: the model files and artifact.json, nothing else.
+        files = sorted(entry["file"] for entry in payload["models"])
+        assert sorted(p.name for p in artifact_ckpt.iterdir()) == sorted(
+            files + [ARTIFACT_FILENAME]
+        )
         assert payload["trained_shapes"]  # star:2 / chain:2 fitted
 
     def test_load_artifact_roundtrip(self, artifact_ckpt):
         artifact = load_artifact(artifact_ckpt)
-        assert artifact.schema_version == ARTIFACT_SCHEMA_VERSION
-        assert SUPPORTED_SCHEMA_VERSIONS == (2,)
+        assert artifact.schema_version == ARTIFACT_SCHEMA_VERSION == 3
         assert artifact.shapes.covered  # non-empty coverage
-        # every checksummed file exists
-        for name in artifact.file_checksums:
-            assert (artifact_ckpt / name).is_file()
 
     def test_load_checkpoint_returns_live_framework(
         self, artifact_ckpt, service, star_queries
@@ -74,20 +73,11 @@ class TestWriteAndLoad:
         # artifact save_checkpoint writes, checksums and shapes included.
         artifact = load_artifact(checkpoint_dir)
         assert artifact.schema_version == ARTIFACT_SCHEMA_VERSION
-        assert set(artifact.file_checksums) >= {
-            "manifest.json",
-            "model_0.npz",
-        }
         assert artifact.shapes.covered
         assert artifact.store["num_triples"] > 0
         # The model CRCs differ between two saves (npz members carry a
-        # timestamp); everything else is the same record.
+        # timestamp); everything serving reads is the same.
         twin = load_artifact(artifact_ckpt)
-        assert set(artifact.file_checksums) == set(twin.file_checksums)
-        assert (
-            artifact.file_checksums["manifest.json"]
-            == twin.file_checksums["manifest.json"]
-        )
         assert (artifact.shapes, artifact.store) == (
             twin.shapes,
             twin.store,
@@ -188,6 +178,44 @@ class TestGate:
             corrupt_checkpoint(target, mode)
             with pytest.raises(ArtifactError):
                 load_artifact(target)
+
+    def test_parent_format_is_incompatible(
+        self, artifact_ckpt, tmp_path, service, damage_checkpoint
+    ):
+        """A checkpoint the previous release saved — ``manifest.json``
+        beside a schema-2 ``artifact.json`` — is refused by version."""
+        target = tmp_path / "parent"
+        shutil.copytree(artifact_ckpt, target)
+        damage_checkpoint(target, "parent-format")
+        with pytest.raises(ArtifactError) as excinfo:
+            load_checkpoint(target, service.store)
+        assert excinfo.value.reason == "incompatible"
+
+    @pytest.mark.parametrize(
+        "name", ["../model_0.npz", "/abs/model_0.npz", "..", "", "sub/m"]
+    )
+    def test_file_names_stay_inside_the_checkpoint(
+        self, artifact_ckpt, tmp_path, service, name
+    ):
+        """A listed model file must be a plain name inside the
+        checkpoint; an absolute or ``..`` path is corrupt, even when the
+        file it points at exists with the recorded CRC."""
+        target = tmp_path / "copy"
+        shutil.copytree(artifact_ckpt, target)
+        (tmp_path / "model_0.npz").write_bytes(
+            (target / "model_0.npz").read_bytes()
+        )
+        record = json.loads((target / ARTIFACT_FILENAME).read_text())
+        record["models"][0]["file"] = name.replace(
+            "/abs", str(tmp_path)
+        )
+        (target / ARTIFACT_FILENAME).write_text(json.dumps(record))
+        with pytest.raises(ArtifactError) as excinfo:
+            load_checkpoint(target, service.store)
+        assert excinfo.value.reason == "corrupt"
+        with pytest.raises(ArtifactError) as excinfo:  # pool workers
+            LMKG.load(target, service.store)
+        assert excinfo.value.reason == "corrupt"
 
     def test_load_checkpoint_gates_before_weights(
         self, artifact_ckpt, tmp_path, service

@@ -186,3 +186,49 @@ class TestServeFaultsCLI:
             pool = json.load(r)["pool"]
         assert pool["deaths"] >= 1, pool
         assert any(worker["alive"] for worker in pool["workers"]), pool
+
+
+class TestTrainThenServe:
+    def test_served_estimate_is_what_repro_estimate_prints(
+        self, tmp_path, capsys
+    ):
+        """``repro train`` writes the directory ``repro serve`` loads:
+        save a snapshot and train on one dataset, serve the trained
+        directory, and ``POST /estimate`` answers what ``repro
+        estimate`` prints for the same checkpoint."""
+        from repro.cli import main
+        from repro.serve import ServingApp
+
+        dataset = ["--dataset", "lubm", "--scale", "0.25"]
+        snapshot, checkpoint = tmp_path / "snapshot", tmp_path / "ckpt"
+        assert main(
+            ["snapshot", "save", *dataset, "--out", str(snapshot)]
+        ) == 0
+        assert main(
+            [
+                "train", *dataset,
+                "--shapes", "star:2",
+                "--epochs", "3",
+                "--queries", "80",
+                "--hidden", "16",
+                "--out", str(checkpoint),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            [
+                "estimate", *dataset,
+                "--checkpoint", str(checkpoint),
+                "--query", QUERY,
+            ]
+        ) == 0
+        printed = capsys.readouterr().out
+        app = ServingApp(snapshot, checkpoint, port=0).start()
+        try:
+            status, payload = post(
+                f"{app.url}/estimate", {"queries": [QUERY]}
+            )
+        finally:
+            app.close()
+        assert status == 200, payload
+        assert printed == f"estimate: {payload['estimates'][0]:.1f}\n"

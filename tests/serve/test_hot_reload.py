@@ -13,8 +13,7 @@ from repro.serve import (
     ServingApp,
     ServingRuntime,
 )
-from repro.serve.artifacts import save_checkpoint
-from repro.serve.faults import corrupt_checkpoint
+from repro.serve.artifacts import ARTIFACT_SCHEMA_VERSION, save_checkpoint
 
 QUERY = (
     "SELECT ?x ?y WHERE { ?x <ub:advisor> ?y . "
@@ -64,7 +63,7 @@ class TestReloadEndpoint:
         assert status == 200, payload
         assert payload["status"] == "reloaded"
         assert payload["generation"] == generation + 1
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION
         # responses immediately carry the new generation
         status, answer = post(
             f"{base_url}/estimate", {"queries": [QUERY]}
@@ -92,7 +91,9 @@ class TestReloadEndpoint:
         status, payload = get(f"{base_url}/healthz")
         assert status == 200
         assert payload["checkpoint_generation"] == runtime.generation
-        assert payload["checkpoint_schema_version"] == 2
+        assert payload["checkpoint_schema_version"] == (
+            ARTIFACT_SCHEMA_VERSION
+        )
         assert payload["reloads"] == 1
         assert payload["degraded"] is False
 
@@ -102,15 +103,18 @@ class TestReloadEndpoint:
             ("truncate-model", "checksum"),
             ("garbage-artifact", "corrupt"),
             ("future-schema", "incompatible"),
+            ("parent-format", "incompatible"),
+            ("escaping-file", "corrupt"),
         ],
     )
     def test_damaged_checkpoint_typed_409_old_keeps_serving(
-        self, stack, v2_checkpoint, tmp_path, mode, reason
+        self, stack, v2_checkpoint, tmp_path, mode, reason,
+        damage_checkpoint,
     ):
         base_url, runtime = stack
         damaged = tmp_path / f"damaged-{mode}"
         shutil.copytree(v2_checkpoint, damaged)
-        corrupt_checkpoint(damaged, mode)
+        damage_checkpoint(damaged, mode)
         generation = runtime.generation
         status, payload = post(
             f"{base_url}/admin/reload", {"checkpoint": str(damaged)}

@@ -122,7 +122,7 @@ class TestCommands:
         assert all("chain\t2\t" in line for line in lines[1:])
 
     def test_train_then_estimate(self, tmp_path, capsys):
-        checkpoint = tmp_path / "model.npz"
+        checkpoint = tmp_path / "ckpt"
         code = main(
             [
                 "train",
@@ -143,7 +143,7 @@ class TestCommands:
             ]
         )
         assert code == 0
-        assert checkpoint.exists()
+        assert (checkpoint / "artifact.json").is_file()
         capsys.readouterr()
         code = main(
             [
@@ -168,11 +168,11 @@ class TestCommands:
     def test_lmkg_u_estimate_matches_the_library(self, tmp_path, capsys):
         """``repro estimate --model lmkg-u`` prints what a server over
         the same checkpoint answers: the one-element batch."""
-        from repro.core.lmkg_u import LMKGU
         from repro.datasets import load_dataset
         from repro.rdf.parser import parse_sparql
+        from repro.serve.artifacts import load_checkpoint
 
-        checkpoint = tmp_path / "u.npz"
+        checkpoint = tmp_path / "u"
         common = ["--dataset", "lubm", "--scale", "0.25", "--model", "lmkg-u"]
         code = main(
             [
@@ -200,25 +200,9 @@ class TestCommands:
         assert code == 0
         store = load_dataset("lubm", scale=0.25)
         query = parse_sparql(text, store.dictionary)
-        expected = LMKGU.load(checkpoint, store).estimate_batch([query])[0]
+        framework, _ = load_checkpoint(checkpoint, store)
+        expected = framework.estimate_batch([query])[0]
         assert f"estimate: {expected:.1f}\n" == capsys.readouterr().out
-
-    def test_train_lmkg_u_single_shape_only(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "train",
-                    "--scale",
-                    "0.25",
-                    "--model",
-                    "lmkg-u",
-                    "--shapes",
-                    "star:2",
-                    "chain:2",
-                    "--out",
-                    str(tmp_path / "u.npz"),
-                ]
-            )
 
     def test_ntriples_input(self, tmp_path, capsys):
         nt = tmp_path / "g.nt"
