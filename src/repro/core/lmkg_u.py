@@ -22,6 +22,8 @@ grouping the paper uses for its experiments.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,6 +71,14 @@ _GUMBEL_TABLE_SIZE = 1 << 21
 #: an all-zero probability row over the real values.
 _DEAD_LOG_MARGIN = np.float32(-104.0)
 
+#: The process's Gumbel tables, keyed by (seed, table length): every
+#: stream with the same key reads one read-only table, which is freed
+#: once no stream holds it.  The lock makes look-up-or-build atomic.
+_TABLES: "weakref.WeakValueDictionary[Tuple[int, int], np.ndarray]" = (
+    weakref.WeakValueDictionary()
+)
+_TABLES_LOCK = threading.Lock()
+
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
     """The splitmix64 finaliser over an integer array, as a new uint64 array.
@@ -89,6 +99,21 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gumbel_table(seed: int, length: int) -> np.ndarray:
+    """*length* read-only standard-Gumbel float32 variates keyed by *seed*."""
+    gen = np.random.Generator(
+        np.random.Philox(key=[seed + 9, GUMBEL_STREAM_VERSION])
+    )
+    table = gen.standard_exponential(length, dtype=np.float32)
+    # Exp(1) can round to 0 in float32; clamp to the smallest positive
+    # subnormal so the log stays finite.
+    np.maximum(table, np.float32(1e-45), out=table)
+    np.log(table, out=table)
+    np.negative(table, out=table)
+    table.flags.writeable = False
+    return table
+
+
 class GumbelStream:
     """Shared Gumbel noise for the batched particle sweep (stream v2).
 
@@ -98,22 +123,22 @@ class GumbelStream:
     global query index, position, and particle — never on how the batch
     is blocked — which is exactly the chunk-width invariance contract
     the per-(query, position) Philox substreams of stream v1 gave.
+
+    The table (2^21 + max vocab float32 entries, ~8.4 MB) depends only
+    on the seed and its length, so it is built once per process per
+    (seed, length) and shared read-only by every stream with that key:
+    the models of one checkpoint, which share a seed and a vocabulary,
+    hold one table between them.
     """
 
     def __init__(
         self, seed: int, num_positions: int, max_vocab: int
     ) -> None:
-        gen = np.random.Generator(
-            np.random.Philox(key=[seed + 9, GUMBEL_STREAM_VERSION])
-        )
-        table = gen.standard_exponential(
-            _GUMBEL_TABLE_SIZE + max_vocab, dtype=np.float32
-        )
-        # Exp(1) can round to 0 in float32; clamp to the smallest
-        # positive subnormal so the log stays finite.
-        np.maximum(table, np.float32(1e-45), out=table)
-        np.log(table, out=table)
-        np.negative(table, out=table)
+        key = (seed, _GUMBEL_TABLE_SIZE + max_vocab)
+        with _TABLES_LOCK:
+            table = _TABLES.get(key)
+            if table is None:
+                table = _TABLES[key] = _gumbel_table(*key)
         self.table = table
         self.num_positions = num_positions
         self._salt = splitmix64(np.array([seed + 9], dtype=np.uint64))[0]
@@ -172,20 +197,34 @@ def sweep_probability_block(
     :meth:`head_categorical_sample`), so the ``(rows, vocab)`` logit
     matrix is never materialised.
 
+    A value drawn at an unbound position matters only if a later bound
+    position reads it, so each query stops at its last bound position:
+    unbound head work runs only where ``position < last_bound[q]``, the
+    sweep runs positions up to the largest last bound position of the
+    block, and it assigns no value after the final position it runs.
+    Until then a query past its last bound position is assigned the
+    reserved id 0, so every assigned id stays inside its position's
+    vocabulary.  A query with no bound position keeps weight 1.
+
     Until a query reaches its first unbound position all its particles
     share one identical prefix, so the head runs on a single
     representative row per such query — conditionals broadcast across
     its particles, and unbound draws come from the shared-prefix
     inverse-CDF sampler instead of a per-particle Gumbel competition.
     The full-width head only ever pays for rows that have actually
-    diverged.  *constraints* holds the bound value per
-    (query, position), ``-1`` where unbound.  *offset* is the block's
-    first query index within the batch; it keys the per-(query,
-    position) noise substreams, so results are invariant to how the
-    batch is blocked.
+    diverged.  A draw from a dead conditional (all float32 mass on the
+    reserved id 0) gives its particle weight 0.  *constraints* holds
+    the bound value per (query, position), ``-1`` where unbound.
+    *offset* is the block's first query index within the batch; it keys
+    the per-(query, position) noise substreams, so results are
+    invariant to how the batch is blocked.
     """
     num_queries, num_positions = constraints.shape
     rows = num_queries * particles
+    last_bound = np.where(
+        constraints >= 0, np.arange(num_positions), -1
+    ).max(axis=1)
+    end = int(last_bound.max(initial=-1)) + 1
     sweep = model.begin_sweep(
         np.zeros((rows, num_positions), dtype=np.int64)
     )
@@ -193,8 +232,7 @@ def sweep_probability_block(
     diverged = np.zeros(num_queries, dtype=bool)
     arange_p = np.arange(particles, dtype=np.int64)
     column = np.empty((num_queries, particles), dtype=np.int64)
-    last = num_positions - 1
-    for position in range(num_positions):
+    for position in range(end):
         values = constraints[:, position]
         bound = values >= 0
         if bound.any():
@@ -221,7 +259,7 @@ def sweep_probability_block(
                     logw[n_rep:].reshape(q_all.shape[0], particles)
                 )
             column[bound] = values[bound, None]
-        unbound = ~bound
+        unbound = ~bound & (position < last_bound)
         if unbound.any():
             # Unbound: sample from the conditional with the reserved id
             # excluded.  Undiverged queries share one prefix across all
@@ -272,7 +310,10 @@ def sweep_probability_block(
                     sub[dead_all] = 0.0
                     weights[q_all] = sub
             diverged |= unbound
-        if position != last:
+        if position != end - 1:
+            # Past its last bound position a query draws nothing; its
+            # rows take the reserved id 0, which every vocabulary holds.
+            column[last_bound < position] = 0
             sweep.assign(position, column.reshape(rows))
     return weights.mean(axis=1)
 
@@ -521,7 +562,7 @@ class LMKGU(Estimator):
         )
 
     def _noise_stream(self) -> GumbelStream:
-        """Lazily-built shared noise table (seed- and shape-keyed)."""
+        """Lazily-built noise stream over the process's shared table."""
         if self._noise is None:
             self._noise = GumbelStream(
                 self.config.seed,
@@ -542,8 +583,9 @@ class LMKGU(Estimator):
         return self.model.num_parameters()
 
     def memory_bytes(self) -> int:
-        """True in-memory footprint: float64 masters + fused float32
-        inference caches + bool layer masks."""
+        """In-memory footprint of the model: float64 masters + fused
+        float32 inference caches + bool layer masks.  Excludes the noise
+        table, which :class:`GumbelStream` shares per process."""
         if self.model is None:
             raise RuntimeError("model not built yet")
         return self.model.memory_bytes()

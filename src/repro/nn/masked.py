@@ -149,19 +149,19 @@ def _output_mask(
     return out_degrees[None, :] > in_degrees[:, None]
 
 
-#: Row-tile and vocab-column-chunk of the streamed head.  The
-#: ``(tile, chunk)`` float32 scratch (16 MB) is the measured sweet spot
-#: on the serving container across a {128..8192} x {1024..full-vocab}
-#: grid; the *column* grid is fixed in vocab space (never derived from
-#: the row count), so per-row reductions visit chunks in the same order
-#: no matter how a batch is blocked.
-_HEAD_ROW_TILE = 512
+#: Vocab-column chunk of the streamed head.  The column grid is fixed
+#: in vocab space (never derived from the row count), so per-row
+#: reductions visit chunks in the same order no matter how a batch is
+#: blocked.
 _HEAD_COL_CHUNK = 8192
 
-#: Row tile of the shared-prefix categorical sampler: its float64 CDF
-#: scratch is ``tile x vocab`` (a few tens of MB at graph vocabularies),
-#: bounded regardless of how many rows the caller passes.
-_HEAD_SAMPLE_ROW_TILE = 128
+#: Bytes of the one head workspace a :class:`MADESweep` allocates and
+#: reuses in every head call.  Each head method sizes its row tile to
+#: fit its per-row scratch into this budget (at least one row), so a
+#: sweep's head holds at most this much however many rows it serves.
+#: Tile rows change no result: every head reduction is a per-row
+#: function of the logits.
+_HEAD_WORKSPACE_BYTES = 2 << 20
 
 
 class MADESweep:
@@ -176,6 +176,11 @@ class MADESweep:
     widest of the trunk (``num_vars * embed_dim -> hidden``) — so its
     cost drops to ~1/num_vars per position.  Deeper (narrower) layers
     still re-run per position.
+
+    The vocab-wide head never materialises ``(rows, vocab)`` logits: the
+    ``head_*`` methods stream row tiles through scratch carved from one
+    workspace of :data:`_HEAD_WORKSPACE_BYTES`, allocated with the sweep
+    and reused by every head call of every position.
 
     Everything here is fused-dtype (float32 by default); obtain one via
     :meth:`MADE.begin_sweep`.
@@ -195,6 +200,28 @@ class MADESweep:
         self._h1_pre = self._embedded @ weight
         self._h1_pre += bias
         self._trunk_h: Optional[np.ndarray] = None
+        self._workspace = np.empty(_HEAD_WORKSPACE_BYTES, dtype=np.uint8)
+
+    def _scratch(
+        self, n: int, *columns: Tuple[int, type]
+    ) -> Tuple[int, List[np.ndarray]]:
+        """Row tile for a head call over *n* rows, plus one flat buffer
+        of ``tile * cols`` items per ``(cols, dtype)`` in *columns*,
+        carved end to end out of the workspace.  The workspace grows
+        only when a single row needs more than the budget."""
+        sizes = [(cols, np.dtype(dtype)) for cols, dtype in columns]
+        row_bytes = sum(cols * dtype.itemsize for cols, dtype in sizes)
+        if self._workspace.nbytes < row_bytes:
+            self._workspace = np.empty(row_bytes, dtype=np.uint8)
+        tile = max(1, min(n, self._workspace.nbytes // row_bytes))
+        buffers, offset = [], 0
+        for cols, dtype in sizes:
+            nbytes = tile * cols * dtype.itemsize
+            buffers.append(
+                self._workspace[offset: offset + nbytes].view(dtype)
+            )
+            offset += nbytes
+        return tile, buffers
 
     def assign(self, position: int, values: np.ndarray) -> None:
         """Set *position* to *values* (one id per row) and update h1."""
@@ -275,9 +302,9 @@ class MADESweep:
         For the given row subset computes ``lse[r] = log sum_v
         exp(logits[r, v])`` and ``picked[r] = logits[r, values[r]]``
         without materialising the ``(rows, vocab)`` logit matrix: the
-        head streams in fixed vocab-column chunks over cache-sized row
-        tiles, keeping a running maximum and a rescaled running sum per
-        row.  The column grid lives in vocab space, so each row's
+        head streams in fixed vocab-column chunks over workspace-sized
+        row tiles, keeping a running maximum and a rescaled running sum
+        per row.  The column grid lives in vocab space, so each row's
         reduction order — hence its result — is independent of which
         other rows share the call.  Returns float64 ``(lse, picked)``.
         """
@@ -295,16 +322,16 @@ class MADESweep:
         picked += model._fused_out_bias(position)[values]
         run_max = np.full(n, -np.inf, dtype=np.float32)
         run_sum = np.zeros(n, dtype=np.float64)
-        scratch = np.empty(
-            (min(n, _HEAD_ROW_TILE), min(vocab, _HEAD_COL_CHUNK)),
-            dtype=model.inference_dtype,
+        tile_rows, (scratch,) = self._scratch(
+            n, (min(vocab, _HEAD_COL_CHUNK), model.inference_dtype)
         )
-        for r0 in range(0, n, _HEAD_ROW_TILE):
-            r1 = min(r0 + _HEAD_ROW_TILE, n)
+        for r0 in range(0, n, tile_rows):
+            r1 = min(r0 + tile_rows, n)
+            k = r1 - r0
             rows_block = block[r0:r1]
             for c0 in range(0, vocab, _HEAD_COL_CHUNK):
                 c1 = min(c0 + _HEAD_COL_CHUNK, vocab)
-                tile = scratch[: r1 - r0, : c1 - c0]
+                tile = scratch[: k * (c1 - c0)].reshape(k, c1 - c0)
                 np.matmul(rows_block, head_t[:, c0:c1], out=tile)
                 new_max = np.maximum(run_max[r0:r1], tile.max(axis=1))
                 np.subtract(tile, new_max[:, None], out=tile)
@@ -326,104 +353,61 @@ class MADESweep:
         rows: np.ndarray,
         noise_table: np.ndarray,
         bases: np.ndarray,
-        row_map: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Streamed Gumbel-max over the head, reserved id 0 excluded.
 
-        Samples ``argmax_{v >= 1} (logits[head(j), v] + g[j, v])`` per
-        competition row *j* without materialising logits or noise: the
-        head streams in the same fixed vocab-column chunks as
-        :meth:`head_lse_pick`, against a running (best value, best
-        column) pair.  Noise for competition row *j* over columns
-        ``[c0, c1)`` is the window ``noise_table[bases[j] + c0 :
-        bases[j] + c1]`` — the caller owns the keying of *bases*.
-        *row_map* (non-decreasing) maps competition rows onto head rows
-        so many particles that share an identical prefix can reuse one
-        head row's GEMM while still drawing their own noise.
+        Samples ``argmax_{v >= 1} (logits[r, v] + g[r, v])`` per head
+        row *r* without materialising logits or noise: the head streams
+        in the same fixed vocab-column chunks as :meth:`head_lse_pick`,
+        against a running (best value, best column) pair.  Noise for row
+        *r* over columns ``[c0, c1)`` is the window ``noise_table[bases[r]
+        + c0 : bases[r] + c1]`` — the caller owns the keying of *bases*.
 
-        Returns ``(choice, rest_peak, first_logit)``: the winning column
-        per competition row, plus per **head** row the maximum logit
-        over ``v >= 1`` and the reserved id's logit — the two operands
-        of dead-conditional detection.
+        Returns ``(choice, rest_peak, first_logit)`` per row: the
+        winning column, the maximum logit over ``v >= 1`` and the
+        reserved id's logit — the two operands of dead-conditional
+        detection.
         """
         model = self.model
         block, head_t = self._head_operands(position, rows)
         bases = np.asarray(bases, dtype=np.int64)
-        n_head = block.shape[0]
+        n = block.shape[0]
         vocab = head_t.shape[1]
-        if row_map is None:
-            comp_to_head = np.arange(n_head, dtype=np.int64)
-        else:
-            comp_to_head = np.asarray(row_map, dtype=np.int64)
-        n_comp = comp_to_head.shape[0]
-        if bases.shape[0] != n_comp:
+        if bases.shape[0] != n:
             raise ValueError(
-                f"{n_comp} competition rows but {bases.shape[0]} noise bases"
+                f"{n} head rows but {bases.shape[0]} noise bases"
             )
         first_logit = block @ head_t[:, 0]
-        rest_peak = np.full(n_head, -np.inf, dtype=np.float32)
-        best_val = np.full(n_comp, -np.inf, dtype=np.float32)
-        choice = np.zeros(n_comp, dtype=np.int64)
-        scratch = np.empty(
-            (min(n_comp, _HEAD_ROW_TILE), min(vocab, _HEAD_COL_CHUNK)),
-            dtype=model.inference_dtype,
-        )
-        # Noise windows are copied row-by-row into one reused buffer:
+        rest_peak = np.full(n, -np.inf, dtype=np.float32)
+        best_val = np.full(n, -np.inf, dtype=np.float32)
+        choice = np.zeros(n, dtype=np.int64)
+        width = min(vocab, _HEAD_COL_CHUNK)
+        # Noise windows are copied row-by-row into a workspace buffer:
         # a fancy-indexed window gather would allocate (and page-fault)
         # a fresh tile-sized array per chunk.
-        noise_buf = np.empty_like(scratch)
-        for r0 in range(0, n_comp, _HEAD_ROW_TILE):
-            r1 = min(r0 + _HEAD_ROW_TILE, n_comp)
-            h_lo = int(comp_to_head[r0])
-            h_hi = int(comp_to_head[r1 - 1]) + 1
-            head_rows = block[h_lo:h_hi]
-            n_tile = r1 - r0
-            n_heads = h_hi - h_lo
-            local = comp_to_head[r0:r1] - h_lo
-            identity = n_heads == n_tile and bool(
-                (local == np.arange(n_tile)).all()
-            )
-            # A tile of equal-sized particle groups (the undiverged
-            # rep layout) broadcasts each head row over its group
-            # in place of materialising an expanded copy.
-            group = 0 if identity else n_tile // n_heads
-            uniform = (
-                not identity
-                and group * n_heads == n_tile
-                and bool(
-                    (
-                        local
-                        == np.repeat(
-                            np.arange(n_heads, dtype=np.int64), group
-                        )
-                    ).all()
-                )
-            )
+        tile_rows, (scratch, noise_buf) = self._scratch(
+            n, (width, model.inference_dtype), (width, model.inference_dtype)
+        )
+        for r0 in range(0, n, tile_rows):
+            r1 = min(r0 + tile_rows, n)
+            k = r1 - r0
+            rows_block = block[r0:r1]
             tile_bases = bases[r0:r1].tolist()
             for c0 in range(0, vocab, _HEAD_COL_CHUNK):
                 c1 = min(c0 + _HEAD_COL_CHUNK, vocab)
-                width = c1 - c0
-                tile = scratch[:n_heads, :width]
-                np.matmul(head_rows, head_t[:, c0:c1], out=tile)
+                tile = scratch[: k * (c1 - c0)].reshape(k, c1 - c0)
+                np.matmul(rows_block, head_t[:, c0:c1], out=tile)
                 if c0 == 0:
                     # The reserved id is excluded from both the
                     # competition and the rest-of-vocab peak.
                     tile[:, 0] = -np.inf
                 np.maximum(
-                    rest_peak[h_lo:h_hi],
-                    tile.max(axis=1),
-                    out=rest_peak[h_lo:h_hi],
+                    rest_peak[r0:r1], tile.max(axis=1), out=rest_peak[r0:r1]
                 )
-                noisy = noise_buf[:n_tile, :width]
+                noisy = noise_buf[: k * (c1 - c0)].reshape(k, c1 - c0)
                 for i, base in enumerate(tile_bases):
                     noisy[i] = noise_table[base + c0: base + c1]
-                if identity:
-                    noisy += tile
-                elif uniform:
-                    view = noisy.reshape(n_heads, group, width)
-                    view += tile[:, None, :]
-                else:
-                    noisy += tile[local]
+                noisy += tile
                 loc = noisy.argmax(axis=1)
                 val = np.take_along_axis(
                     noisy, loc[:, None], axis=1
@@ -452,11 +436,10 @@ class MADESweep:
         ``sum_{w <= v} exp(l_w - m_r) >= u[r, j] * Z_r``.  One GEMM and
         one float64 scan per *head* row replaces a per-*particle*
         vocab-wide Gumbel competition, which is what makes undiverged
-        queries cheap.  The CDF is materialised one
-        :data:`_HEAD_SAMPLE_ROW_TILE` row tile at a time — never the
-        full ``(rows, vocab)`` matrix — and is a pure per-row function
-        of the logits and the uniforms, so draws are independent of how
-        the batch was blocked.
+        queries cheap.  The CDF is materialised one workspace-sized row
+        tile at a time — never the full ``(rows, vocab)`` matrix — and
+        is a pure per-row function of the logits and the uniforms, so
+        draws are independent of how the batch was blocked.
 
         Returns ``(choice, rest_peak, first_logit)``: choices shaped
         like *uniforms*, plus the two dead-conditional operands per
@@ -476,21 +459,20 @@ class MADESweep:
         choice = np.empty(uniforms.shape, dtype=np.int64)
         rest_peak = np.empty(n, dtype=np.float32)
         first_logit = np.empty(n, dtype=np.float32)
-        tile_rows = min(n, _HEAD_SAMPLE_ROW_TILE)
-        scratch = np.empty(
-            (tile_rows, vocab), dtype=model.inference_dtype
+        # The float64 CDF leads the workspace, keeping it 8-byte aligned.
+        tile_rows, (cdf, scratch) = self._scratch(
+            n, (vocab, np.float64), (vocab, model.inference_dtype)
         )
-        cdf = np.empty((tile_rows, vocab), dtype=np.float64)
-        for r0 in range(0, n, _HEAD_SAMPLE_ROW_TILE):
-            r1 = min(r0 + _HEAD_SAMPLE_ROW_TILE, n)
+        for r0 in range(0, n, tile_rows):
+            r1 = min(r0 + tile_rows, n)
             k = r1 - r0
-            tile = scratch[:k]
+            tile = scratch[: k * vocab].reshape(k, vocab)
             np.matmul(block[r0:r1], head_t, out=tile)
             first_logit[r0:r1] = tile[:, 0]
             tile[:, 0] = -np.inf
             peak = tile.max(axis=1)
             rest_peak[r0:r1] = peak
-            row_cdf = cdf[:k]
+            row_cdf = cdf[: k * vocab].reshape(k, vocab)
             np.subtract(tile, peak[:, None], out=tile)
             np.exp(tile, out=tile)
             np.cumsum(tile, axis=1, dtype=np.float64, out=row_cdf)

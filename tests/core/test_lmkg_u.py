@@ -345,3 +345,292 @@ class TestInferenceTrunk:
         star_model.save(tmp_path / "star.npz")
         fresh = LMKGU.load(tmp_path / "star.npz", lubm_store)
         assert np.array_equal(first, fresh.estimate_batch(queries))
+
+
+class TestNoiseTable:
+    """One read-only Gumbel table per (seed, table length) per process."""
+
+    def test_one_seed_and_vocabulary_share_one_table(
+        self, star_model, chain_model, universal_model
+    ):
+        table = star_model._noise_stream().table
+        assert chain_model._noise_stream().table is table
+        assert universal_model._noise_stream().table is table
+        assert not table.flags.writeable
+
+    def test_other_seed_gets_its_own_table(self, star_model):
+        other = lmkg_u.GumbelStream(
+            star_model.config.seed + 1,
+            star_model.num_positions,
+            max(star_model._vocab_sizes),
+        )
+        assert other.table is not star_model._noise_stream().table
+        assert not np.array_equal(
+            other.table[:64], star_model._noise_stream().table[:64]
+        )
+
+    def test_table_is_freed_with_its_last_stream(self):
+        import gc
+        import weakref
+
+        streams = [lmkg_u.GumbelStream(4242, 5, 40) for _ in range(2)]
+        assert streams[0].table is streams[1].table
+        head = streams[0].table[:64].copy()
+        ref = weakref.ref(streams[0].table)
+        del streams
+        gc.collect()
+        assert ref() is None
+        rebuilt = lmkg_u.GumbelStream(4242, 5, 40).table
+        assert np.array_equal(rebuilt[:64], head)
+
+    def test_concurrent_streams_build_one_table(self):
+        import sys
+        import threading
+
+        tables = []
+        start = threading.Barrier(8)
+
+        def build():
+            start.wait()
+            tables.append(lmkg_u.GumbelStream(777, 5, 40).table)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tables) == 8
+        assert all(table is tables[0] for table in tables)
+
+
+class _SweepSpy:
+    """Records every head call and assignment of the sweeps *made*
+    begins: ``(method, position, rows)``."""
+
+    HEADS = ("head_lse_pick", "head_gumbel_argmax", "head_categorical_sample")
+
+    def __init__(self, made, monkeypatch):
+        self.calls = []
+        self.sweeps = []
+        begin = made.begin_sweep
+
+        def begin_sweep(ids):
+            sweep = begin(ids)
+            self.sweeps.append(sweep)
+            for attr in self.HEADS + ("assign",):
+                fn = getattr(sweep, attr)
+
+                def call(position, rows, *args, _fn=fn, _attr=attr):
+                    self.calls.append((_attr, position, np.asarray(rows)))
+                    return _fn(position, rows, *args)
+
+                setattr(sweep, attr, call)
+            return sweep
+
+        monkeypatch.setattr(made, "begin_sweep", begin_sweep)
+
+
+def _full_sweep(made, constraints, particles, noise):
+    """The sweep without the stop at the last bound position: every
+    position runs, every unbound position draws (a dead draw zeroes its
+    particle) and every position but the final one is assigned.  Head
+    calls group rows as the batched sweep does (undiverged queries on
+    one representative row, listed first), so float32 rounding matches
+    it bit for bit."""
+    num_queries, positions = constraints.shape
+    sweep = made.begin_sweep(
+        np.zeros((num_queries * particles, positions), dtype=np.int64)
+    )
+    weights = np.ones((num_queries, particles))
+    column = np.zeros((num_queries, particles), dtype=np.int64)
+    diverged = np.zeros(num_queries, dtype=bool)
+    particle = np.arange(particles)
+    for position in range(positions):
+        values = constraints[:, position]
+        bound = values >= 0
+        rep = np.flatnonzero(bound & ~diverged)
+        full = np.flatnonzero(bound & diverged)
+        if bound.any():
+            lse, picked = sweep.head_lse_pick(
+                position,
+                np.concatenate([
+                    rep * particles,
+                    (full[:, None] * particles + particle).ravel(),
+                ]),
+                np.concatenate([
+                    values[rep], np.repeat(values[full], particles)
+                ]),
+            )
+            factor = np.exp(picked - lse)
+            weights[rep] *= factor[: rep.size, None]
+            weights[full] *= factor[rep.size:].reshape(-1, particles)
+            column[bound] = values[bound, None]
+        rep = np.flatnonzero(~bound & ~diverged)
+        full = np.flatnonzero(~bound & diverged)
+        if rep.size:
+            choice, peak, first = sweep.head_categorical_sample(
+                position, rep * particles,
+                noise.uniforms(rep, position, particles).reshape(
+                    rep.size, particles
+                ),
+            )
+            dead = (peak - first) <= lmkg_u._DEAD_LOG_MARGIN
+            column[rep] = np.where(dead[:, None], 1, choice)
+            weights[rep[dead]] = 0.0
+        if full.size:
+            choice, peak, first = sweep.head_gumbel_argmax(
+                position, (full[:, None] * particles + particle).ravel(),
+                noise.table, noise.bases(full, position, particles),
+            )
+            dead = ((peak - first) <= lmkg_u._DEAD_LOG_MARGIN).reshape(
+                full.size, particles
+            )
+            column[full] = np.where(
+                dead, 1, choice.reshape(full.size, particles)
+            )
+            weights[full] = np.where(dead, 0.0, weights[full])
+        diverged |= ~bound
+        if position != positions - 1:
+            sweep.assign(position, column.reshape(-1))
+    return weights.mean(axis=1)
+
+class TestSweepWork:
+    """The sweep stops at each query's last bound position, and its head
+    scratch lives in one bounded workspace."""
+
+    def _queries(self, lubm_store, count=32):
+        workload = generate_workload(lubm_store, "star", 2, count, seed=45)
+        return [r.query for r in workload][:count]
+
+    def test_no_head_call_after_last_bound_position(
+        self, star_model, lubm_store, monkeypatch
+    ):
+        queries = self._queries(lubm_store)
+        particles = star_model.config.particles
+        sequences = np.array([
+            [-1 if v is None else v for v in star_model._query_sequence(q)]
+            for q in queries
+        ])
+        last = np.where(
+            sequences >= 0, np.arange(sequences.shape[1]), -1
+        ).max(axis=1)
+        assert (last < star_model.num_positions - 1).any()
+        spy = _SweepSpy(star_model.model, monkeypatch)
+        star_model.estimate_batch(queries)
+        heads = [c for c in spy.calls if c[0] != "assign"]
+        assert any(c[0] != "head_lse_pick" for c in heads)
+        for method, position, rows in heads:
+            owners = last[rows // particles]
+            if method == "head_lse_pick":
+                assert (position <= owners).all()
+            else:
+                assert (position < owners).all(), method
+        assigned = [c[1] for c in spy.calls if c[0] == "assign"]
+        assert assigned == list(range(last.max()))
+
+
+    def test_trailing_unbound_positions_in_a_mixed_batch(
+        self, star_model, lubm_store
+    ):
+        """Queries that stop early share a block with a fully bound one:
+        a node-bound query followed by a variable predicate, and one with
+        no bound term.  Their trailing rows must hold ids valid for the
+        positions the sweep still assigns, and every estimate equals the
+        sweep that runs and draws every position."""
+        from repro.sampling import StarSampler
+
+        s, p1, o1, p2, o2 = StarSampler(lubm_store, 2, seed=3).sample()
+        queries = [
+            QueryPattern(
+                [TriplePattern(s, p1, o1), TriplePattern(s, v("p"), v("o"))]
+            ),
+            QueryPattern(
+                [TriplePattern(s, p1, o1), TriplePattern(s, p2, o2)]
+            ),
+            QueryPattern([
+                TriplePattern(v("s"), v("p1"), v("o1")),
+                TriplePattern(v("s"), v("p2"), v("o2")),
+            ]),
+        ]
+        predicates = star_model._vocab_sizes[star_model._var_vocabs[3]]
+        assert o1 >= predicates  # a stale node id is no predicate id
+        estimates = star_model.estimate_batch(queries)
+        constraints = np.array([
+            [-1 if t is None else t for t in star_model._query_sequence(q)]
+            for q in queries
+        ])
+        full = _full_sweep(
+            star_model.model, constraints, star_model.config.particles,
+            star_model._noise_stream(),
+        )
+        assert np.array_equal(
+            estimates, float(star_model.universe) * full
+        )
+        assert estimates[2] == float(star_model.universe)
+
+    def test_workspace_stays_within_budget(
+        self, star_model, lubm_store, monkeypatch
+    ):
+        import repro.nn.masked as masked
+
+        queries = self._queries(lubm_store)
+        spy = _SweepSpy(star_model.model, monkeypatch)
+        wide = star_model.estimate_batch(queries)
+        small = 1 << 16
+        default = masked._HEAD_WORKSPACE_BYTES
+        monkeypatch.setattr(masked, "_HEAD_WORKSPACE_BYTES", small)
+        narrow = star_model.estimate_batch(queries)
+        assert np.array_equal(wide, narrow)
+        first, second = spy.sweeps
+        assert first.ids.shape[0] >= 4096
+        assert first._workspace.nbytes <= default
+        assert second._workspace.nbytes <= small
+
+
+class TestDeadConditional:
+    """A draw whose float32 mass sits all on the reserved id 0 zeroes its
+    particle before the query's last bound position; after it, no draw
+    is made, so no weight is zeroed."""
+
+    def _made(self):
+        from repro.nn import MADE
+
+        return MADE(
+            var_vocabs=[0, 1, 0, 1, 0],
+            vocab_sizes=[40, 12],
+            embed_dim=8,
+            hidden_sizes=(16,),
+            residual=True,
+            seed=3,
+        )
+
+    def _probability(self, made, kill=None):
+        if kill is not None:
+            bias = made.out_bias[kill]
+            bias.value[:] = -300.0
+            bias.value[0] = 300.0
+            bias.bump_version()
+        # Bound predicates at positions 1 and 3; position 4 trails.
+        return lmkg_u.sweep_probabilities(
+            made, [[None, 2, None, 3, None]], 16,
+            lmkg_u.GumbelStream(0, 5, 40),
+        )[0]
+
+    def test_trailing_dead_conditional_keeps_the_weight(self):
+        alive = self._probability(self._made())
+        assert alive > 0.0
+        assert self._probability(self._made(), kill=4) == alive
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_dead_conditional_before_last_bound_zeroes_the_weight(
+        self, position
+    ):
+        """Position 0 draws through the shared-prefix sampler, position
+        2 through the per-particle Gumbel competition."""
+        assert self._probability(self._made(), kill=position) == 0.0

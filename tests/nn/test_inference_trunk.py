@@ -179,12 +179,13 @@ class TestStreamedHead:
         return model, model.begin_sweep(ids)
 
     def _shrink_tiles(self, monkeypatch):
-        """Force multi-tile, multi-chunk streaming at test vocabularies."""
+        """Force multi-tile, multi-chunk streaming at test vocabularies:
+        a 960-byte workspace holds 15 lse rows, 7 Gumbel rows and 2
+        categorical rows of a 40-id vocabulary in 16-column chunks."""
         import repro.nn.masked as masked
 
-        monkeypatch.setattr(masked, "_HEAD_ROW_TILE", 7)
+        monkeypatch.setattr(masked, "_HEAD_WORKSPACE_BYTES", 960)
         monkeypatch.setattr(masked, "_HEAD_COL_CHUNK", 16)
-        monkeypatch.setattr(masked, "_HEAD_SAMPLE_ROW_TILE", 5)
 
     def test_lse_pick_matches_dense(self, rng, monkeypatch):
         self._shrink_tiles(monkeypatch)
@@ -208,18 +209,17 @@ class TestStreamedHead:
         position = 2
         vocab = model.vocab_sizes[model.var_vocabs[position]]
         table = rng.gumbel(size=4096 + vocab).astype(np.float32)
-        # Rep layout: 4 head rows x 6 particles each, via row_map.
-        head_rows = np.array([0, 6, 12, 18], dtype=np.int64)
-        row_map = np.repeat(np.arange(4, dtype=np.int64), 6)
-        bases = rng.integers(0, 4096, size=row_map.shape[0])
+        # One competition row per head row, over a strided row subset.
+        head_rows = np.arange(0, 24, 2, dtype=np.int64)
+        bases = rng.integers(0, 4096, size=head_rows.shape[0])
         choice, rest_peak, first_logit = sweep.head_gumbel_argmax(
-            position, head_rows, table, bases, row_map
+            position, head_rows, table, bases
         )
         dense = sweep.logits(position)[head_rows]
         noise = np.stack(
             [table[b: b + vocab] for b in bases]
         )
-        noisy = noise + dense[row_map]
+        noisy = noise + dense
         noisy[:, 0] = -np.inf
         assert np.array_equal(choice, noisy.argmax(axis=1))
         masked_dense = dense.copy()
@@ -228,7 +228,7 @@ class TestStreamedHead:
         assert np.allclose(first_logit, dense[:, 0], rtol=1e-5, atol=1e-6)
 
     def test_gumbel_argmax_identity_map(self, rng, monkeypatch):
-        """Diverged layout: one competition row per head row."""
+        """Every row of the block, at a node position."""
         self._shrink_tiles(monkeypatch)
         model, sweep = self._sweep(rng)
         position = 0
@@ -273,16 +273,21 @@ class TestStreamedHead:
         self, rng, monkeypatch
     ):
         """Draws are a pure per-row function of logits and uniforms —
-        row-tile size cannot change them."""
+        the workspace budget (hence the row tile) cannot change them."""
         import repro.nn.masked as masked
 
         model, sweep = self._sweep(rng)
         uniforms = rng.random((24, 8))
         rows = np.arange(24, dtype=np.int64)
         wide, _, _ = sweep.head_categorical_sample(2, rows, uniforms)
-        monkeypatch.setattr(masked, "_HEAD_SAMPLE_ROW_TILE", 1)
-        narrow, _, _ = sweep.head_categorical_sample(2, rows, uniforms)
+        monkeypatch.setattr(masked, "_HEAD_WORKSPACE_BYTES", 1)
+        narrow_sweep = model.begin_sweep(sweep.ids)
+        narrow, _, _ = narrow_sweep.head_categorical_sample(
+            2, rows, uniforms
+        )
         assert np.array_equal(wide, narrow)
+        # One row of scratch (float64 CDF + float32 logits) is the floor.
+        assert narrow_sweep._workspace.nbytes == 40 * 12
 
     def test_dead_conditional_operands(self, rng):
         """A head whose real-id mass collapsed relative to the reserved
