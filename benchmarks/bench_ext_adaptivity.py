@@ -6,7 +6,7 @@ chains — against two deployments of the same initial star-only model:
 
 - *static*: the creation-phase models never change (chain queries can
   only be answered by decomposition or fail),
-- *adaptive*: the :class:`~repro.core.monitor.AdaptiveLMKG` loop with a
+- *adaptive*: the :class:`~ext.monitor.AdaptiveLMKG` loop with a
   sliding-window drift detector.
 
 Reported: phase-2 accuracy of both deployments and the adaptation log,
@@ -17,6 +17,7 @@ to the same order as a model trained for chains up front.
 
 from pathlib import Path
 
+from ext.monitor import AdaptiveLMKG, WorkloadMonitor
 from repro.bench import get_context
 from repro.bench.reporting import format_table, merge_json
 
@@ -26,7 +27,6 @@ RESULT_PATH = (
 from repro.core.framework import LMKG
 from repro.core.lmkg_s import LMKGSConfig
 from repro.core.metrics import summarize
-from repro.core.monitor import AdaptiveLMKG, WorkloadMonitor
 
 
 def test_ext_adaptivity(benchmark, report):

@@ -11,9 +11,9 @@ independently and realise real savings.
 
 import numpy as np
 
+from ext.optimizer import left_deep_vs_bushy, true_cost_fn
 from repro.bench import get_context
 from repro.bench.reporting import format_table
-from repro.optimizer import left_deep_vs_bushy, true_cost_fn
 from repro.sampling import generate_workload
 
 

@@ -9,9 +9,9 @@ star+chain workload.
 
 import numpy as np
 
+from ext.compound import CompoundEstimator
 from repro.bench import get_context
 from repro.bench.reporting import format_table
-from repro.core.compound import CompoundEstimator
 from repro.core.metrics import summarize
 
 

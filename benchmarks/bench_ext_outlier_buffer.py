@@ -9,10 +9,10 @@ raw model, on the full result-size range including outliers.
 
 import numpy as np
 
+from ext.outliers import BufferedEstimator
 from repro.bench import get_context
 from repro.bench.reporting import format_bytes, format_table
 from repro.core.metrics import summarize
-from repro.core.outliers import BufferedEstimator
 
 CAPACITIES = (0, 10, 50)
 

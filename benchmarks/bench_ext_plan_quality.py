@@ -9,14 +9,11 @@ translate into more optimal plans and lower plan regret than the
 independence assumption.
 """
 
-from repro.baselines import (
-    BayesNetEstimator,
-    CharacteristicSets,
-    IndependenceEstimator,
-)
+from ext.bayesnet import BayesNetEstimator
+from ext.optimizer import plan_quality
+from repro.baselines import CharacteristicSets, IndependenceEstimator
 from repro.bench import get_context
 from repro.bench.reporting import format_table
-from repro.optimizer import plan_quality
 
 
 def test_ext_plan_quality(benchmark, report):

@@ -9,15 +9,15 @@ count the learned model's correlation handling beats the independence-
 times-selectivity estimate, mirroring the equality-query result.
 """
 
-from repro.bench import get_context
-from repro.bench.reporting import format_table
-from repro.core.lmkg_s import LMKGSConfig
-from repro.core.metrics import summarize
-from repro.core.ranges import (
+from ext.ranges import (
     HistogramRangeEstimator,
     LMKGSRange,
     generate_range_workload,
 )
+from repro.bench import get_context
+from repro.bench.reporting import format_table
+from repro.core.lmkg_s import LMKGSConfig
+from repro.core.metrics import summarize
 
 
 def test_ext_ranges(benchmark, report):

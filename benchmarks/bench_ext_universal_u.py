@@ -14,10 +14,10 @@ may produce lower accuracy").
 
 import numpy as np
 
+from ext.lmkg_u_universal import UniversalLMKGU
 from repro.bench import get_context
 from repro.bench.reporting import format_bytes, format_table
 from repro.core.lmkg_u import LMKGU, LMKGUConfig
-from repro.core.lmkg_u_universal import UniversalLMKGU
 from repro.core.metrics import summarize
 
 

@@ -2,25 +2,27 @@
 application (§I: "producing efficient query plans heavily relies on
 accurate cardinality estimates").
 
-Uses the :mod:`repro.optimizer` subsystem: plans 3-triple star queries
+Uses the :mod:`ext.optimizer` subsystem: plans 3-triple star queries
 with three cardinality sources — the exact-count oracle, LMKG-S, and
 the independence assumption — and compares the *true* C_out of each
 chosen join order (the methodology of "How good are query optimizers,
 really?", Leis et al., VLDB 2015).  One plan is also executed to show
 the measured intermediates matching the oracle's prediction.
 
-Run:  python examples/join_ordering.py
+Run from the repository root::
+
+    PYTHONPATH=src:benchmarks python benchmarks/ext/examples/join_ordering.py
 """
 
-from repro import LMKG, LMKGSConfig, load_dataset
-from repro.baselines import IndependenceEstimator
-from repro.optimizer import (
+from ext.optimizer import (
     Optimizer,
     cout_cost,
     execute_order,
     plan_quality,
     true_cost_fn,
 )
+from repro import LMKG, LMKGSConfig, load_dataset
+from repro.baselines import IndependenceEstimator
 from repro.sampling import generate_workload
 
 

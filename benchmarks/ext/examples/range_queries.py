@@ -12,18 +12,20 @@ histogram selectivity values."  This example builds that extension:
    per triple — and compare it against the pure-histogram baseline a
    traditional optimizer would use.
 
-Run:  python examples/range_queries.py
+Run from the repository root::
+
+    PYTHONPATH=src:benchmarks python benchmarks/ext/examples/range_queries.py
 """
 
 import numpy as np
 
-from repro import LMKGSConfig, load_dataset
-from repro.core.metrics import q_errors, summarize
-from repro.core.ranges import (
+from ext.ranges import (
     HistogramRangeEstimator,
     LMKGSRange,
     generate_range_workload,
 )
+from repro import LMKGSConfig, load_dataset
+from repro.core.metrics import q_errors, summarize
 
 
 def main() -> None:

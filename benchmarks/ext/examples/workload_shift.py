@@ -12,11 +12,13 @@ scenario end to end:
    cold-starts a chain model, and drops the now-unused star model,
 4. print the adaptation log and the estimator's accuracy before/after.
 
-Run:  python examples/workload_shift.py
+Run from the repository root::
+
+    PYTHONPATH=src:benchmarks python benchmarks/ext/examples/workload_shift.py
 """
 
+from ext.monitor import AdaptiveLMKG, WorkloadMonitor
 from repro import LMKG, LMKGSConfig, load_dataset, q_error
-from repro.core import AdaptiveLMKG, WorkloadMonitor
 from repro.sampling import generate_workload
 
 

@@ -12,7 +12,7 @@ optimizers, really?" (Leis et al., VLDB 2015).
 
 Typical use::
 
-    from repro.optimizer import Optimizer, plan_quality
+    from ext.optimizer import Optimizer, plan_quality
 
     optimizer = Optimizer(estimator)        # any Estimator
     plan = optimizer.optimize(query)        # best left-deep order
@@ -20,37 +20,37 @@ Typical use::
     report = plan_quality(store, estimator, queries)
 """
 
-from repro.optimizer.plans import (
+from ext.optimizer.plans import (
     JoinPlan,
     connected_orders,
     is_connected_order,
     prefix_patterns,
 )
-from repro.optimizer.bushy import (
+from ext.optimizer.bushy import (
     BushyPlan,
     bushy_best_plan,
     left_deep_best_plan,
     left_deep_vs_bushy,
 )
-from repro.optimizer.cost import (
+from ext.optimizer.cost import (
     CostModel,
     cout_cost,
     estimator_cost_fn,
     true_cost_fn,
 )
-from repro.optimizer.enumeration import (
+from ext.optimizer.enumeration import (
     Optimizer,
     dp_best_order,
     exhaustive_best_order,
     greedy_order,
 )
-from repro.optimizer.executor import (
+from ext.optimizer.executor import (
     PlanExecution,
     TreeExecution,
     execute_order,
     execute_plan,
 )
-from repro.optimizer.quality import (
+from ext.optimizer.quality import (
     PlanQualityReport,
     QueryPlanOutcome,
     plan_quality,

@@ -10,7 +10,7 @@ Cost accounting: the classic C_out — the sum of the output sizes of
 **every join node** in the tree, root included (Cluet & Moerkotte).
 The root term is identical for all plans of one query, so comparisons
 are unaffected, and leaves (index scans) are free.  Note this differs
-from the prefix-sum convention of :func:`repro.optimizer.cost.cout_cost`
+from the prefix-sum convention of :func:`ext.optimizer.cost.cout_cost`
 (which charges the first scanned pattern to break ties between 2-pattern
 orders); to compare tree shapes fairly, :func:`left_deep_vs_bushy`
 evaluates *both* optima under the join-output convention by restricting
@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.optimizer.cost import CostModel
-from repro.optimizer.plans import pattern_variables
+from ext.optimizer.cost import CostModel
+from ext.optimizer.plans import pattern_variables
 from repro.rdf.pattern import QueryPattern
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from ext.optimizer.plans import prefix_patterns
 from repro.core.estimator import Estimator
-from repro.optimizer.plans import prefix_patterns
 from repro.rdf.fastcount import count_query
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.estimator import Estimator
-from repro.optimizer.cost import CostModel, cout_cost, estimator_cost_fn
-from repro.optimizer.plans import (
+from ext.optimizer.cost import CostModel, cout_cost, estimator_cost_fn
+from ext.optimizer.plans import (
     JoinOrder,
     JoinPlan,
     connected_orders,
     pattern_variables,
 )
+from repro.core.estimator import Estimator
 from repro.rdf.pattern import QueryPattern
 
 

@@ -7,7 +7,7 @@ Where the cost model *predicts* intermediate sizes, the executors
   left-deep order (no adaptive reordering), probing the store's
   permutation indexes for each partial binding; per-level binding
   counts equal the prefix cardinalities.
-- :func:`execute_plan` evaluates a :class:`~repro.optimizer.bushy.
+- :func:`execute_plan` evaluates a :class:`~ext.optimizer.bushy.
   BushyPlan` bottom-up with in-memory hash joins on the shared
   variables, recording each join node's output size — the quantities
   the bushy C_out charges.
@@ -187,7 +187,7 @@ def execute_plan(
 ) -> TreeExecution:
     """Evaluate a bushy join tree bottom-up with hash joins.
 
-    *plan* is a :class:`~repro.optimizer.bushy.BushyPlan` over
+    *plan* is a :class:`~ext.optimizer.bushy.BushyPlan` over
     *query*'s pattern indices; its leaves are index scans, its internal
     nodes natural joins on the shared variables.
     """

@@ -15,10 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ext.optimizer.cost import cout_cost, estimator_cost_fn, true_cost_fn
+from ext.optimizer.enumeration import dp_best_order
+from ext.optimizer.plans import JoinOrder
 from repro.core.estimator import Estimator
-from repro.optimizer.cost import cout_cost, estimator_cost_fn, true_cost_fn
-from repro.optimizer.enumeration import dp_best_order
-from repro.optimizer.plans import JoinOrder
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.store import TripleStore
 

@@ -18,7 +18,6 @@ from repro import (
     summarize,
 )
 from repro.baselines import (
-    BayesNetEstimator,
     CharacteristicSets,
     Impr,
     IndependenceEstimator,
@@ -70,7 +69,6 @@ def main() -> None:
         "sumrdf": SumRDF(store).estimate,
         "wj": WanderJoin(store, walks_per_run=50, runs=10).estimate,
         "cset": CharacteristicSets(store).estimate,
-        "bayesnet": BayesNetEstimator(store).estimate,
         "indep": IndependenceEstimator(store).estimate,
         "mscn": mscn.estimate,
         "lmkg-u": lambda q, z=lmkg_u: z[

@@ -14,16 +14,14 @@ Public API highlights:
 - :mod:`repro.rdf` — triple store, exact matcher, SPARQL-subset parser,
 - :mod:`repro.datasets` — SWDF/LUBM/YAGO-like synthetic graphs,
 - :mod:`repro.sampling` — training-data and workload generation,
-- :mod:`repro.baselines` — CSET, SUMRDF, WanderJoin, JSUB, Impr, MSCN,
-  and the Huang & Liu Bayesian-network baseline,
-- :mod:`repro.optimizer` — join-order optimization over the estimates
-  (plans, C_out, enumeration, executor, plan-quality analysis),
+- :mod:`repro.baselines` — CSET, SUMRDF, WanderJoin, JSUB, Impr and MSCN,
 - :mod:`repro.nn` — the numpy neural-network substrate.
 
-The paper's future-work items live in :mod:`repro.core` alongside the
-models: :class:`~repro.core.compound.CompoundEstimator` (§VII-B),
-:class:`~repro.core.monitor.AdaptiveLMKG` (§IV workload shift), and
-:class:`~repro.core.ranges.LMKGSRange` (§IV range queries).
+The paper's future-work items (the compound S+U estimator, workload-shift
+adaptation, range queries, a universal LMKG-U, an outlier buffer, a
+Bayesian-network baseline and a join optimizer) are not part of the
+package: they live in ``benchmarks/ext/``, next to the benches that
+measure them.
 """
 
 from repro.core import (

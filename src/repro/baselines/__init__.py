@@ -1,7 +1,6 @@
 """Competitor estimators from the paper's evaluation (§VIII).
 
-Summary-based: :class:`CharacteristicSets` (CSET), :class:`SumRDF`,
-:class:`BayesNetEstimator` (Huang & Liu's BN + chain histogram, §II [14]).
+Summary-based: :class:`CharacteristicSets` (CSET), :class:`SumRDF`.
 Sampling-based: :class:`WanderJoin` (WJ), :class:`JSUB`, :class:`Impr`.
 Learned: :class:`MSCN` (MSCN-0 / MSCN-1k via ``MSCNConfig.num_samples``).
 Plus the :class:`IndependenceEstimator` floor.
@@ -15,11 +14,6 @@ averages over (30 in the paper); their ``_estimate_one`` performs the
 averaging, so benches measure the same work the paper timed.
 """
 
-from repro.baselines.bayesnet import (
-    BayesNetEstimator,
-    ChainHistogram,
-    StarBayesNet,
-)
 from repro.baselines.cset import CharacteristicSets
 from repro.baselines.impr import Impr
 from repro.baselines.independence import IndependenceEstimator
@@ -29,10 +23,7 @@ from repro.baselines.sumrdf import SumRDF
 from repro.baselines.wanderjoin import WanderJoin
 
 __all__ = [
-    "BayesNetEstimator",
-    "ChainHistogram",
     "CharacteristicSets",
-    "StarBayesNet",
     "Impr",
     "IndependenceEstimator",
     "JSUB",

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines import (
-    BayesNetEstimator,
     CharacteristicSets,
     Impr,
     IndependenceEstimator,
@@ -219,7 +218,6 @@ class BenchContext:
                 "cset": lambda: CharacteristicSets(self.store),
                 "sumrdf": lambda: SumRDF(self.store, target_buckets=256),
                 "indep": lambda: IndependenceEstimator(self.store),
-                "bayesnet": lambda: BayesNetEstimator(self.store),
                 "wj": lambda: WanderJoin(
                     self.store, p.walks_per_run, p.sampling_runs, seed=1
                 ),

@@ -5,16 +5,13 @@ Subcommands:
 - ``stats``   — Table I-style statistics for a built-in or N-Triples graph,
 - ``train``   — train LMKG models for ``--shapes`` and write an
   ``LMKG.save`` checkpoint directory, the one ``estimate``, ``serve
-  --checkpoint`` and ``maintain`` read (``--model lmkg-s-range`` writes
-  its own single-file model),
+  --checkpoint`` and ``maintain`` read,
 - ``estimate``— estimate a SPARQL query with a trained checkpoint,
 - ``workload``— generate a labelled query workload as TSV,
 - ``label``   — generate a labelled training workload with the
   cardinality labeling split across worker processes that share one
   memory-mapped snapshot (``--workers N``; ``--workers 0`` uses every
   core, ``--snapshot DIR`` attaches to an existing snapshot),
-- ``plan``    — pick a join order for a SPARQL query and compare it
-  against the true-optimal order,
 - ``snapshot``— persist a graph as a memory-mapped columnar snapshot
   (``snapshot save``), load/inspect one without per-triple work
   (``snapshot load``; ``--no-verify`` skips the checksum pass), and
@@ -107,6 +104,7 @@ from repro.core.lmkg_s import LMKGSConfig
 from repro.core.lmkg_u import LMKGUConfig
 from repro.datasets import DATASET_NAMES, load_dataset
 from repro.rdf import (
+    ParseError,
     compute_stats,
     count_bgp,
     load_ntriples,
@@ -138,17 +136,37 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_shapes(values: Sequence[str]) -> List[Tuple[str, int]]:
+# The topologies each model family trains (``--model``).
+_TOPOLOGIES = {"lmkg-s": ("star", "chain", "tree"), "lmkg-u": ("star", "chain")}
+
+
+def _parse_shapes(
+    values: Sequence[str], model: str
+) -> List[Tuple[str, int]]:
+    """``topology:size`` strings to shapes *model* can train."""
     shapes = []
     for value in values:
         try:
             topology, size = value.split(":")
-            shapes.append((topology, int(size)))
+            size = int(size)
         except ValueError:
             raise SystemExit(
                 f"bad shape {value!r}; expected topology:size like star:2"
             )
+        if topology not in _TOPOLOGIES[model] or size < 1:
+            raise SystemExit(
+                f"bad shape {value!r}: {model} trains "
+                f"{'/'.join(_TOPOLOGIES[model])} shapes of size >= 1"
+            )
+        shapes.append((topology, size))
     return shapes
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_stats(args) -> int:
@@ -165,38 +183,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    shapes = _parse_shapes(args.shapes, args.model)
     store = _load_store(args)
-    shapes = _parse_shapes(args.shapes)
-    if args.model == "lmkg-s-range":
-        from repro.core.ranges import LMKGSRange, generate_range_workload
-
-        topologies = sorted({t for t, _ in shapes})
-        max_size = max(s for _, s in shapes)
-        model = LMKGSRange(
-            store,
-            topologies,
-            max_size,
-            LMKGSConfig(
-                hidden_sizes=tuple(args.hidden),
-                epochs=args.epochs,
-                seed=args.seed,
-            ),
-        )
-        records = []
-        for topology, size in shapes:
-            records.extend(
-                generate_range_workload(
-                    store, topology, size, args.queries, seed=args.seed
-                )
-            )
-        history = model.fit(records)
-        print(
-            f"trained LMKGS-Range on {len(records)} range queries; "
-            f"final loss {history.final_loss:.4f}"
-        )
-        model.save(args.out)
-        print(f"checkpoint written to {args.out}")
-        return 0
     framework = LMKG(
         store,
         model_type=(
@@ -229,27 +217,18 @@ def cmd_estimate(args) -> int:
     store = _load_store(args)
     if store.dictionary is None:
         raise SystemExit("estimate requires a dictionary-encoded store")
-    if args.model == "lmkg-s-range":
-        from repro.core.ranges import (
-            LMKGSRange,
-            count_range_query,
-            parse_sparql_range,
-        )
+    from repro.serve.artifacts import load_checkpoint
 
-        query = parse_sparql_range(args.query, store.dictionary)
-        model = LMKGSRange.load(args.checkpoint, store)
-        estimate = model.estimate(query)
-        truth = count_range_query(store, query) if args.exact else None
-    else:
-        from repro.serve.artifacts import load_checkpoint
-
+    try:
         query = parse_sparql(args.query, store.dictionary)
-        try:
-            framework, _ = load_checkpoint(args.checkpoint, store)
-            estimate = float(framework.estimate_batch([query])[0])
-        except (CheckpointError, EstimationError) as exc:
-            raise SystemExit(f"estimate failed: {exc}")
-        truth = count_bgp(store, query) if args.exact else None
+    except ParseError as exc:
+        raise SystemExit(f"bad query: {exc}")
+    try:
+        framework, _ = load_checkpoint(args.checkpoint, store)
+        estimate = float(framework.estimate_batch([query])[0])
+    except (CheckpointError, EstimationError) as exc:
+        raise SystemExit(f"estimate failed: {exc}")
+    truth = count_bgp(store, query) if args.exact else None
     print(f"estimate: {estimate:.1f}")
     if truth is not None:
         ratio = max(estimate, 1) / max(truth, 1)
@@ -323,47 +302,6 @@ def cmd_label(args) -> int:
 
         written = save_workload(args.out, workload)
         print(f"{written} queries written to {args.out}")
-    return 0
-
-
-def cmd_plan(args) -> int:
-    from repro.baselines import BayesNetEstimator, IndependenceEstimator
-    from repro.optimizer import (
-        Optimizer,
-        cout_cost,
-        dp_best_order,
-        execute_order,
-        true_cost_fn,
-    )
-
-    store = _load_store(args)
-    if store.dictionary is None:
-        raise SystemExit("plan requires a dictionary-encoded store")
-    query = parse_sparql(args.query, store.dictionary)
-    if len(query.triples) < 2:
-        raise SystemExit("planning needs at least two triple patterns")
-    oracle = true_cost_fn(store)
-    if args.estimator == "exact":
-        optimizer = Optimizer(oracle)
-    elif args.estimator == "indep":
-        optimizer = Optimizer(IndependenceEstimator(store))
-    else:
-        optimizer = Optimizer(BayesNetEstimator(store))
-    plan = optimizer.optimize(query)
-    optimal = dp_best_order(query, oracle)
-    chosen_cost = cout_cost(query, plan.order, oracle)
-    print(f"chosen order:  {plan.order} (estimated cost {plan.cost:.1f})")
-    print(f"optimal order: {optimal.order}")
-    print(f"true C_out:    chosen {chosen_cost:.1f}, optimal {optimal.cost:.1f}")
-    if optimal.cost > 0:
-        print(f"suboptimality: {chosen_cost / optimal.cost:.2f}x")
-    if args.execute:
-        execution = execute_order(store, query, plan.order)
-        print(
-            f"executed:      {execution.result_size} results, "
-            f"{execution.probes} index probes, "
-            f"intermediates {list(execution.intermediate_sizes)}"
-        )
     return 0
 
 
@@ -458,7 +396,7 @@ def _make_maintenance_runner(args):
     return MaintenanceRunner(
         store,
         args.state_dir,
-        shapes=_parse_shapes(args.shapes),
+        shapes=_parse_shapes(args.shapes, "lmkg-s"),
         queries_per_shape=args.queries,
         epochs=args.epochs,
         hidden_sizes=tuple(args.hidden),
@@ -927,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_options(p_train)
     p_train.add_argument(
         "--model",
-        choices=("lmkg-s", "lmkg-u", "lmkg-s-range"),
+        choices=("lmkg-s", "lmkg-u"),
         default="lmkg-s",
     )
     p_train.add_argument(
@@ -947,23 +885,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="training queries (lmkg-s) or instances (lmkg-u) per shape",
     )
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument(
-        "--out",
-        required=True,
-        help="checkpoint directory (a single file for lmkg-s-range)",
-    )
+    p_train.add_argument("--out", required=True, help="checkpoint directory")
     p_train.set_defaults(func=cmd_train)
 
     p_est = sub.add_parser("estimate", help="estimate a SPARQL query")
     _add_store_options(p_est)
     p_est.add_argument(
         "--model",
-        choices=("lmkg-s", "lmkg-u", "lmkg-s-range"),
+        choices=("lmkg-s", "lmkg-u"),
         default="lmkg-s",
         help=(
             "lmkg-s and lmkg-u both read a train checkpoint directory "
-            "(its artifact.json names the models); lmkg-s-range reads "
-            "a range-model file"
+            "(its artifact.json names the models)"
         ),
     )
     p_est.add_argument("--checkpoint", required=True)
@@ -982,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wl.add_argument(
         "--topology", choices=("star", "chain"), default="star"
     )
-    p_wl.add_argument("--size", type=int, default=2)
+    p_wl.add_argument("--size", type=_positive_int, default=2)
     p_wl.add_argument("--count", type=int, default=50)
     p_wl.add_argument("--seed", type=int, default=0)
     p_wl.add_argument(
@@ -1006,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.add_argument(
         "--topology", choices=("star", "chain"), default="star"
     )
-    p_label.add_argument("--size", type=int, default=2)
+    p_label.add_argument("--size", type=_positive_int, default=2)
     p_label.add_argument("--count", type=int, default=1000)
     p_label.add_argument("--seed", type=int, default=0)
     p_label.add_argument(
@@ -1020,24 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the labelled workload to this TSV file",
     )
     p_label.set_defaults(func=cmd_label)
-
-    p_plan = sub.add_parser(
-        "plan", help="pick and score a join order for a query"
-    )
-    _add_store_options(p_plan)
-    p_plan.add_argument("--query", required=True, help="SPARQL text")
-    p_plan.add_argument(
-        "--estimator",
-        choices=("exact", "indep", "bayesnet"),
-        default="bayesnet",
-        help="cardinality source the optimizer plans with",
-    )
-    p_plan.add_argument(
-        "--execute",
-        action="store_true",
-        help="run the chosen plan and report measured intermediates",
-    )
-    p_plan.set_defaults(func=cmd_plan)
 
     p_snap = sub.add_parser(
         "snapshot",

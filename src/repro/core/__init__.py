@@ -1,13 +1,12 @@
 """LMKG core: encodings, the learned estimators, and the framework.
 
-Beyond the paper's evaluated models (LMKG-S, LMKG-U, grouping, the
-façade), this package implements its future-work items: the compound
-S+U estimator (§VII-B), execution-phase workload-shift adaptation
-(§IV), range queries via histogram-selectivity encodings (§IV), and a
-NeuroCard-style universal autoregressive model over all shapes (§II).
+The paper's evaluated models: LMKG-S, LMKG-U, grouping and the façade.
+The model planner (§IV) is imported from :mod:`repro.core.planner`
+directly, so serving processes do not load it.  The future-work
+extensions live outside ``src/``, in ``benchmarks/ext/``, next to the
+benches that measure them.
 """
 
-from repro.core.compound import CompoundEstimator, ShapeWeights
 from repro.core.decomposition import (
     combine_estimates,
     decompose,
@@ -44,59 +43,11 @@ from repro.core.grouping import (
 )
 from repro.core.lmkg_s import LMKGS, LMKGSConfig
 from repro.core.lmkg_u import LMKGU, LMKGUConfig
-from repro.core.lmkg_u_universal import UniversalLMKGU
 from repro.core.metrics import AccuracySummary, q_error, q_errors, summarize
-from repro.core.monitor import (
-    AdaptationEvent,
-    AdaptiveLMKG,
-    DriftReport,
-    WorkloadMonitor,
-    total_variation,
-)
-from repro.core.outliers import BufferedEstimator, OutlierBuffer
-from repro.core.planner import (
-    ModelPlan,
-    ModelPlanner,
-    PlannedModel,
-    WorkloadProfile,
-    project_lmkgs_bytes,
-)
 from repro.core.pattern_bound import PatternBoundEncoder
-from repro.core.ranges import (
-    EquiDepthHistogram,
-    HistogramRangeEstimator,
-    LMKGSRange,
-    PredicateHistograms,
-    RangeConstraint,
-    RangeQuery,
-    RangeRecord,
-    count_range_query,
-    format_sparql_range,
-    generate_range_workload,
-    parse_sparql_range,
-)
 from repro.core.sg_encoding import SGEncoding
 
 __all__ = [
-    "AdaptationEvent",
-    "AdaptiveLMKG",
-    "CompoundEstimator",
-    "DriftReport",
-    "EquiDepthHistogram",
-    "HistogramRangeEstimator",
-    "LMKGSRange",
-    "UniversalLMKGU",
-    "PredicateHistograms",
-    "RangeConstraint",
-    "RangeQuery",
-    "RangeRecord",
-    "count_range_query",
-    "format_sparql_range",
-    "generate_range_workload",
-    "parse_sparql_range",
-    "WorkloadMonitor",
-    "total_variation",
-    "ShapeWeights",
     "combine_estimates",
     "decompose",
     "shared_variables",
@@ -129,13 +80,6 @@ __all__ = [
     "q_error",
     "q_errors",
     "summarize",
-    "BufferedEstimator",
-    "OutlierBuffer",
-    "ModelPlan",
-    "ModelPlanner",
-    "PlannedModel",
-    "WorkloadProfile",
-    "project_lmkgs_bytes",
     "PatternBoundEncoder",
     "SGEncoding",
 ]

@@ -338,7 +338,7 @@ def sweep_probabilities(
     model position, None where unbound.  Each block is one
     :func:`sweep_probability_block` call keyed by its first query's
     index in the batch.  The one block loop, shared by :class:`LMKGU`
-    and :class:`~repro.core.lmkg_u_universal.UniversalLMKGU`.
+    and the universal model in ``benchmarks/ext/lmkg_u_universal.py``.
     """
     matrix = np.array(
         [

@@ -20,11 +20,7 @@ long, which is what production query logs look like.  Topologies:
   node subset (the serving layer's bread and butter);
 - ``compound`` — a star:2 component and a chain:(size-2) component in
   one BGP (disjoint variables), exercising the decomposition +
-  admission path; requires ``size >= 4``;
-- ``range`` — star queries with FILTER constraints
-  (:func:`~repro.core.ranges.format_sparql_range`).  The HTTP parser
-  rejects FILTER syntax, so range events measure the 400-taxonomy /
-  shed path, not estimation; keep them out of SLO-gated mixes.
+  admission path; requires ``size >= 4``.
 
 File format
 -----------
@@ -70,7 +66,7 @@ DEFAULT_MIX: Tuple[Tuple[str, int, float], ...] = (
     ("chain", 3, 0.1),
 )
 
-TOPOLOGIES = ("star", "chain", "compound", "range")
+TOPOLOGIES = ("star", "chain", "compound")
 
 
 class TraceFormatError(RuntimeError):
@@ -116,11 +112,10 @@ class Trace:
 
 def covering_shapes(trace: "Trace") -> Tuple[Tuple[str, int], ...]:
     """The (topology, size) set a server must train/admit to answer
-    every SLO-relevant event in *trace*.
+    every event in *trace*.
 
     Compound events decompose into their star:2 + chain:(size-2)
-    components (admission checks decomposed components); range events
-    are 400s at the parser and need no model coverage.
+    components (admission checks decomposed components).
     """
     shapes = set()
     for event in trace:
@@ -242,19 +237,6 @@ def _sample_pool(
                 )
             )
         return texts
-    if topology == "range":
-        from repro.core.ranges import (
-            format_sparql_range,
-            generate_range_workload,
-        )
-
-        records = generate_range_workload(
-            store, "star", size, pool_size, seed=seed
-        )
-        return [
-            _flatten(format_sparql_range(r.query, store.dictionary))
-            for r in records
-        ]
     raise TraceFormatError(f"unknown topology {topology!r}")
 
 

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from repro.baselines import (
+from ext.bayesnet import (
     BayesNetEstimator,
     ChainHistogram,
     StarBayesNet,
+    _mutual_information,
 )
-from repro.baselines.bayesnet import _mutual_information
 from repro.rdf import TripleStore, count_bgp
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.compound import CompoundEstimator, ShapeWeights, _safe_log
+from ext.compound import CompoundEstimator, ShapeWeights, _safe_log
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable
 from repro.sampling.workload import QueryRecord

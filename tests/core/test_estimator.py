@@ -107,8 +107,8 @@ class TestConformance:
     """Every shipped estimator family speaks the protocol."""
 
     def test_baselines_subclass_estimator(self):
+        from ext.bayesnet import BayesNetEstimator
         from repro.baselines import (
-            BayesNetEstimator,
             CharacteristicSets,
             Impr,
             IndependenceEstimator,
@@ -131,15 +131,11 @@ class TestConformance:
             assert issubclass(cls, Estimator), cls
 
     def test_core_models_subclass_estimator(self):
-        from repro.core import (
-            LMKG,
-            LMKGS,
-            LMKGU,
-            BufferedEstimator,
-            CompoundEstimator,
-            UniversalLMKGU,
-        )
-        from repro.core.monitor import AdaptiveLMKG
+        from ext.compound import CompoundEstimator
+        from ext.lmkg_u_universal import UniversalLMKGU
+        from ext.monitor import AdaptiveLMKG
+        from ext.outliers import BufferedEstimator
+        from repro.core import LMKG, LMKGS, LMKGU
 
         for cls in (
             LMKG,
@@ -158,10 +154,11 @@ class TestConformance:
         import importlib
         import pkgutil
 
+        import ext
         import repro.baselines
         import repro.core
 
-        for package in (repro.core, repro.baselines):
+        for package in (repro.core, repro.baselines, ext):
             for module in pkgutil.walk_packages(
                 package.__path__, package.__name__ + "."
             ):
@@ -174,7 +171,7 @@ class TestConformance:
 
         shipped = [
             cls for cls in descendants(Estimator)
-            if cls.__module__.startswith("repro.")
+            if cls.__module__.startswith(("repro.", "ext."))
         ]
         assert len(shipped) >= 15
         for cls in shipped:
@@ -184,13 +181,13 @@ class TestConformance:
         """``model.estimate(q) == model.estimate_batch([q])[0]`` exactly
         for the learned models, LMKG-U's sampler included, and the
         framework answers what the model it routes to answers."""
+        from ext.lmkg_u_universal import UniversalLMKGU
         from repro.core import (
             LMKG,
             LMKGS,
             LMKGU,
             LMKGSConfig,
             LMKGUConfig,
-            UniversalLMKGU,
         )
         from repro.sampling import generate_workload
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from ext.lmkg_u_universal import UniversalLMKGU
 from repro.core import lmkg_u
 from repro.core.lmkg_u import LMKGU, LMKGUConfig
-from repro.core.lmkg_u_universal import UniversalLMKGU
 from repro.core.metrics import q_errors
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable

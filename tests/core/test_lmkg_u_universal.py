@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from ext.lmkg_u_universal import UniversalLMKGU
 from repro.core.lmkg_u import LMKGU, LMKGUConfig
-from repro.core.lmkg_u_universal import UniversalLMKGU
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable
 from repro.sampling import generate_workload

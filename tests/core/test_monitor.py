@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.framework import LMKG
-from repro.core.lmkg_s import LMKGSConfig
-from repro.core.monitor import (
+from ext.monitor import (
     AdaptiveLMKG,
     DriftReport,
     WorkloadMonitor,
     total_variation,
 )
+from repro.core.framework import LMKG
+from repro.core.lmkg_s import LMKGSConfig
 from repro.rdf.pattern import chain_pattern, star_pattern
 from repro.rdf.terms import Variable
 

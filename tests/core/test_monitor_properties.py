@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.monitor import WorkloadMonitor, total_variation
+from ext.monitor import WorkloadMonitor, total_variation
 
 SHAPES = [
     ("star", 2),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.outliers import BufferedEstimator, OutlierBuffer
+from ext.outliers import BufferedEstimator, OutlierBuffer
 from repro.rdf.pattern import star_pattern
 from repro.rdf.terms import Variable
 from repro.sampling.workload import QueryRecord

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lmkg_s import LMKGSConfig
-from repro.core.ranges import (
+from ext.ranges import (
     EquiDepthHistogram,
     HistogramRangeEstimator,
     LMKGSRange,
@@ -16,6 +15,7 @@ from repro.core.ranges import (
     count_range_query,
     generate_range_workload,
 )
+from repro.core.lmkg_s import LMKGSConfig
 from repro.rdf import count_bgp
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable
@@ -321,7 +321,7 @@ class TestSparqlFilterParsing:
         )
 
     def test_parse_two_sided_filter(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
 
         query = parse_sparql_range(
             "SELECT ?x WHERE { ?x <year> ?y . "
@@ -334,7 +334,7 @@ class TestSparqlFilterParsing:
         assert constraint.triple_index == 0
 
     def test_strict_comparisons_tighten_by_one(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
 
         query = parse_sparql_range(
             "SELECT ?x WHERE { ?x <year> ?y . "
@@ -345,7 +345,7 @@ class TestSparqlFilterParsing:
         assert (constraint.low, constraint.high) == (3, 8)
 
     def test_equality_pins_both_bounds(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
 
         query = parse_sparql_range(
             "SELECT ?x WHERE { ?x <year> ?y . FILTER(?y = 7) }",
@@ -355,7 +355,7 @@ class TestSparqlFilterParsing:
         assert (constraint.low, constraint.high) == (7, 7)
 
     def test_no_filter_gives_plain_range_query(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
 
         query = parse_sparql_range(
             "SELECT ?x WHERE { ?x <year> ?y . }",
@@ -364,7 +364,7 @@ class TestSparqlFilterParsing:
         assert query.constraints == ()
 
     def test_empty_range_rejected(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
         from repro.rdf.parser import ParseError
 
         with pytest.raises(ParseError, match="empty range"):
@@ -375,7 +375,7 @@ class TestSparqlFilterParsing:
             )
 
     def test_filter_on_subject_only_variable_rejected(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
         from repro.rdf.parser import ParseError
 
         with pytest.raises(ParseError, match="object variables only"):
@@ -386,7 +386,7 @@ class TestSparqlFilterParsing:
             )
 
     def test_unsupported_condition_rejected(self, lex_store):
-        from repro.core.ranges import parse_sparql_range
+        from ext.ranges import parse_sparql_range
         from repro.rdf.parser import ParseError
 
         with pytest.raises(ParseError, match="unsupported FILTER"):
@@ -397,7 +397,7 @@ class TestSparqlFilterParsing:
             )
 
     def test_parsed_query_counts_correctly(self, lex_store):
-        from repro.core.ranges import count_range_query, parse_sparql_range
+        from ext.ranges import count_range_query, parse_sparql_range
 
         # Object ids follow insertion order; filter down to a sub-range
         # and check against a manual count over all object ids.
@@ -414,7 +414,7 @@ class TestSparqlFilterParsing:
         ) <= count_range_query(lex_store, unfiltered)
 
     def test_format_round_trip(self, lex_store):
-        from repro.core.ranges import (
+        from ext.ranges import (
             format_sparql_range,
             parse_sparql_range,
         )

@@ -10,22 +10,22 @@ store and workload machinery.
 import numpy as np
 import pytest
 
-from repro.core.compound import CompoundEstimator
-from repro.core.framework import LMKG
-from repro.core.lmkg_s import LMKGSConfig
-from repro.core.lmkg_u import LMKGU, LMKGUConfig
-from repro.core.monitor import AdaptiveLMKG, WorkloadMonitor
-from repro.core.ranges import (
-    LMKGSRange,
-    generate_range_workload,
-)
-from repro.optimizer import (
+from ext.compound import CompoundEstimator
+from ext.monitor import AdaptiveLMKG, WorkloadMonitor
+from ext.optimizer import (
     Optimizer,
     cout_cost,
     execute_order,
     plan_quality,
     true_cost_fn,
 )
+from ext.ranges import (
+    LMKGSRange,
+    generate_range_workload,
+)
+from repro.core.framework import LMKG
+from repro.core.lmkg_s import LMKGSConfig
+from repro.core.lmkg_u import LMKGU, LMKGUConfig
 from repro.sampling import generate_workload
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizer import (
+from ext.optimizer import (
     BushyPlan,
     bushy_best_plan,
     left_deep_best_plan,
@@ -179,7 +179,7 @@ class TestBushyExecution:
     """The hash-join executor measures what the bushy C_out predicts."""
 
     def test_result_matches_exact_count(self, tiny_store):
-        from repro.optimizer import bushy_best_plan, execute_plan
+        from ext.optimizer import bushy_best_plan, execute_plan
         from repro.rdf import count_bgp
 
         q = chain_pattern([v("x"), 1, v("y"), 2, v("z")])
@@ -188,7 +188,7 @@ class TestBushyExecution:
         assert execution.result_size == count_bgp(tiny_store, q)
 
     def test_measured_cout_equals_plan_cost(self, tiny_store):
-        from repro.optimizer import bushy_best_plan, execute_plan
+        from ext.optimizer import bushy_best_plan, execute_plan
 
         q = chain_pattern([v("x"), 1, v("y"), 2, v("z"), 3, v("w")])
         oracle = true_cost_fn(tiny_store)
@@ -198,7 +198,7 @@ class TestBushyExecution:
         assert execution.rendered == plan.render()
 
     def test_rejects_partial_plan(self, tiny_store):
-        from repro.optimizer import BushyPlan, execute_plan
+        from ext.optimizer import BushyPlan, execute_plan
 
         q = chain_pattern([v("x"), 1, v("y"), 2, v("z")])
         with pytest.raises(ValueError, match="cover exactly"):
@@ -209,7 +209,7 @@ class TestBushyExecution:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_execution_agrees_with_matcher_property(self, seed):
-        from repro.optimizer import bushy_best_plan, execute_plan
+        from ext.optimizer import bushy_best_plan, execute_plan
         from repro.rdf import count_bgp
 
         store = random_store(seed)
@@ -221,7 +221,7 @@ class TestBushyExecution:
         assert execution.cout == pytest.approx(plan.cost)
 
     def test_disconnected_cross_product(self, tiny_store):
-        from repro.optimizer import bushy_best_plan, execute_plan
+        from ext.optimizer import bushy_best_plan, execute_plan
         from repro.rdf import count_bgp
 
         q = QueryPattern(
@@ -235,7 +235,7 @@ class TestBushyExecution:
         assert execution.result_size == count_bgp(tiny_store, q)
 
     def test_repeated_variable_across_subtrees(self, tiny_store):
-        from repro.optimizer import BushyPlan, execute_plan
+        from ext.optimizer import BushyPlan, execute_plan
         from repro.rdf import count_bgp
 
         # Star: both arms share ?x; join on it.

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import IndependenceEstimator
-from repro.optimizer import (
+from ext.optimizer import (
     Optimizer,
     cout_cost,
     dp_best_order,
@@ -14,6 +13,7 @@ from repro.optimizer import (
     greedy_order,
     true_cost_fn,
 )
+from repro.baselines import IndependenceEstimator
 from repro.rdf import count_bgp
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizer import execute_order, prefix_patterns
+from ext.optimizer import execute_order, prefix_patterns
 from repro.rdf import count_bgp
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizer import (
+from ext.optimizer import (
     connected_orders,
     is_connected_order,
     prefix_patterns,
 )
-from repro.optimizer.plans import JoinPlan, pattern_variables
+from ext.optimizer.plans import JoinPlan, pattern_variables
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable
 

@@ -4,14 +4,14 @@ import math
 
 import pytest
 
-from repro.baselines import IndependenceEstimator
-from repro.core.estimator import Estimator
-from repro.optimizer import plan_quality
-from repro.optimizer.quality import (
+from ext.optimizer import plan_quality
+from ext.optimizer.quality import (
     PlanQualityReport,
     QueryPlanOutcome,
     plan_query,
 )
+from repro.baselines import IndependenceEstimator
+from repro.core.estimator import Estimator
 from repro.rdf.fastcount import count_query
 from repro.rdf.pattern import QueryPattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable

@@ -98,14 +98,14 @@ class TestGeneration:
         query = parse_sparql(event.text, replay_store.dictionary)
         assert len(query.triples) == 4
 
-    def test_range_events_rejected_by_parser(self, replay_store):
-        """Range queries carry FILTER — the serving parser 400s them,
-        which is why they stay out of SLO-gated mixes."""
-        trace = generate_trace(
-            replay_store, 5.0, 2.0, mix=[("range", 2, 1.0)], seed=2
-        )
-        with pytest.raises(Exception):
-            parse_sparql(trace.events[0].text, replay_store.dictionary)
+    def test_range_topology_rejected(self, replay_store):
+        """Range (FILTER) queries are not a trace topology."""
+        with pytest.raises(TraceFormatError, match="range"):
+            generate_trace(
+                replay_store, 5.0, 2.0, mix=[("range", 2, 1.0)], seed=2
+            )
+        with pytest.raises(TraceFormatError, match="range"):
+            parse_mix(["range:2"])
 
 
 class TestRoundTrip:

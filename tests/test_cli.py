@@ -77,6 +77,73 @@ class TestParser:
             "workers", "fit_defaults", "fault_spec",
         ]
 
+    def test_command_surface_is_pinned(self):
+        """The subcommands, and the train / estimate flags and models,
+        by name: a new command, flag or checkpoint format is a diff to
+        this test."""
+        import argparse
+
+        (action,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(action.choices) == {
+            "stats", "train", "estimate", "workload", "label",
+            "snapshot", "maintain", "serve", "replay",
+        }
+
+        def options(command):
+            return {
+                option: a
+                for a in action.choices[command]._actions
+                for option in a.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+
+        train, estimate = options("train"), options("estimate")
+        store = {"--dataset", "--scale", "--ntriples"}
+        assert set(train) == store | {
+            "--model", "--shapes", "--epochs", "--hidden", "--queries",
+            "--seed", "--out",
+        }
+        assert set(estimate) == store | {
+            "--model", "--checkpoint", "--query", "--exact",
+        }
+        for flags in (train, estimate):
+            assert flags["--model"].choices == ("lmkg-s", "lmkg-u")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--shapes", "foo:2"], "bad shape 'foo:2'"),
+            (["train", "--shapes", "star:0"], "bad shape 'star:0'"),
+            (
+                ["train", "--model", "lmkg-u", "--shapes", "tree:3"],
+                "lmkg-u trains star/chain shapes",
+            ),
+            (["workload", "--size", "0"], "--size: must be >= 1"),
+            (["label", "--size", "-2"], "--size: must be >= 1"),
+            (
+                ["estimate", "--checkpoint", "unused", "--query", "x"],
+                "bad query: ",
+            ),
+        ],
+        ids=[
+            "unknown-topology", "size-0", "lmkg-u-tree", "workload-size-0",
+            "label-size-negative", "unparsable-query",
+        ],
+    )
+    def test_input_errors_are_usage_errors(
+        self, argv, message, tmp_path, capsys
+    ):
+        """Caught before or right after the store loads, as one line."""
+        if argv[0] == "train":
+            argv = argv + ["--out", str(tmp_path / "ckpt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scale", "0.25"])
+        assert message in f"{exc.value.code} {capsys.readouterr().err}"
+
     def test_bad_shape_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -212,127 +279,6 @@ class TestCommands:
         code = main(["stats", "--ntriples", str(nt)])
         assert code == 0
         assert "triples:         3" in capsys.readouterr().out
-
-
-class TestPlanCommand:
-    QUERY = (
-        "SELECT ?x WHERE { ?x <ub:advisor> ?y . "
-        "?x <ub:takesCourse> ?z . }"
-    )
-
-    def test_plan_with_each_estimator(self, capsys):
-        from repro.cli import main
-
-        for estimator in ("exact", "indep", "bayesnet"):
-            code = main(
-                [
-                    "plan",
-                    "--dataset",
-                    "lubm",
-                    "--scale",
-                    "0.25",
-                    "--query",
-                    self.QUERY,
-                    "--estimator",
-                    estimator,
-                ]
-            )
-            assert code == 0
-            out = capsys.readouterr().out
-            assert "chosen order:" in out
-            assert "optimal order:" in out
-
-    def test_plan_execute_reports_intermediates(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "plan",
-                "--dataset",
-                "lubm",
-                "--scale",
-                "0.25",
-                "--query",
-                self.QUERY,
-                "--estimator",
-                "exact",
-                "--execute",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "executed:" in out
-        assert "index probes" in out
-
-    def test_plan_rejects_single_pattern(self):
-        import pytest
-
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="two triple patterns"):
-            main(
-                [
-                    "plan",
-                    "--dataset",
-                    "lubm",
-                    "--scale",
-                    "0.25",
-                    "--query",
-                    "SELECT ?x WHERE { ?x <ub:advisor> ?y . }",
-                ]
-            )
-
-
-class TestRangeModelCommands:
-    def test_train_then_estimate_range_model(self, tmp_path, capsys):
-        from repro.cli import main
-
-        checkpoint = tmp_path / "range.npz"
-        code = main(
-            [
-                "train",
-                "--dataset",
-                "lubm",
-                "--scale",
-                "0.25",
-                "--model",
-                "lmkg-s-range",
-                "--shapes",
-                "star:2",
-                "--epochs",
-                "3",
-                "--queries",
-                "60",
-                "--hidden",
-                "16",
-                "--out",
-                str(checkpoint),
-            ]
-        )
-        assert code == 0
-        assert checkpoint.exists()
-        capsys.readouterr()
-        code = main(
-            [
-                "estimate",
-                "--dataset",
-                "lubm",
-                "--scale",
-                "0.25",
-                "--model",
-                "lmkg-s-range",
-                "--checkpoint",
-                str(checkpoint),
-                "--query",
-                "SELECT ?x WHERE { ?x <ub:advisor> ?y . "
-                "?x <ub:takesCourse> ?z . FILTER(?y >= 1 && ?y <= 500) }",
-                "--exact",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "estimate:" in out
-        assert "q-error:" in out
 
 
 class TestSnapshotCommands:

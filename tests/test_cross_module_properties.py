@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import BayesNetEstimator, ChainHistogram
-from repro.core.compound import CompoundEstimator
-from repro.core.monitor import total_variation
-from repro.core.ranges import (
-    RangeConstraint,
-    RangeQuery,
-    count_range_query,
-)
-from repro.optimizer import (
+from ext.bayesnet import BayesNetEstimator, ChainHistogram
+from ext.compound import CompoundEstimator
+from ext.monitor import total_variation
+from ext.optimizer import (
     cout_cost,
     dp_best_order,
     execute_order,
     true_cost_fn,
+)
+from ext.ranges import (
+    RangeConstraint,
+    RangeQuery,
+    count_range_query,
 )
 from repro.rdf import TripleStore, count_bgp
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern

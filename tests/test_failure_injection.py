@@ -9,17 +9,17 @@ labels, queries outside the trained envelope, duplicate data.
 import numpy as np
 import pytest
 
-from repro.core.compound import CompoundEstimator
-from repro.core.framework import LMKG, EstimationError
-from repro.core.lmkg_s import LMKGS, LMKGSConfig
-from repro.core.monitor import AdaptiveLMKG, WorkloadMonitor
-from repro.core.ranges import (
+from ext.compound import CompoundEstimator
+from ext.monitor import AdaptiveLMKG, WorkloadMonitor
+from ext.optimizer import Optimizer, dp_best_order, true_cost_fn
+from ext.ranges import (
     EquiDepthHistogram,
     PredicateHistograms,
     RangeQuery,
     count_range_query,
 )
-from repro.optimizer import Optimizer, dp_best_order, true_cost_fn
+from repro.core.framework import LMKG, EstimationError
+from repro.core.lmkg_s import LMKGS, LMKGSConfig
 from repro.rdf import TripleStore, count_bgp
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
 from repro.rdf.terms import TriplePattern, Variable
@@ -190,7 +190,7 @@ class TestRangeQueryEdgeCases:
     def test_range_on_empty_store(self):
         store = TripleStore()
         base = QueryPattern([TriplePattern(v("s"), 1, v("o"))])
-        from repro.core.ranges import RangeConstraint
+        from ext.ranges import RangeConstraint
 
         q = RangeQuery(base, (RangeConstraint(0, 0, 100),))
         assert count_range_query(store, q) == 0
