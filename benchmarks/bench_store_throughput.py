@@ -20,8 +20,11 @@ workload isolates, on a synthetic ~100k-triple hub-heavy graph:
   read-only (``repro.rdf.parallel``), against the serial vectorized
   path,
 - **batch estimation**: LMKG-S queries/sec through
-  ``Framework.estimate_batch`` vs the per-query ``estimate`` loop, and
-  the share of the batched call spent in ``LMKGS.featurize``,
+  ``Framework.estimate_batch`` vs the per-query ``estimate`` loop, the
+  share of the batched call spent in ``LMKGS.featurize``, and a width
+  sweep (1, 2, 4, 8, 256 queries per call) splitting each call into
+  featurize / forward / route, whose width-1 call against one query of
+  the width-256 call is the fixed per-call cost,
 - **MADE inference trunk**: rows/sec of the masked autoregressive
   forward at the serving batch width — the seed's float64
   re-masked-per-call trunk against the fused float32 inference cache
@@ -41,12 +44,13 @@ here rather than restating them):
 - ``test_store_throughput``: vectorized labeling >= 5x the dict-backed
   counters; ``add_all`` >= 10x the per-triple loop; parallel labeling
   >= 2x on 4 workers (only where >= 4 CPUs are usable);
-  ``featurize_share <= 0.5``; fused float32 MADE forward >= 2x the
-  float64 trunk.  Equality checks: bulk and loop stores hold as many
-  triples as the ingested store, the loaded snapshot counts a probe
-  pattern like the store, vectorized labels == Python labels, parallel
-  labels == serial labels, fused and float64 MADE outputs agree to
-  1e-3.  The memory-mapped cold load and LMKG-U ``estimate_batch`` q/s
+  ``featurize_share <= 0.5``; a width-1 ``estimate_batch`` call
+  <= ``MAX_FIXED_COST_RATIO`` queries of a width-256 call; fused
+  float32 MADE forward >= 2x the float64 trunk.  Equality checks: bulk
+  and loop stores hold as many triples as the ingested store, the
+  loaded snapshot counts a probe pattern like the store, vectorized
+  labels == Python labels, parallel labels == serial labels, fused and
+  float64 MADE outputs agree to 1e-3.  The memory-mapped cold load and LMKG-U ``estimate_batch`` q/s
   are absolute rates: recorded, not gated.
 - ``test_maintenance_incremental``: the first run is full, the 1% delta
   plans an incremental run, incremental >= 5x the full refit, and on
@@ -89,6 +93,16 @@ QUERY_SHAPES = (("star", 2), ("star", 3), ("chain", 2), ("chain", 3))
 #: Pool size for the parallel-labeling comparison; the >= 2x gate only
 #: applies when the machine actually has that many cores.
 PARALLEL_WORKERS = 4
+#: ``estimate_batch`` widths of the fixed-cost sweep, and the calls
+#: timed at each width below the widest (which answers every query).
+SWEEP_WIDTHS = (1, 2, 4, 8, 256)
+SWEEP_CALLS = 256
+#: Bound on the sweep's same-run ratio: a width-1 call may cost at most
+#: this many queries of a width-256 call.  Measured on 2 vCPUs,
+#: fourteen runs a side: 6.1-11.2 (median 8.9) before the per-call
+#: costs were cut, 7.5-8.8 (median 8.2) after; the bound is the after
+#: maximum plus ~19 %.
+MAX_FIXED_COST_RATIO = 10.5
 
 
 def _timed(fn):
@@ -133,6 +147,74 @@ def _pattern_workload(store, rng, count=20_000):
         else:
             patterns.append(pattern(Variable("s"), p, Variable("o")))
     return patterns
+
+
+def _width_sweep(framework, queries, passes=7):
+    """``Framework.estimate_batch`` per call at every sweep width.
+
+    Each width answers consecutive batches of *queries*.  The widths
+    take turns, pass after pass, and each keeps its fastest pass, so a
+    slow spell of the machine lands on every width alike.  ``call_us``
+    / ``query_us`` come from passes without instrumentation; the split
+    from passes with a stopwatch on every model's ``featurize`` and
+    ``estimate_batch``: ``featurize_us`` is the encoder, ``forward_us``
+    the rest of the model call (network, scaler inverse, validation),
+    ``route_us`` the framework call around its model calls
+    (classification, grouping, validation).
+    """
+    spent = {"featurize": 0.0, "model": 0.0}
+
+    def stopwatch(fn, key):
+        def timed(batch):
+            start = time.perf_counter()
+            try:
+                return fn(batch)
+            finally:
+                spent[key] += time.perf_counter() - start
+
+        return timed
+
+    batches = {
+        width: [
+            queries[i:i + width]
+            for i in range(0, len(queries) - width + 1, width)
+        ][:SWEEP_CALLS]
+        for width in SWEEP_WIDTHS
+    }
+
+    def best_passes():
+        best = {}
+        for _ in range(passes):
+            for width, calls in batches.items():
+                spent.update(featurize=0.0, model=0.0)
+                _, total = _timed(
+                    lambda: [framework.estimate_batch(b) for b in calls]
+                )
+                if width not in best or total < best[width][0]:
+                    best[width] = (total, spent["featurize"], spent["model"])
+        return best
+
+    clean = best_passes()
+    for model in framework.models.values():
+        model.featurize = stopwatch(model.featurize, "featurize")
+        model.estimate_batch = stopwatch(model.estimate_batch, "model")
+    try:
+        split = best_passes()
+    finally:
+        for model in framework.models.values():
+            del model.featurize, model.estimate_batch
+    sweep = {}
+    for width, calls in batches.items():
+        n = len(calls)
+        total_s, featurize_s, model_s = split[width]
+        sweep[width] = {
+            "call_us": round(clean[width][0] / n * 1e6, 2),
+            "query_us": round(clean[width][0] / (n * width) * 1e6, 2),
+            "featurize_us": round(featurize_s / n * 1e6, 2),
+            "forward_us": round((model_s - featurize_s) / n * 1e6, 2),
+            "route_us": round((total_s - model_s) / n * 1e6, 2),
+        }
+    return sweep
 
 
 def test_store_throughput(report, tmp_path):
@@ -274,6 +356,12 @@ def test_store_throughput(report, tmp_path):
         del model.featurize
     featurize_share = sum(featurize_seconds) / batch_s
 
+    # The fixed cost of one call: the same queries at widths 1 .. 256;
+    # a width-1 call against one query of a width-256 call.
+    sweep = _width_sweep(framework, serve)
+    widest = max(SWEEP_WIDTHS)
+    fixed_cost_ratio = sweep[1]["call_us"] / sweep[widest]["query_us"]
+
     # MADE inference trunk: the fused float32 forward against the seed's
     # float64 trunk (weight * mask re-materialised per layer per call,
     # per-position embedding gathers) on an identical model at the
@@ -408,6 +496,8 @@ def test_store_throughput(report, tmp_path):
             "estimate_batch_qps": round(len(serve) / batch_s, 1),
             "batch_speedup": round(loop_s / batch_s, 2),
             "featurize_share": round(featurize_share, 3),
+            "width_sweep": {str(w): row for w, row in sweep.items()},
+            "fixed_cost_ratio": round(fixed_cost_ratio, 2),
         },
         "made_inference": {
             "batch_rows": made_rows,
@@ -488,6 +578,19 @@ def test_store_throughput(report, tmp_path):
                     "featurize share of estimate_batch",
                     results["batch_estimation"]["featurize_share"],
                 ],
+                *[
+                    [
+                        f"width {w}: us/call (featurize/forward/route)",
+                        f"{row['call_us']} ({row['featurize_us']}/"
+                        f"{row['forward_us']}/{row['route_us']})",
+                    ]
+                    for w, row in sweep.items()
+                ],
+                [
+                    f"fixed-cost ratio (width-1 call / width-{widest} "
+                    "query)",
+                    results["batch_estimation"]["fixed_cost_ratio"],
+                ],
                 [
                     "MADE fwd rows/s (float64 seed)",
                     results["made_inference"]["made_forward_rows_per_s"][
@@ -541,6 +644,14 @@ def test_store_throughput(report, tmp_path):
     assert featurize_share <= 0.5, (
         f"featurize is {featurize_share:.2f} of estimate_batch (> 0.5): "
         f"featurisation dominates the estimator again"
+    )
+    # The acceptance gate of the per-call cost cut: a one-query call may
+    # cost at most MAX_FIXED_COST_RATIO queries of a wide call.  A
+    # ratio of two timings taken in the same run.
+    assert fixed_cost_ratio <= MAX_FIXED_COST_RATIO, (
+        f"a width-1 estimate_batch costs {fixed_cost_ratio:.1f} "
+        f"width-{widest} queries (> {MAX_FIXED_COST_RATIO}): the fixed "
+        f"per-call cost is back ({sweep[1]})"
     )
     # The acceptance gate of the fused inference trunk: the float32
     # pre-masked forward must at least double the seed's float64

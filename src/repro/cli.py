@@ -40,8 +40,9 @@ Subcommands:
   ``--workers N`` (*supervised* worker processes sharing the snapshot
   read-only) and ``--faults`` (deterministic chaos, see
   :mod:`repro.serve.faults`).  Everything else is one fixed policy,
-  held by the class that owns it: micro-batching by
-  ``BatchScheduler.MAX_BATCH`` / ``MAX_DELAY_MS`` / ``MAX_QUEUE``; dead
+  held by the class that owns it: work-conserving micro-batching
+  (no coalescing window) by ``BatchScheduler.MAX_BATCH`` /
+  ``MAX_QUEUE``; dead
   or hung workers restarted with backoff and their requests retried on
   siblings under ``SupervisedPool.REQUEST_TIMEOUT`` /
   ``RESTART_BUDGET``; model-path failures degraded onto the

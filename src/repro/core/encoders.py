@@ -67,12 +67,14 @@ def decode_binary(vec: np.ndarray) -> int:
 class TermEncoder:
     """Fixed-width encoder for one term domain (nodes or predicates).
 
-    :meth:`encode_ids` is what the query encoders use: it turns a whole
-    grid of term slots into feature rows with array operations.  The
-    scalar :func:`encode_binary` / :func:`encode_one_hot` above define
-    the same rows one term at a time; the tests compare against them,
-    and :meth:`encode` keeps them for the MSCN baseline, which
-    featurises one triple pattern at a time.
+    :meth:`write_ids` is what the query encoders use: it writes the rows
+    of a whole batch of bound terms into the caller's feature block
+    with array operations (:meth:`encode_ids` is the same on a fresh
+    ``(slots, width)`` grid).  The scalar :func:`encode_binary` /
+    :func:`encode_one_hot` above define the same rows one term at a
+    time; the tests compare against them, and :meth:`encode` keeps
+    them for the MSCN baseline, which featurises one triple pattern at
+    a time.
     """
 
     def __init__(self, domain: int, kind: str = "binary") -> None:
@@ -83,6 +85,35 @@ class TermEncoder:
         self.width = (
             binary_width(domain) if kind == "binary" else one_hot_width(domain)
         )
+        #: column k of a binary row holds bit k of the id
+        self._bits = np.arange(self.width)
+
+    def write_ids(
+        self, out: np.ndarray, starts: Sequence[int], ids: Sequence[int]
+    ) -> None:
+        """Write the rows of the bound terms *ids* into the flat *out*.
+
+        The row of ``ids[k]`` is ``out[starts[k]:starts[k] + width]``,
+        which the caller has zeroed; nothing else is touched, so an
+        unbound slot (a variable, or padding) stays the zero row.
+        Raises :class:`ValueError`, before anything is written, when an
+        id lies outside ``[1, domain]``.
+        """
+        if not len(ids):
+            return
+        if min(ids) < 1 or max(ids) > self.domain:
+            outside = next(i for i in ids if not 1 <= i <= self.domain)
+            raise ValueError(
+                f"term id {outside} outside [1, {self.domain}]"
+            )
+        ids = np.array(ids, dtype=np.int64)
+        starts = np.array(starts, dtype=np.intp)
+        if self.kind == "binary":
+            out[starts[:, None] + self._bits] = (
+                ids[:, None] >> self._bits
+            ) & 1
+        else:
+            out[starts + (ids - 1)] = 1.0
 
     def encode_ids(
         self, slots: int, positions: Sequence[int], ids: Sequence[int]
@@ -94,18 +125,12 @@ class TermEncoder:
         zero row.  Raises :class:`ValueError`, before any row is built,
         when an id lies outside ``[1, domain]``.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        outside = (ids < 1) | (ids > self.domain)
-        if outside.any():
-            raise ValueError(
-                f"term id {ids[outside][0]} outside [1, {self.domain}]"
-            )
-        positions = np.asarray(positions, dtype=np.intp)
         rows = np.zeros((slots, self.width))
-        if self.kind == "binary":
-            rows[positions] = (ids[:, None] >> np.arange(self.width)) & 1
-        else:
-            rows[positions, ids - 1] = 1.0
+        self.write_ids(
+            rows.reshape(-1),
+            np.asarray(positions, dtype=np.intp) * self.width,
+            ids,
+        )
         return rows
 
     def encode(self, term: PatternTerm) -> np.ndarray:

@@ -288,16 +288,19 @@ class LMKG(Estimator):
 
         The one estimation routine of the framework (``estimate`` is the
         protocol-derived one-query batch).  Each query is classified
-        once and its topology handed down.  Composite queries are
-        answered by a trained tree model where possible, otherwise
-        decomposed into star/chain components; components landing on the
-        same trained model are collected and answered by a single
-        ``estimate_batch`` call on it (one encoding pass + one network
-        forward for LMKG-S / one shared particle sweep for LMKG-U),
-        which returns them validated and clamped.
+        once and its topology handed down.  A star, chain or single
+        triple pattern is its own only component and lands straight in
+        its result slot.  Composite queries are answered by a trained
+        tree model where possible, otherwise decomposed into star/chain
+        components; components landing on the same trained model are
+        collected and answered by a single ``estimate_batch`` call on it
+        (one encoding pass + one network forward for LMKG-S / one shared
+        particle sweep for LMKG-U), which returns them validated and
+        clamped.
         """
         results: List[Optional[float]] = [None] * len(queries)
-        #: (query index, classified components, their estimate slots)
+        #: composite query index, its classified components, their
+        #: estimate slots
         pending: List[
             Tuple[
                 int,
@@ -305,19 +308,28 @@ class LMKG(Estimator):
                 List[Optional[float]],
             ]
         ] = []
-        #: model -> (a query's slots, slot index, component) to batch
-        #: through it
+        #: model -> (slot list, slot index, component) to batch through
+        #: it; the slot list is ``results`` itself for a one-component
+        #: query
         grouped: Dict[
             Union[LMKGS, LMKGU],
             List[Tuple[List[Optional[float]], int, QueryPattern]],
         ] = {}
         for qi, query in enumerate(queries):
             topology = query.topology()
-            if topology is Topology.COMPOSITE:
-                tree_estimate = self._try_tree_model(query)
-                if tree_estimate is not None:
-                    results[qi] = tree_estimate
-                    continue
+            if topology is not Topology.COMPOSITE:
+                resolved = self._resolve_component(query, topology)
+                if isinstance(resolved, float):
+                    results[qi] = resolved
+                else:
+                    grouped.setdefault(resolved, []).append(
+                        (results, qi, query)
+                    )
+                continue
+            tree_estimate = self._try_tree_model(query)
+            if tree_estimate is not None:
+                results[qi] = tree_estimate
+                continue
             classified = classified_components(query, topology)
             slots: List[Optional[float]] = [None] * len(classified)
             pending.append((qi, classified, slots))

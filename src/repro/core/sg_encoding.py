@@ -16,16 +16,16 @@ and edge orders come from :meth:`repro.rdf.pattern.QueryPattern.node_order`
 / ``edge_order`` (first-occurrence order, as in Fig. 2 step 2).
 
 A batch is encoded in two steps.  One loop over the batch's triples
-reduces it to integers: query ``r`` owns node slots ``r*n .. r*n + n-1``
-and edge slots ``r*e .. r*e + e-1`` of two slot grids, a bound term
-contributes a ``(slot, term id)`` pair, and every triple contributes the
-flat index ``((r*n + i)*n + j)*e + l`` of its cell of ``A``; variables
-and the padding of a query smaller than the encoder contribute nothing.
-The features then come from array operations over those integers — one
-indexed store sets the cells of ``A``,
-:meth:`repro.core.encoders.TermEncoder.encode_ids` expands each grid to
-its ``(slots, width)`` rows — and row ``r`` of the result is the
-flattened ``[A | X | E]`` of query ``r``.
+reduces it to integers, each a flat position in the ``(n, width)``
+result block: a triple contributes the position of its cell
+``A[i][j][l]``, a bound term the position where its row of ``X`` or
+``E`` starts together with its term id; variables and the padding of a
+query smaller than the encoder contribute nothing.  The features then
+come from array operations over those integers, written straight into
+one zeroed block — one indexed store sets the cells of ``A``,
+:meth:`repro.core.encoders.TermEncoder.write_ids` writes the term rows
+— and row ``r`` of the block is the flattened ``[A | X | E]`` of
+query ``r``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.encoders import TermEncoder
 from repro.rdf.pattern import QueryPattern
-from repro.rdf.terms import PatternTerm, Variable
+from repro.rdf.terms import Variable
 
 
 class SGEncoding:
@@ -81,30 +81,48 @@ class SGEncoding:
         bound term id outside its encoder's domain.
         """
         max_nodes, max_edges = self.max_nodes, self.max_edges
+        width = self.width
+        node_width = self.nodes.width
+        edge_width = self.predicates.width
+        x_offset = self.a_width
+        e_offset = self.a_width + self.x_width
         cells: List[int] = []
-        node_slots: List[int] = []
+        node_starts: List[int] = []
         node_ids: List[int] = []
-        edge_slots: List[int] = []
+        edge_starts: List[int] = []
         edge_ids: List[int] = []
         for row, query in enumerate(queries):
-            first_node = row * max_nodes
-            first_edge = row * max_edges
-            #: node term -> index, in ``QueryPattern.node_order()`` order
-            index: Dict[PatternTerm, int] = {}
+            base = row * width
+            first_node = base + x_offset
+            first_edge = base + e_offset
+            #: node -> index, in ``QueryPattern.node_order()`` order; a
+            #: variable is keyed by its name (equal variables share a
+            #: name), which hashes without a Python-level ``__hash__``.
+            #: The subject and the object are handled inline, not in a
+            #: loop over the two: this loop is most of featurisation.
+            index: Dict[object, int] = {}
             for l, tp in enumerate(query.triples):
-                cell = row
-                for term in (tp.s, tp.o):
-                    i = index.get(term)
+                s, o, p = tp.s, tp.o, tp.p
+                if isinstance(s, Variable):
+                    i = index.setdefault(s.name, len(index))
+                else:
+                    i = index.get(s)
                     if i is None:
-                        i = index[term] = len(index)
-                        if not isinstance(term, Variable):
-                            node_slots.append(first_node + i)
-                            node_ids.append(term)
-                    cell = cell * max_nodes + i
-                cells.append(cell * max_edges + l)
-                if not isinstance(tp.p, Variable):
-                    edge_slots.append(first_edge + l)
-                    edge_ids.append(tp.p)
+                        i = index[s] = len(index)
+                        node_starts.append(first_node + i * node_width)
+                        node_ids.append(s)
+                if isinstance(o, Variable):
+                    j = index.setdefault(o.name, len(index))
+                else:
+                    j = index.get(o)
+                    if j is None:
+                        j = index[o] = len(index)
+                        node_starts.append(first_node + j * node_width)
+                        node_ids.append(o)
+                cells.append(base + (i * max_nodes + j) * max_edges + l)
+                if not isinstance(p, Variable):
+                    edge_starts.append(first_edge + l * edge_width)
+                    edge_ids.append(p)
             if len(index) > max_nodes:
                 raise ValueError(
                     f"query has {len(index)} nodes, encoder holds "
@@ -115,19 +133,12 @@ class SGEncoding:
                     f"query has {query.size} edges, encoder holds "
                     f"{max_edges}"
                 )
-        n = len(queries)
-        a = np.zeros(n * self.a_width)
-        a[cells] = 1.0
-        x = self.nodes.encode_ids(n * max_nodes, node_slots, node_ids)
-        e = self.predicates.encode_ids(n * max_edges, edge_slots, edge_ids)
-        return np.concatenate(
-            [
-                a.reshape(n, self.a_width),
-                x.reshape(n, self.x_width),
-                e.reshape(n, self.e_width),
-            ],
-            axis=1,
-        )
+        block = np.zeros((len(queries), width))
+        flat = block.reshape(-1)
+        flat[cells] = 1.0
+        self.nodes.write_ids(flat, node_starts, node_ids)
+        self.predicates.write_ids(flat, edge_starts, edge_ids)
+        return block
 
     def encode(self, query: QueryPattern) -> np.ndarray:
         """Flattened [A | X | E] feature vector."""

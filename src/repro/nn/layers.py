@@ -212,10 +212,10 @@ class Sequential(Layer):
 
         Dense layers run one GEMM against their version-cached
         :meth:`Linear.fused` weights; Dropout is an identity at
-        inference; ReLU and Sigmoid are applied here, in place on a
-        private copy of *x*, not through the layers' ``forward``, which
-        would overwrite the ``_mask`` / ``_output`` a pending
-        ``backward`` still needs.  No backward state is recorded.
+        inference; ReLU and Sigmoid are applied here, on a private copy
+        of *x*, not through the layers' ``forward``, which would
+        overwrite the ``_mask`` / ``_output`` a pending ``backward``
+        still needs.  No backward state is recorded.
         """
         x = np.array(x, dtype=dtype)
         for layer in self.layers:
@@ -228,10 +228,13 @@ class Sequential(Layer):
             elif isinstance(layer, ReLU):
                 np.maximum(x, 0, out=x)
             elif isinstance(layer, Sigmoid):
-                # The two branches of Sigmoid.forward, with the one
-                # exponential each of them takes: exp(-|x|).
-                decay = np.exp(-np.abs(x))
-                np.divide(np.where(x >= 0, 1, decay), 1 + decay, out=x)
+                # The two branches of Sigmoid.forward: 1 / (1 + exp(-x))
+                # for x >= 0 and exp(x) / (1 + exp(x)) below, where
+                # exp(min(x, 0)) is the numerator of both and exp(-|x|)
+                # the denominator's exponential.  Without np.where or
+                # out= arguments: on a one-row block the call overhead
+                # of each numpy call is the cost.
+                x = np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
             else:
                 x = layer.forward(x, training=False)
         return x

@@ -55,8 +55,8 @@ class LogMinMaxScaler:
         exceed the range, but numerical tests may feed raw values.
         """
         self._require_fitted()
-        clipped = np.clip(np.asarray(scaled, dtype=np.float64), 0.0, 1.0)
-        return np.exp(clipped * self.span + self.log_min)
+        clipped = np.asarray(scaled, dtype=np.float64).clip(0.0, 1.0)
+        return np.exp(clipped * (self.log_max - self.log_min) + self.log_min)
 
     def state(self) -> dict:
         """Serialisable state for checkpoints."""

@@ -11,9 +11,10 @@ top:
   read-only memory-mapped store snapshot plus an ``LMKG.save``
   checkpoint (or fits deterministic defaults), and parses SPARQL
   request text;
-- :class:`BatchScheduler` (:mod:`repro.serve.scheduler`) — coalesces
-  concurrent requests into batched calls under a max-batch/max-delay
-  policy, with queue-full load shedding;
+- :class:`BatchScheduler` (:mod:`repro.serve.scheduler`) — dispatches
+  as soon as the estimator is free and coalesces the requests that
+  queued behind the batch in flight (capped by max-batch), with
+  queue-full load shedding;
 - the HTTP endpoint (:mod:`repro.serve.http`) — a stdlib
   ``ThreadingHTTPServer`` exposing ``POST /estimate``,
   ``POST /admin/reload``, ``GET /healthz``, and ``GET /stats``;

@@ -1,21 +1,19 @@
-"""Micro-batching request scheduler for the estimation service.
+"""Work-conserving request scheduler for the estimation service.
 
 A query optimizer — or here, N concurrent HTTP handler threads — issues
 many small estimation requests.  Answering each alone wastes the
 vectorized ``estimate_batch`` path (one featurize + one forward
 regardless of batch width), so :class:`BatchScheduler` coalesces
-concurrent requests into one batched call under a classic
-max-batch/max-delay policy:
+concurrent requests into one batched call — but never by waiting:
 
-- the first pending request opens a batch window of ``max_delay_ms``;
-- the batch flushes as soon as ``max_batch`` queries are pending, the
-  window expires, or a *second* request has joined — whichever comes
-  first.  A lone request on an idle server therefore waits at most
-  ``max_delay_ms`` for company, but the scheduler never idles waiting
-  for a fuller batch while requests are ready: under sustained
-  concurrency the execution time of the in-flight batch is the real
-  accumulation window (continuous batching), and everything that
-  arrived meanwhile flushes together immediately.
+- when the worker thread is free, whatever is pending is dispatched at
+  once; a lone request on an idle server reaches the estimator alone,
+  with no window to wait out;
+- requests that arrive while a batch is in flight form the next batch,
+  capped at ``max_batch`` queries.  The execution time of the in-flight
+  batch is the only accumulation window (continuous batching), so the
+  scheduler is never idle while work is pending and has no timeout to
+  tune.
 
 Requests are **atomic**: a request's queries are never split across
 batches (a single request may exceed ``max_batch``), so a request posted
@@ -111,47 +109,30 @@ class BatchScheduler:
             ``(queries) -> np.ndarray`` — typically
             ``LMKG.estimate_batch`` or a
             :class:`~repro.serve.supervisor.SupervisedPool`.
-        max_batch: stop coalescing once this many queries are pending in
-            the forming batch (a single larger request still runs whole).
-        max_delay_ms: longest a request waits for co-batching company.
+        max_batch: most queries one batch collects from the requests
+            that queued behind the one in flight (a single larger
+            request still runs whole).
         max_queue: pending-query capacity; beyond it submits are
             rejected with :class:`QueueFullError`.  An empty queue
             always admits, so rejection means retrying can succeed.
-
-    Why a lone request waits for company even when no batch is in
-    flight: with ``max_delay_ms=0`` (dispatch at once on an idle
-    worker) the repo benchmark's ``point_s_open`` workload measured, over
-    4 alternating 12 s pairs on 2 vCPUs, ``latency_p90_ms`` 2.40–2.53 ->
-    1.05–1.38 ms but ``max_rate_ok_qps`` 3000 -> 900 and
-    ``cpu_ms_per_query`` 0.22–0.25 -> 0.27–0.32.  Width-1 batches pay
-    the estimator's fixed per-call cost once per request, so the window
-    is what holds the 3000 q/s rung; it can go only once that fixed cost
-    is gone (see ``benchmarks/README.md``, Serving).
     """
 
     #: the batching policy every server runs with (no flag overrides it).
     MAX_BATCH = 64
-    MAX_DELAY_MS = 2.0
     MAX_QUEUE = 4096
 
     def __init__(
         self,
         estimate_batch: Callable[[List], np.ndarray],
         max_batch: int = MAX_BATCH,
-        max_delay_ms: float = MAX_DELAY_MS,
         max_queue: int = MAX_QUEUE,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_ms < 0:
-            raise ValueError(
-                f"max_delay_ms must be >= 0, got {max_delay_ms}"
-            )
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self._fn = estimate_batch
         self.max_batch = max_batch
-        self.max_delay = max_delay_ms / 1000.0
         self.max_queue = max_queue
         self._cv = threading.Condition()
         self._pending: Deque[_Request] = deque()
@@ -253,7 +234,6 @@ class BatchScheduler:
                 ),
                 "policy": {
                     "max_batch": self.max_batch,
-                    "max_delay_ms": self.max_delay * 1000.0,
                     "max_queue": self.max_queue,
                 },
             }
@@ -324,27 +304,16 @@ class BatchScheduler:
             self._execute(batch)
 
     def _next_batch(self) -> Optional[List[_Request]]:
-        """Block until a batch is due; None when closed and drained."""
+        """Block until work is pending; None when closed and drained.
+
+        Never waits for company: whatever queued while the previous
+        batch ran is handed over at once, up to ``max_batch`` queries.
+        """
         with self._cv:
             while not self._pending and not self._closed:
                 self._cv.wait()
             if not self._pending:
                 return None  # closed and drained
-            # Hold the batch open only while a single request is
-            # pending and the window is young: one request may profit
-            # from company, but ready work is never kept waiting for a
-            # fuller batch (continuous batching — the previous batch's
-            # execution time already accumulated these requests).
-            deadline = self._pending[0].enqueued + self.max_delay
-            while (
-                not self._closed
-                and len(self._pending) == 1
-                and self._pending_queries < self.max_batch
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cv.wait(remaining)
             batch: List[_Request] = []
             total = 0
             while self._pending and (

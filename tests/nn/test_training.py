@@ -168,6 +168,36 @@ class TestRegressor:
         assert np.array_equal(x, before)
         assert np.array_equal(out, np.maximum(before, 0))
 
+    def test_fused_sigmoid_matches_the_layer_bit_for_bit(self):
+        """The fused head computes the two branches of Sigmoid.forward,
+        so at the inference dtype both agree exactly, edges included."""
+        from repro.nn.layers import Sequential, Sigmoid
+
+        x = np.concatenate(
+            [
+                [0.0, -0.0, np.inf, -np.inf, 88.0, -88.0, 1e-8, -1e-8],
+                np.linspace(-30.0, 30.0, 601),
+            ]
+        ).astype(np.float32)[None, :]
+        expected = Sigmoid().forward(x.copy())
+        got = Sequential([Sigmoid()]).forward_fused(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, expected)
+
+    def test_fused_forward_follows_training(self, rng):
+        """The fused casts are rebuilt once an optimizer step moves the
+        weights: a prediction after more training is the new
+        network's, not the one cached by the first prediction."""
+        reg = Regressor(build_mlp(4, [8], rng), MSELoss())
+        x, y = rng.random((16, 4)), rng.random(16)
+        before = reg.predict(x)
+        reg.fit(x, y, epochs=3, batch_size=4)
+        after = reg.predict(x)
+        assert not np.array_equal(before, after)
+        assert np.allclose(
+            after, reg.network.forward(x).ravel(), rtol=0, atol=1e-5
+        )
+
     def test_memory_accounting(self, rng):
         reg = Regressor(build_mlp(4, [8], rng), MSELoss())
         assert reg.memory_bytes() == reg.num_parameters() * 4

@@ -78,13 +78,17 @@ class TestCleanReplay:
 
 
 def under_provisioned(snapshot_dir, checkpoint_dir):
-    """One worker thread, batch of 2, a 25 ms window, queue of 2 —
-    on a checkpoint that already exists, so no refit."""
+    """One worker thread, batch of 2, queue of 2, and every batch
+    delayed 25 ms by the fault injector — on a checkpoint that already
+    exists, so no refit."""
     from repro.replay import ReplayHarness
+    from repro.serve.faults import FaultSpec
 
-    h = ReplayHarness(snapshot_dir, checkpoint_dir, workers=1)
+    h = ReplayHarness(
+        snapshot_dir, checkpoint_dir, workers=1,
+        fault_spec=FaultSpec(delay_ms=25.0),
+    )
     h.scheduler.max_batch = 2
-    h.scheduler.max_delay = 0.025
     h.scheduler.max_queue = 2
     return h
 

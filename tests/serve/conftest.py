@@ -115,7 +115,7 @@ def gated_app(snapshot_dir, checkpoint_dir):
     a started ServingApp whose model path sets *entered* and then
     blocks until *gate* is set — on every batch, or on the first only.
     *policy* overrides scheduler attributes (``max_batch``,
-    ``max_delay`` in seconds, ``max_queue``).  Released and closed at
+    ``max_queue``).  Released and closed at
     teardown."""
     built = []
 

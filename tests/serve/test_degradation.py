@@ -118,7 +118,7 @@ def test_scheduler_surfaces_degraded_meta(fallback, star_queries):
     from repro.serve.scheduler import BatchScheduler
 
     backend = _degraded_backend(fallback)
-    scheduler = BatchScheduler(backend, max_batch=8, max_delay_ms=1.0)
+    scheduler = BatchScheduler(backend, max_batch=8)
     try:
         values, meta = scheduler.submit_with_meta(star_queries[:4])
         assert values.shape == (4,)

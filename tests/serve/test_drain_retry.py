@@ -52,7 +52,7 @@ class TestDerivedRetryAfter:
             return service.framework.estimate_batch(queries)
 
         scheduler = BatchScheduler(
-            gated, max_batch=1, max_delay_ms=1.0, max_queue=1
+            gated, max_batch=1, max_queue=1
         )
         try:
             first = scheduler.submit_async(parsed)
@@ -76,7 +76,6 @@ class TestDerivedRetryAfter:
         scheduler = BatchScheduler(
             service.framework.estimate_batch,
             max_batch=4,
-            max_delay_ms=1.0,
             max_queue=8,
         )
         parsed = service.parse_queries([QUERY])
@@ -93,7 +92,7 @@ class TestDerivedRetryAfter:
 
     def test_http_429_carries_derived_backoff(self, gated_app):
         app, gate, entered = gated_app(
-            first_only=True, max_batch=1, max_delay=1.0, max_queue=1
+            first_only=True, max_batch=1, max_queue=1
         )
         host, port = app.host, app.port
         from concurrent.futures import ThreadPoolExecutor

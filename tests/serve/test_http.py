@@ -181,7 +181,7 @@ class TestBackpressure:
         import time
 
         app, gate, entered = gated_app(
-            first_only=True, max_batch=1, max_delay=1.0, max_queue=1
+            first_only=True, max_batch=1, max_queue=1
         )
         url = f"{app.url}/estimate"
         with ThreadPoolExecutor(max_workers=3) as pool:

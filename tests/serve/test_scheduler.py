@@ -1,7 +1,7 @@
 """BatchScheduler: coalescing, flush policy, backpressure, failure."""
 
 import threading
-import time
+import types
 
 import numpy as np
 import pytest
@@ -66,9 +66,7 @@ class TestCoalescing:
         """K requests queued behind an in-flight batch are answered by
         ONE estimate_batch call."""
         estimator = GatedEstimator()
-        scheduler = scheduler_factory(
-            estimator, max_batch=64, max_delay_ms=50.0
-        )
+        scheduler = scheduler_factory(estimator, max_batch=64)
         blocker = scheduler.submit_async([1.0])
         assert estimator.entered.wait(5.0)
         # The worker is stuck inside call #1; these 5 requests pile up.
@@ -92,7 +90,7 @@ class TestCoalescing:
 
     def test_results_split_back_per_request(self, scheduler_factory):
         estimator = RecordingEstimator()
-        scheduler = scheduler_factory(estimator, max_delay_ms=1.0)
+        scheduler = scheduler_factory(estimator)
         a = scheduler.submit([7.0, 8.0])
         b = scheduler.submit([9.0])
         assert a.tolist() == [7.0, 8.0]
@@ -106,26 +104,46 @@ class TestCoalescing:
 
 
 class TestFlushPolicy:
-    def test_max_delay_flushes_a_lone_request(self, scheduler_factory):
-        """An idle server answers a single request without waiting for
-        max_batch company."""
-        estimator = RecordingEstimator()
-        scheduler = scheduler_factory(
-            estimator, max_batch=1024, max_delay_ms=20.0
+    def test_lone_request_dispatches_without_a_timed_wait(
+        self, scheduler_factory, monkeypatch
+    ):
+        """Work-conserving dispatch: a request on an idle scheduler
+        reaches the backend alone and at once — the worker thread never
+        waits on its condition variable with a timeout (a coalescing
+        window would be such a wait)."""
+        import repro.serve.scheduler as scheduler_module
+
+        spies = []
+
+        class SpyCondition(threading.Condition):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.timeouts = []
+                spies.append(self)
+
+            def wait(self, timeout=None):
+                self.timeouts.append(timeout)
+                return super().wait(timeout)
+
+        monkeypatch.setattr(
+            scheduler_module,
+            "threading",
+            types.SimpleNamespace(
+                Condition=SpyCondition, Thread=threading.Thread
+            ),
         )
-        start = time.monotonic()
-        result = scheduler.submit([3.0], timeout=10.0)
-        elapsed = time.monotonic() - start
-        assert result.tolist() == [3.0]
-        assert estimator.calls == [1]
-        assert elapsed < 5.0  # delay-bound, not batch-bound
+        estimator = RecordingEstimator()
+        scheduler = scheduler_factory(estimator, max_batch=1024)
+        assert scheduler.submit([3.0], timeout=10.0).tolist() == [3.0]
+        assert scheduler.submit([4.0], timeout=10.0).tolist() == [4.0]
+        assert estimator.calls == [1, 1]
+        (spy,) = spies
+        assert all(timeout is None for timeout in spy.timeouts)
 
     def test_max_batch_caps_a_batch(self, scheduler_factory):
         """Pending work beyond max_batch splits into capped batches."""
         estimator = GatedEstimator()
-        scheduler = scheduler_factory(
-            estimator, max_batch=4, max_delay_ms=50.0
-        )
+        scheduler = scheduler_factory(estimator, max_batch=4)
         blocker = scheduler.submit_async([0.0])
         assert estimator.entered.wait(5.0)
         futures = [
@@ -142,9 +160,7 @@ class TestFlushPolicy:
     def test_oversized_request_stays_atomic(self, scheduler_factory):
         """A single request larger than max_batch is never split."""
         estimator = RecordingEstimator()
-        scheduler = scheduler_factory(
-            estimator, max_batch=2, max_delay_ms=1.0
-        )
+        scheduler = scheduler_factory(estimator, max_batch=2)
         result = scheduler.submit([float(i) for i in range(7)])
         assert result.tolist() == [float(i) for i in range(7)]
         assert 7 in estimator.calls
@@ -154,7 +170,7 @@ class TestBackpressure:
     def test_queue_full_rejects(self, scheduler_factory):
         estimator = GatedEstimator()
         scheduler = scheduler_factory(
-            estimator, max_batch=1, max_delay_ms=1000.0, max_queue=2
+            estimator, max_batch=1, max_queue=2
         )
         blocker = scheduler.submit_async([1.0])
         assert estimator.entered.wait(5.0)
@@ -171,9 +187,7 @@ class TestBackpressure:
         """A request larger than max_queue is not permanently
         unservable: an empty queue admits it (429 = retryable)."""
         estimator = RecordingEstimator()
-        scheduler = scheduler_factory(
-            estimator, max_queue=2, max_delay_ms=1.0
-        )
+        scheduler = scheduler_factory(estimator, max_queue=2)
         result = scheduler.submit(
             [float(i) for i in range(5)], timeout=10.0
         )
@@ -185,7 +199,7 @@ class TestBackpressure:
         from repro.core.estimator import EstimatorContractError
 
         scheduler = scheduler_factory(
-            lambda queries: np.array([float("nan")]), max_delay_ms=1.0
+            lambda queries: np.array([float("nan")])
         )
         with pytest.raises(EstimatorContractError, match="non-finite"):
             scheduler.submit([1.0], timeout=10.0)
@@ -198,9 +212,7 @@ class TestBackpressure:
 
     def test_close_drains_pending(self):
         estimator = GatedEstimator()
-        scheduler = BatchScheduler(
-            estimator, max_batch=1, max_delay_ms=1000.0
-        )
+        scheduler = BatchScheduler(estimator, max_batch=1)
         blocker = scheduler.submit_async([1.0])
         assert estimator.entered.wait(5.0)
         tail = scheduler.submit_async([2.0])
@@ -219,7 +231,7 @@ class TestFailures:
         def failing(queries):
             raise boom
 
-        scheduler = scheduler_factory(failing, max_delay_ms=1.0)
+        scheduler = scheduler_factory(failing)
         future = scheduler.submit_async([1.0])
         with pytest.raises(RuntimeError, match="model exploded"):
             future.result(10.0)
@@ -244,7 +256,7 @@ class TestFailures:
                 raise RuntimeError("poison")
             return np.array([float(q) for q in queries])
 
-        scheduler = scheduler_factory(fn, max_batch=64, max_delay_ms=50.0)
+        scheduler = scheduler_factory(fn, max_batch=64)
         blocker = scheduler.submit_async([0.0])
         assert entered.wait(5.0)
         good = scheduler.submit_async([1.0])
@@ -259,9 +271,7 @@ class TestFailures:
         assert scheduler.stats()["errors"] == 1
 
     def test_wrong_shape_is_an_error(self, scheduler_factory):
-        scheduler = scheduler_factory(
-            lambda queries: np.zeros(0), max_delay_ms=1.0
-        )
+        scheduler = scheduler_factory(lambda queries: np.zeros(0))
         with pytest.raises(RuntimeError, match="shape"):
             scheduler.submit([1.0], timeout=10.0)
 
@@ -270,16 +280,12 @@ class TestFailures:
         with pytest.raises(ValueError):
             BatchScheduler(fn, max_batch=0)
         with pytest.raises(ValueError):
-            BatchScheduler(fn, max_delay_ms=-1.0)
-        with pytest.raises(ValueError):
             BatchScheduler(fn, max_queue=0)
 
 
 class TestStats:
     def test_counters_and_latency(self, scheduler_factory):
-        scheduler = scheduler_factory(
-            RecordingEstimator(), max_delay_ms=1.0
-        )
+        scheduler = scheduler_factory(RecordingEstimator())
         for i in range(4):
             scheduler.submit([float(i)])
         stats = scheduler.stats()

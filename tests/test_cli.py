@@ -77,6 +77,32 @@ class TestParser:
             "workers", "fit_defaults", "fault_spec",
         ]
 
+    def test_batch_scheduler_constructor_is_pinned(self):
+        """The scheduler's policy is a batch cap and a queue cap, and
+        nothing else: no coalescing window to tune."""
+        import inspect
+
+        from repro.serve import BatchScheduler
+
+        assert list(inspect.signature(BatchScheduler).parameters) == [
+            "estimate_batch", "max_batch", "max_queue",
+        ]
+
+    def test_stats_policy_keys_are_pinned(self):
+        """``GET /stats`` reports the policy the scheduler runs, by
+        name (the HTTP layer serves ``BatchScheduler.stats`` as is)."""
+        import numpy as np
+
+        from repro.serve import BatchScheduler
+
+        scheduler = BatchScheduler(lambda queries: np.zeros(len(queries)))
+        try:
+            assert set(scheduler.stats()["policy"]) == {
+                "max_batch", "max_queue",
+            }
+        finally:
+            scheduler.close()
+
     def test_command_surface_is_pinned(self):
         """The subcommands, and the train / estimate flags and models,
         by name: a new command, flag or checkpoint format is a diff to
