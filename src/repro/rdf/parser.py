@@ -100,38 +100,42 @@ def write_ntriples(
 # SPARQL subset
 # ----------------------------------------------------------------------
 
+#: one token after optional whitespace; ``bad`` catches the first
+#: character no token starts with.  Scans end before trailing
+#: whitespace: there every alternative fails after ``\s*``, which would
+#: back off and retry from each position of the run (quadratic).
 _TOKEN = re.compile(
-    r"""\?(?P<var>[A-Za-z_][A-Za-z0-9_]*)
+    r"""\s*(?:
+        \?(?P<var>[A-Za-z_][A-Za-z0-9_]*)
       | <(?P<uri>[^>]*)>
-      | "(?P<lit>(?:[^"\\]|\\.)*)"
+      | (?P<lit>"(?:[^"\\]|\\.)*")
       | (?P<punct>[{}.;,])
       | (?P<word>[A-Za-z_:][A-Za-z0-9_:\-]*)
-    """,
+      | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
+
+#: token kind of each ``_TOKEN`` group.
+_KINDS = {
+    "var": "var",
+    "uri": "term",
+    "lit": "term",
+    "punct": "punct",
+    "word": "word",
+}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens: List[Tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-        if match.group("var") is not None:
-            tokens.append(("var", match.group("var")))
-        elif match.group("uri") is not None:
-            tokens.append(("term", match.group("uri")))
-        elif match.group("lit") is not None:
-            tokens.append(("term", '"' + match.group("lit") + '"'))
-        elif match.group("punct") is not None:
-            tokens.append(("punct", match.group("punct")))
-        else:
-            tokens.append(("word", match.group("word")))
-        pos = match.end()
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        group = match.lastgroup
+        if group == "bad":
+            raise ParseError(
+                f"unexpected character {match[group]!r} at "
+                f"{match.start(group)}"
+            )
+        tokens.append((_KINDS[group], match[group]))
     return tokens
 
 

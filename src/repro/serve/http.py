@@ -36,12 +36,18 @@ concurrent requests into batched ``estimate_batch`` calls.  Routes:
 Everything else is a 404.  The server never dies on a bad request: all
 errors are JSON responses with the matching status code.  Requests are
 not logged.
+
+The handler reads its own HTTP/1.1 request heads (RFC 9112 §5, §6.3)
+under the stdlib's limits and statuses, and writes every JSON response
+— head and body — with one socket write.
 """
 
 from __future__ import annotations
 
+import email.utils
 import json
 import math
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -70,6 +76,46 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: sentinel returned by ``_Handler._read_body`` after an error response
 #: (distinguishes "already answered" from a legitimately empty body).
 _BAD_BODY = object()
+
+#: request-head limits, the stdlib's (``http.client._MAXLINE`` and
+#: ``_MAXHEADERS``, which counts the head's closing blank line too).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: an RFC 9110 field name: no whitespace, so a line with no colon,
+#: whitespace before the colon or an obs-fold continuation fails it.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+
+#: an ``HTTP/x.y`` version token; ``\d`` takes the Unicode decimal
+#: digits ``int`` parses.
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
+
+#: (epoch second, its IMF-fixdate) of the last ``Date`` header written.
+_date = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` header value, formatted at most once per second."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, email.utils.formatdate(now, usegmt=True))
+    return _date[1]
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` token, None when malformed
+    (the stdlib's rules: two parts, digits only, at most ten each)."""
+    match = _VERSION.fullmatch(version)
+    return (int(match[1]), int(match[2])) if match else None
+
+
+class _Headers(dict):
+    """Request header fields by lower-cased name; ``get`` takes any
+    case and a repeated field keeps its first value."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
 
 
 class EstimatorHTTPServer(ThreadingHTTPServer):
@@ -137,11 +183,112 @@ class EstimatorHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
-    # Headers and body flush as separate writes; without TCP_NODELAY the
-    # body segment stalls behind the peer's delayed ACK (~40ms) on every
-    # keep-alive request, capping a persistent connection at ~25 q/s.
+    # A JSON response is one write, but a response longer than one
+    # segment, the interim 100 Continue and the stdlib's error pages
+    # (head and body as two writes) still leave a small segment behind
+    # unacknowledged data; without TCP_NODELAY it waits for the peer's
+    # delayed ACK (~40 ms) on a keep-alive connection.
     disable_nagle_algorithm = True
     server: EstimatorHTTPServer
+
+    # ------------------------------------------------------------------
+    # Request head
+    # ------------------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Read the request line and header fields after
+        ``raw_requestline``; False once an error answer is sent.
+
+        The stdlib's checks and statuses, without ``email.parser``:
+        400 for a malformed request line or version, 505 for HTTP/2+,
+        431 past :data:`_MAX_LINE` bytes a line or :data:`_MAX_HEADERS`
+        lines.  A header line that is not ``name: value``, a second
+        ``Content-Length`` and any ``Transfer-Encoding`` are a 400 that
+        closes the connection: the body's framing is unknown (RFC 9112
+        §5.1, §6.1, §6.3).
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    505, f"Invalid HTTP version ({version[5:]})"
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9: GET only
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    400, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        if path.startswith("//"):  # gh-87389: no scheme-relative paths
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        headers = self.headers = _Headers()
+        readline = self.rfile.readline
+        for count in range(_MAX_HEADERS + 1):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    431, "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading "
+                    "header line",
+                )
+                return False
+            if count == _MAX_HEADERS:
+                self.send_error(
+                    431, "Too many headers",
+                    f"got more than {_MAX_HEADERS} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):  # b"": the peer closed
+                break
+            name, colon, value = line.partition(b":")
+            if not colon or not _FIELD_NAME.fullmatch(name):
+                self.send_error(400, "Bad header line")
+                return False
+            name = name.decode("iso-8859-1").lower()
+            if name == "transfer-encoding":  # chunked is never decoded
+                self.send_error(400, "Transfer-Encoding not supported")
+                return False
+            if name in headers:
+                if name == "content-length":
+                    self.send_error(400, "Duplicate Content-Length")
+                    return False
+                continue
+            headers[name] = value.strip(b" \t\r\n").decode("iso-8859-1")
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     # ------------------------------------------------------------------
     # Routes
@@ -397,14 +544,23 @@ class _Handler(BaseHTTPRequestHandler):
         payload: dict,
         headers: Optional[dict] = None,
     ) -> None:
+        """Write *payload* as a JSON response, head and body in one
+        write (an HTTP/0.9 request gets the body alone)."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {_http_date()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass

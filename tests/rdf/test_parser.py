@@ -1,6 +1,9 @@
 """Tests for N-Triples IO and the SPARQL-subset parser."""
 
+import time
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.rdf import (
     ParseError,
@@ -11,8 +14,9 @@ from repro.rdf import (
     parse_sparql,
     write_ntriples,
 )
-from repro.rdf.parser import parse_ntriples_line
+from repro.rdf.parser import _tokenize, parse_ntriples_line
 from repro.rdf.terms import Variable
+from repro.replay.strategies import query_texts, vocab_sample
 
 
 class TestNTriplesLine:
@@ -64,6 +68,75 @@ class TestNTriplesRoundtrip:
             store.dictionary.decode_triple(t) for t in store
         }
         assert back == set(triples)
+
+
+#: (text, exact token list) for the SPARQL scanner.
+TOKENS = [
+    ("", []),
+    (" \t\n ", []),
+    (
+        ' SELECT ?x WHERE { ?x <p> "a\\"b" . } ',
+        [
+            ("word", "SELECT"), ("var", "x"), ("word", "WHERE"),
+            ("punct", "{"), ("var", "x"), ("term", "p"),
+            ("term", '"a\\"b"'), ("punct", "."), ("punct", "}"),
+        ],
+    ),
+    (
+        '"tab\\t and \\\\ backslash"',
+        [("term", '"tab\\t and \\\\ backslash"')],
+    ),
+    (
+        "ex:name foaf:knows rdf:type-x _:b1",
+        [
+            ("word", "ex:name"), ("word", "foaf:knows"),
+            ("word", "rdf:type-x"), ("word", "_:b1"),
+        ],
+    ),
+    (
+        "{}.;,",
+        [
+            ("punct", "{"), ("punct", "}"), ("punct", "."),
+            ("punct", ";"), ("punct", ","),
+        ],
+    ),
+    ("?a<b>?c", [("var", "a"), ("term", "b"), ("var", "c")]),
+    (
+        "?x\u00a0<p>\u2003?y",
+        [("var", "x"), ("term", "p"), ("var", "y")],
+    ),
+    ("<>", [("term", "")]),
+    ('""', [("term", '""')]),
+]
+
+#: (text, exact ParseError message) for the SPARQL scanner.
+TOKEN_ERRORS = [
+    ("#x", "unexpected character '#' at 0"),
+    ("  @", "unexpected character '@' at 2"),
+    ("?x <p> | ?y", "unexpected character '|' at 7"),
+    ("?x <p> ?y .!", "unexpected character '!' at 11"),
+    ("<unterminated", "unexpected character '<' at 0"),
+    ('"open literal', "unexpected character '\"' at 0"),
+    ("?", "unexpected character '?' at 0"),
+    ("?1", "unexpected character '?' at 0"),
+]
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("text, tokens", TOKENS)
+    def test_tokens(self, text, tokens):
+        assert _tokenize(text) == tokens
+
+    @pytest.mark.parametrize("text, message", TOKEN_ERRORS)
+    def test_errors(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            _tokenize(text)
+        assert str(excinfo.value) == message
+
+    def test_trailing_whitespace_is_linear(self):
+        started = time.perf_counter()
+        assert _tokenize("?x" + " " * 200_000) == [("var", "x")]
+        assert time.perf_counter() - started < 1.0
 
 
 class TestSparqlParser:
@@ -118,11 +191,22 @@ class TestSparqlParser:
 
 
 class TestFormatter:
-    def test_roundtrip_through_text(self, books_store):
-        original = parse_sparql(
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_roundtrip_through_text(self, books_store, data):
+        dictionary = books_store.dictionary
+        nodes, predicates = vocab_sample(books_store)
+        texts = [
             "SELECT ?x ?y WHERE { ?x <hasAuthor> ?y . ?y <bornIn> <USA> . }",
-            books_store.dictionary,
-        )
-        text = format_sparql(original, books_store.dictionary)
-        reparsed = parse_sparql(text, books_store.dictionary)
-        assert reparsed.canonical_key() == original.canonical_key()
+            data.draw(query_texts(nodes, predicates), label="text"),
+        ]
+        for text in texts:
+            original = parse_sparql(text, dictionary)
+            reparsed = parse_sparql(
+                format_sparql(original, dictionary), dictionary
+            )
+            assert reparsed.canonical_key() == original.canonical_key()
