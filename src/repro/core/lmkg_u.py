@@ -446,9 +446,7 @@ class LMKGU(Estimator):
         )
         return self.history
 
-    def finetune(
-        self, epochs: int = 1, instances=None
-    ) -> List[float]:
+    def finetune(self, epochs: int = 1) -> List[float]:
         """Continue training from the current weights on fresh samples.
 
         The incremental-maintenance path (:mod:`repro.maintain`): bound
@@ -463,7 +461,7 @@ class LMKGU(Estimator):
         """
         if self.model is None or self.universe is None:
             raise RuntimeError("finetune() before fit() or load()")
-        data = self._training_data(instances)
+        data = self._training_data(None)
         history = self.model.fit(
             data,
             epochs=epochs,
@@ -570,12 +568,6 @@ class LMKGU(Estimator):
                 max(self._vocab_sizes),
             )
         return self._noise
-
-    def log_likelihood(self, instances: np.ndarray) -> float:
-        """Mean log-likelihood of bound instances (training diagnostics)."""
-        if self.model is None:
-            raise RuntimeError("model not trained")
-        return float(self.model.log_prob(instances).mean())
 
     def num_parameters(self) -> int:
         if self.model is None:

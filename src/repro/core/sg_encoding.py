@@ -12,8 +12,9 @@ represented as ``SG = (A, X, E)``:
 
 Unlike the pattern-bound encoding, A makes the *topology* explicit, so one
 model can be trained on stars, chains, and any composite of them.  Node
-and edge orders come from :meth:`repro.rdf.pattern.QueryPattern.node_order`
-/ ``edge_order`` (first-occurrence order, as in Fig. 2 step 2).
+order comes from :meth:`repro.rdf.pattern.QueryPattern.node_order`
+(first-occurrence order, as in Fig. 2 step 2); edges keep triple order,
+one edge per triple.
 
 A batch is encoded in two steps.  One loop over the batch's triples
 reduces it to integers, each a flat position in the ``(n, width)``

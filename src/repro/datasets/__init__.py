@@ -11,7 +11,6 @@ from repro.datasets.registry import (
     DATASET_NAMES,
     SNAPSHOT_DIR_ENV,
     clear_cache,
-    dataset_builders,
     load_dataset,
 )
 from repro.datasets.snapshot_cache import cache_key, cached_store
@@ -26,7 +25,6 @@ __all__ = [
     "cache_key",
     "cached_store",
     "clear_cache",
-    "dataset_builders",
     "load_dataset",
     "generate_swdf",
     "generate_yago",

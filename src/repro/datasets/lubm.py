@@ -18,8 +18,6 @@ the schema, the 19-predicate domain, and the triples-per-entity ratio
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
 
 import numpy as np
 
@@ -96,37 +94,8 @@ def generate_lubm(
     universities: int = 5,
     seed: int = 7,
     profile: LubmProfile = LubmProfile(),
-    cache_dir: Optional[Union[str, Path]] = None,
 ) -> TripleStore:
-    """Generate a LUBM-like store; ``universities`` is the scale factor.
-
-    With *cache_dir*, the generated store is persisted as a columnar
-    snapshot keyed by the generator knobs, and later calls memory-map it
-    back instead of regenerating (stale snapshots rebuild transparently).
-    """
-    if cache_dir is not None:
-        import zlib
-
-        from repro.datasets.snapshot_cache import (
-            GENERATOR_CACHE_VERSION,
-            cache_key,
-            cached_store,
-        )
-
-        # The profile changes the generated graph, so it must key the
-        # cache; a CRC of its (deterministic) repr keeps the path short.
-        profile_tag = f"{zlib.crc32(repr(profile).encode()):08x}"
-        directory = Path(cache_dir) / cache_key(
-            "lubm",
-            gen=GENERATOR_CACHE_VERSION,
-            universities=universities,
-            seed=seed,
-            profile=profile_tag,
-        )
-        return cached_store(
-            directory,
-            lambda: generate_lubm(universities, seed, profile),
-        )
+    """Generate a LUBM-like store; ``universities`` is the scale factor."""
     rng = np.random.default_rng(seed)
     builder = GraphBuilder()
     university_names = [f"univ{u}" for u in range(universities)]

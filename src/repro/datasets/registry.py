@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.datasets.lubm import generate_lubm
 from repro.datasets.snapshot_cache import (
@@ -104,12 +104,3 @@ def load_dataset(
 def clear_cache() -> None:
     """Drop memoised datasets (used by tests that measure generation)."""
     _cache.clear()
-
-
-def dataset_builders() -> Dict[str, Callable[..., TripleStore]]:
-    """The raw generator functions, for callers needing custom knobs."""
-    return {
-        "swdf": generate_swdf,
-        "lubm": generate_lubm,
-        "yago": generate_yago,
-    }

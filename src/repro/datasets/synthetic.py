@@ -9,7 +9,7 @@ dictionary-encoded :class:`~repro.rdf.store.TripleStore`.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class ZipfSampler:
     def draw(self) -> int:
         return int(np.searchsorted(self._cdf, self._rng.random()))
 
-    def draw_many(self, count: int) -> np.ndarray:
-        return np.searchsorted(self._cdf, self._rng.random(count))
-
 
 def skewed_count(
     rng: np.random.Generator, low: int, high: int, exponent: float = 1.5
@@ -71,16 +68,6 @@ class GraphBuilder:
 
     def add(self, s: str, p: str, o: str) -> None:
         self.store.add(*self.dictionary.encode_triple(s, p, o))
-
-    def add_batch(self, triples: Sequence[tuple]) -> None:
-        """Encode and ingest many lexical triples in one bulk batch.
-
-        Dictionary encoding is inherently per-term, but the encoded rows
-        go through the store's array-native ``add_all`` — one
-        deduplication pass and one generation bump for the whole batch.
-        """
-        encode = self.dictionary.encode_triple
-        self.store.add_all([encode(s, p, o) for s, p, o in triples])
 
     @property
     def num_triples(self) -> int:

@@ -46,7 +46,6 @@ from repro.maintain.gc import (
 from repro.maintain.planner import MaintenancePlan, plan_maintenance
 from repro.maintain.relabel import (
     affected_mask,
-    merge_records,
     relabel_records,
 )
 from repro.maintain.runner import (
@@ -82,7 +81,6 @@ __all__ = [
     "check_freshness",
     "gc_generations",
     "list_generations",
-    "merge_records",
     "plan_maintenance",
     "read_watermark",
     "relabel_records",

@@ -128,34 +128,3 @@ def relabel_records(
             cardinality=int(card),
         )
     return merged
-
-
-def merge_records(
-    records: Sequence[QueryRecord],
-    mask: np.ndarray,
-    new_cardinalities: Sequence[int],
-) -> List[QueryRecord]:
-    """Merge pre-computed labels into the materialization.
-
-    The split-apart form of :func:`relabel_records` for callers that
-    counted the affected queries elsewhere (e.g. a worker pool): *mask*
-    selects the records being replaced, *new_cardinalities* supplies
-    their labels in mask order.
-    """
-    records = list(records)
-    indices = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if indices.size != len(new_cardinalities):
-        raise ValueError(
-            f"{indices.size} masked records but "
-            f"{len(new_cardinalities)} labels"
-        )
-    merged = records[:]
-    for i, card in zip(indices, new_cardinalities):
-        old = records[i]
-        merged[i] = QueryRecord(
-            query=old.query,
-            topology=old.topology,
-            size=old.size,
-            cardinality=int(card),
-        )
-    return merged

@@ -3,15 +3,14 @@
 Replaces the paper's TensorFlow dependency with a small, exact-gradient
 framework: dense layers (:mod:`repro.nn.layers`), masked autoregressive
 models (:mod:`repro.nn.masked`), losses including the mean q-error loss
-(:mod:`repro.nn.losses`), Adam/SGD (:mod:`repro.nn.optimizers`), the
+(:mod:`repro.nn.losses`), Adam (:mod:`repro.nn.optimizers`), the
 training loop (:mod:`repro.nn.network`), target scaling
-(:mod:`repro.nn.scaling`) and npz checkpointing
-(:mod:`repro.nn.serialization`).
+(:mod:`repro.nn.scaling`) and the npz array I/O that model checkpoints
+use (:mod:`repro.nn.serialization`).
 """
 
 from repro.nn.layers import (
     Dropout,
-    Embedding,
     Layer,
     Linear,
     Parameter,
@@ -20,7 +19,6 @@ from repro.nn.layers import (
     Sigmoid,
 )
 from repro.nn.losses import (
-    HuberLogLoss,
     Loss,
     MSELoss,
     QErrorLoss,
@@ -29,27 +27,18 @@ from repro.nn.losses import (
 )
 from repro.nn.masked import MADE, MADESweep, MaskedLinear, hidden_degrees
 from repro.nn.network import Regressor, TrainingHistory, build_mlp
-from repro.nn.optimizers import SGD, Adam, Optimizer
+from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.scaling import LogMinMaxScaler
-from repro.nn.serialization import (
-    load_arrays,
-    load_made,
-    load_sequential,
-    save_arrays,
-    save_made,
-    save_sequential,
-)
+from repro.nn.serialization import load_arrays, save_arrays
 
 __all__ = [
     "Dropout",
-    "Embedding",
     "Layer",
     "Linear",
     "Parameter",
     "ReLU",
     "Sequential",
     "Sigmoid",
-    "HuberLogLoss",
     "Loss",
     "MSELoss",
     "QErrorLoss",
@@ -62,14 +51,9 @@ __all__ = [
     "Regressor",
     "TrainingHistory",
     "build_mlp",
-    "SGD",
     "Adam",
     "Optimizer",
     "LogMinMaxScaler",
     "load_arrays",
-    "load_made",
-    "load_sequential",
     "save_arrays",
-    "save_made",
-    "save_sequential",
 ]

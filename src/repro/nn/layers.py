@@ -252,46 +252,3 @@ class Sequential(Layer):
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-
-class Embedding(Layer):
-    """Lookup table mapping integer ids to dense vectors.
-
-    The forward input is an integer array of shape ``(batch, slots)``;
-    the output is ``(batch, slots * dim)`` — the concatenated embeddings,
-    ready for a dense layer.  LMKG-U uses this to shrink the per-term
-    input dimensionality (Section VI-B).
-    """
-
-    def __init__(
-        self,
-        vocab_size: int,
-        dim: int,
-        rng: np.random.Generator,
-        name: str = "embedding",
-    ) -> None:
-        from repro.nn.initializers import normal_embedding
-
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.table = Parameter(
-            f"{name}.table", normal_embedding(rng, vocab_size, dim)
-        )
-        self._ids: Optional[np.ndarray] = None
-
-    def forward(self, ids: np.ndarray, training: bool = False) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        self._ids = ids
-        batch, slots = ids.shape
-        return self.table.value[ids].reshape(batch, slots * self.dim)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._ids is not None
-        batch, slots = self._ids.shape
-        grad3 = grad.reshape(batch, slots, self.dim)
-        np.add.at(self.table.grad, self._ids, grad3)
-        # Integer inputs have no gradient; return zeros of the id shape.
-        return np.zeros_like(self._ids, dtype=np.float64)
-
-    def parameters(self) -> List[Parameter]:
-        return [self.table]

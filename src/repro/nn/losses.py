@@ -65,30 +65,6 @@ class QErrorLoss(Loss):
         return loss, grad
 
 
-class HuberLogLoss(Loss):
-    """Huber loss in scaled log space — robust to the outliers of Fig. 5."""
-
-    def __init__(self, delta: float = 0.1) -> None:
-        self.delta = delta
-
-    def __call__(
-        self, pred: np.ndarray, target: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        diff = pred - target
-        abs_diff = np.abs(diff)
-        quadratic = abs_diff <= self.delta
-        loss_terms = np.where(
-            quadratic,
-            0.5 * diff ** 2,
-            self.delta * (abs_diff - 0.5 * self.delta),
-        )
-        loss = float(np.mean(loss_terms))
-        grad = np.where(
-            quadratic, diff, self.delta * np.sign(diff)
-        ) / diff.size
-        return loss, grad
-
-
 def softmax_cross_entropy(
     logits: np.ndarray, targets: np.ndarray
 ) -> Tuple[float, np.ndarray]:

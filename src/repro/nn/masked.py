@@ -880,7 +880,6 @@ class MADE:
         batch_size: int = 256,
         lr: float = 1e-3,
         seed: int = 0,
-        verbose: bool = False,
     ) -> List[float]:
         """Train by maximum likelihood; returns per-epoch mean NLL."""
         data = np.asarray(data, dtype=np.int64)
@@ -888,7 +887,7 @@ class MADE:
         rng = np.random.default_rng(seed)
         history: List[float] = []
         n = data.shape[0]
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
             batches = 0
@@ -900,8 +899,6 @@ class MADE:
                 batches += 1
             mean_loss = epoch_loss / max(batches, 1)
             history.append(mean_loss)
-            if verbose:
-                print(f"epoch {epoch + 1}/{epochs} nll={mean_loss:.4f}")
         return history
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,11 +22,6 @@ class TrainingHistory:
     """Per-epoch records produced by :meth:`Regressor.fit`."""
 
     losses: List[float] = field(default_factory=list)
-    val_losses: List[float] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
 
 
 def build_mlp(
@@ -34,7 +29,6 @@ def build_mlp(
     hidden_sizes: List[int],
     rng: np.random.Generator,
     dropout: float = 0.0,
-    sigmoid_output: bool = True,
 ) -> Sequential:
     """The LMKG-S architecture of Fig. 3: FC + ReLU stacks, sigmoid head.
 
@@ -50,8 +44,7 @@ def build_mlp(
             layers.append(Dropout(dropout, rng))
         prev = width
     layers.append(Linear(prev, 1, rng, init="glorot", name="head"))
-    if sigmoid_output:
-        layers.append(Sigmoid())
+    layers.append(Sigmoid())
     return Sequential(layers)
 
 
@@ -75,8 +68,6 @@ class Regressor:
         epochs: int = 100,
         batch_size: int = 128,
         seed: int = 0,
-        validation: Optional[tuple] = None,
-        callback: Optional[Callable[[int, float], None]] = None,
     ) -> TrainingHistory:
         """Minibatch training; targets must already be scaled to [0, 1]."""
         features = np.asarray(features, dtype=np.float64)
@@ -86,7 +77,7 @@ class Regressor:
         rng = np.random.default_rng(seed)
         history = TrainingHistory()
         n = features.shape[0]
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
             batches = 0
@@ -98,18 +89,7 @@ class Regressor:
                 self.optimizer.step()
                 epoch_loss += loss_value
                 batches += 1
-            mean_loss = epoch_loss / max(batches, 1)
-            history.losses.append(mean_loss)
-            if validation is not None:
-                val_x, val_y = validation
-                val_pred = self.predict(val_x)
-                val_loss, _ = self.loss(
-                    val_pred.reshape(-1, 1),
-                    np.asarray(val_y, dtype=np.float64).reshape(-1, 1),
-                )
-                history.val_losses.append(val_loss)
-            if callback is not None:
-                callback(epoch, mean_loss)
+            history.losses.append(epoch_loss / max(batches, 1))
         return history
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -23,36 +23,6 @@ class Optimizer:
             param.zero_grad()
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: List[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            grad = param.grad
-            if self.momentum > 0.0:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = np.zeros_like(param.value)
-                vel = self.momentum * vel - self.lr * grad
-                self._velocity[id(param)] = vel
-                param.value += vel
-            else:
-                param.value -= self.lr * grad
-            param.bump_version()
-            param.zero_grad()
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba) — the optimiser used for all learned models."""
 

@@ -1,4 +1,4 @@
-"""Checkpointing: save and load model parameters as ``.npz`` archives."""
+"""Named arrays as ``.npz`` archives: the file format of model checkpoints."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ from pathlib import Path
 from typing import Dict, Union
 
 import numpy as np
-
-from repro.nn.layers import Sequential
-from repro.nn.masked import MADE
 
 
 def save_arrays(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> None:
@@ -20,48 +17,3 @@ def load_arrays(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     """Read named arrays back from an npz file."""
     with np.load(path, allow_pickle=False) as data:
         return {key: data[key] for key in data.files}
-
-
-def save_sequential(path: Union[str, Path], network: Sequential) -> None:
-    """Checkpoint a dense network's parameters by name.
-
-    Parameter names must be unique within the network, which the
-    constructors in :mod:`repro.nn.network` guarantee by numbering layers.
-    """
-    arrays = {}
-    for param in network.parameters():
-        if param.name in arrays:
-            raise ValueError(f"duplicate parameter name {param.name!r}")
-        arrays[param.name] = param.value
-    save_arrays(path, arrays)
-
-
-def load_sequential(path: Union[str, Path], network: Sequential) -> None:
-    """Restore parameters into an architecture-compatible network.
-
-    Checkpoints hold the float64 master values bit-exactly; restoring
-    bumps each parameter's version so any fused inference caches derived
-    from the previous values are rebuilt.
-    """
-    arrays = load_arrays(path)
-    for param in network.parameters():
-        stored = arrays.get(param.name)
-        if stored is None:
-            raise KeyError(f"checkpoint missing parameter {param.name!r}")
-        if stored.shape != param.value.shape:
-            raise ValueError(
-                f"shape mismatch for {param.name!r}: "
-                f"{stored.shape} vs {param.value.shape}"
-            )
-        param.value[...] = stored
-        param.bump_version()
-
-
-def save_made(path: Union[str, Path], model: MADE) -> None:
-    """Checkpoint a MADE including its architecture metadata."""
-    save_arrays(path, model.state())
-
-
-def load_made(path: Union[str, Path]) -> MADE:
-    """Rebuild a MADE from a checkpoint produced by :func:`save_made`."""
-    return MADE.from_state(load_arrays(path))

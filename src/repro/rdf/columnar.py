@@ -464,11 +464,6 @@ class ColumnarBackend:
             )
         return self._predicates
 
-    def predicate_triple_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(sorted distinct predicates, triple count of each)."""
-        self.predicates()
-        return self._predicates, self._predicate_triples
-
     def nodes(self) -> np.ndarray:
         """Sorted distinct node ids (subject or object position)."""
         if self._nodes is None:

@@ -85,22 +85,18 @@ def default_workers() -> int:
     return available_cpus()
 
 
-def resolve_context(
-    mp_context: Union[str, multiprocessing.context.BaseContext, None],
-) -> multiprocessing.context.BaseContext:
-    """Resolve a start-method name (or None) to a multiprocessing context.
+def resolve_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context the labeling pool starts workers with.
 
-    Defaults to ``fork`` where available (Linux): workers then inherit
-    the imported modules and attach to the snapshot in milliseconds.
-    Elsewhere ``spawn`` is used; everything crossing the pipe (snapshot
-    path, queries, counts) is plain picklable data either way.
+    ``fork`` where available (Linux): workers then inherit the imported
+    modules and attach to the snapshot in milliseconds.  Elsewhere
+    ``spawn`` is used; everything crossing the pipe (snapshot path,
+    queries, counts) is plain picklable data either way.
     """
-    if isinstance(mp_context, multiprocessing.context.BaseContext):
-        return mp_context
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(mp_context)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
 
 
 def chunk_queries(
@@ -187,7 +183,6 @@ def label_queries(
     snapshot_dir: Union[str, Path, None] = None,
     workers: Optional[int] = 1,
     chunk_size: Optional[int] = None,
-    mp_context: Union[str, multiprocessing.context.BaseContext, None] = None,
 ) -> List[int]:
     """Exact cardinalities of *queries*, split across worker processes.
 
@@ -243,10 +238,9 @@ def label_queries(
         # Reuse the store's own still-current snapshot when it has one.
         snapshot_dir = store.snapshot_source
 
-    context = resolve_context(mp_context)
     if snapshot_dir is not None:
         return _label_pooled(
-            Path(snapshot_dir), queries, workers, chunk_size, context
+            Path(snapshot_dir), queries, workers, chunk_size
         )
     with tempfile.TemporaryDirectory(prefix="repro-label-") as tmp:
         shared = Path(tmp) / "snapshot"
@@ -254,7 +248,7 @@ def label_queries(
         # must not linger as the store's supposed on-disk image or the
         # next pooled call would attach workers to a deleted path.
         store.save_snapshot(shared, record_source=False)
-        return _label_pooled(shared, queries, workers, chunk_size, context)
+        return _label_pooled(shared, queries, workers, chunk_size)
 
 
 def _label_pooled(
@@ -262,14 +256,13 @@ def _label_pooled(
     queries: List[QueryPattern],
     workers: int,
     chunk_size: Optional[int],
-    context: multiprocessing.context.BaseContext,
 ) -> List[int]:
     """Run the chunked pool and reassemble counts in input order."""
     tasks = chunk_queries(queries, workers, chunk_size)
     # Never hold more processes than there are chunks of work.
     workers = min(workers, len(tasks))
     counts: List[Optional[int]] = [None] * len(queries)
-    with context.Pool(
+    with resolve_context().Pool(
         processes=workers,
         initializer=_init_worker,
         initargs=(str(snapshot_dir),),

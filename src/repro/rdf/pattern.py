@@ -58,10 +58,6 @@ class QueryPattern:
                 seen.setdefault(v, None)
         return tuple(seen.keys())
 
-    @property
-    def num_unbound(self) -> int:
-        return len(self.variables)
-
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
@@ -110,16 +106,6 @@ class QueryPattern:
             order.setdefault(tp.s, None)
             order.setdefault(tp.o, None)
         return list(order.keys())
-
-    def edge_order(self) -> List[Tuple[int, PatternTerm]]:
-        """Edges as (triple index, predicate term) in triple order.
-
-        Each triple contributes one edge even when two triples share the
-        same predicate term: edge *occurrences* are ordered, matching the
-        adjacency tensor A of the SG-Encoding whose third axis indexes
-        edge occurrences.
-        """
-        return [(i, tp.p) for i, tp in enumerate(self.triples)]
 
     def join_count(self) -> int:
         """Number of joins = size - 1 for connected star/chain patterns."""

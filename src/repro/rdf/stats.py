@@ -1,19 +1,17 @@
 """Dataset statistics: the numbers behind Table I and Fig. 4.
 
 Provides per-graph summary statistics (triples, entities, predicates,
-degree distributions) plus skew diagnostics used to verify that the
-synthetic datasets reproduce the statistical character the paper relies
-on (heavy-tailed degrees, correlated predicates).  Everything reads the
-columnar store snapshot: degree vectors, predicate histograms, and
-characteristic-set scans are array reductions rather than per-node dict
+degree maxima and skew) plus the predicate correlation factor used to
+verify that the synthetic datasets reproduce the statistical character
+the paper relies on (heavy-tailed degrees, correlated predicates).
+Everything reads the columnar store snapshot: degree vectors and
+predicate subject sets are array reductions rather than per-node dict
 walks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,24 +30,6 @@ class GraphStats:
     max_in_degree: int
     mean_out_degree: float
     degree_gini: float
-
-    def table_row(self) -> Tuple[str, str, str, str]:
-        """Formatted (name, triples, entities, predicates) row."""
-        return (
-            self.name,
-            _si(self.num_triples),
-            _si(self.num_entities),
-            str(self.num_predicates),
-        )
-
-
-def _si(value: int) -> str:
-    """Human format like the paper's Table I (~250K, ~2.7M)."""
-    if value >= 1_000_000:
-        return f"~{value / 1_000_000:.1f}M"
-    if value >= 1_000:
-        return f"~{value / 1_000:.0f}K"
-    return str(value)
 
 
 def gini(values: np.ndarray) -> float:
@@ -84,30 +64,6 @@ def compute_stats(store: TripleStore, name: str = "graph") -> GraphStats:
     )
 
 
-def predicate_histogram(store: TripleStore) -> Dict[int, int]:
-    """Triple count per predicate — the base synopsis of naive estimators."""
-    preds, counts = store.backend.predicate_triple_counts()
-    return dict(zip(preds.tolist(), counts.tolist()))
-
-
-def predicate_cooccurrence(store: TripleStore) -> Counter:
-    """How often predicate pairs co-occur on the same subject.
-
-    High co-occurrence relative to independent expectation is exactly the
-    predicate correlation that breaks histogram estimators (Section I of
-    the paper); the SWDF-like generator is validated against this.  The
-    per-subject predicate sets come from one pass over the distinct
-    (s, p) pairs of the SPO permutation.
-    """
-    cooc: Counter = Counter()
-    for group, _ in store.backend.subject_predicate_groups():
-        # Predicates are already sorted within the subject.
-        for i, p1 in enumerate(group):
-            for p2 in group[i + 1:]:
-                cooc[(p1, p2)] += 1
-    return cooc
-
-
 def correlation_factor(store: TripleStore, p1: int, p2: int) -> float:
     """Observed/expected subject co-occurrence of two predicates.
 
@@ -129,10 +85,3 @@ def correlation_factor(store: TripleStore, p1: int, p2: int) -> float:
     if expected == 0:
         return 0.0 if both == 0 else float("inf")
     return both / expected
-
-
-def degree_distribution(store: TripleStore) -> List[Tuple[int, int]]:
-    """(degree, node count) pairs of the out-degree distribution, sorted."""
-    _, out_degrees = store.backend.subject_degrees()
-    degrees, counts = np.unique(out_degrees, return_counts=True)
-    return list(zip(degrees.tolist(), counts.tolist()))

@@ -402,9 +402,6 @@ class TripleStore:
     def out_degree(self, s: int) -> int:
         return self.backend.out_degree(s)
 
-    def in_degree(self, o: int) -> int:
-        return self.backend.in_degree(o)
-
     def predicate_count(self, p: int) -> int:
         """Number of triples with predicate *p*."""
         return self.backend.predicate_count(p)

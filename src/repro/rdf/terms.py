@@ -72,11 +72,6 @@ class TriplePattern:
         """The variables of this pattern, in (s, p, o) position order."""
         return tuple(t for t in self if isinstance(t, Variable))
 
-    @property
-    def num_bound(self) -> int:
-        """How many of the three positions carry a concrete term."""
-        return sum(1 for t in self if is_bound(t))
-
     def bind(self, bindings: dict) -> "TriplePattern":
         """Return a copy with variables replaced from *bindings* when present.
 

@@ -14,24 +14,17 @@ maintenance layers ship and asserts SLOs while it all happens at once:
   (``at 5s: kill worker; at 12s: maintain; ...``),
 - :mod:`repro.replay.harness`  — the in-process serving stack the
   timeline drives (worker kills, hot reloads, live maintenance,
-  checkpoint corruption),
-- :mod:`repro.replay.strategies` — hypothesis composites for the
-  generative query fuzzer (imported lazily; serving never depends on
-  hypothesis),
-- :mod:`repro.replay.corpus`   — persisted minimized counterexamples,
-  replayed deterministically in tier-1.
+  checkpoint corruption).
+
+The generative fuzzer's hypothesis strategies and its counterexample
+corpus are test support, in ``tests/strategies/``.
 
 CLI surface: ``repro replay record / run / report``.  See
 ``src/repro/replay/README.md`` for the trace format, the timeline
 grammar, and the SLO report fields.
 """
 
-from repro.replay.corpus import (
-    CorpusError,
-    iter_corpus,
-    save_counterexample,
-)
-from repro.replay.driver import ReplayDriver, replay_trace
+from repro.replay.driver import ReplayDriver
 from repro.replay.harness import (
     HarnessError,
     ReplayHarness,
@@ -64,7 +57,6 @@ from repro.replay.trace import (
 )
 
 __all__ = [
-    "CorpusError",
     "DEFAULT_MIX",
     "HarnessError",
     "ReplayDriver",
@@ -81,13 +73,10 @@ __all__ = [
     "covering_shapes",
     "format_report",
     "generate_trace",
-    "iter_corpus",
     "load_trace",
     "parse_mix",
     "parse_timeline",
-    "replay_trace",
     "run_timeline",
-    "save_counterexample",
     "save_trace",
     "start_timeline",
     "vocab_preserving_delta",

@@ -294,16 +294,3 @@ class ReplayDriver:
                 retries=retries,
                 error=None if status == 200 else body.get("error"),
             )
-
-
-def replay_trace(
-    trace: Trace,
-    host: str,
-    port: int,
-    **kwargs,
-) -> Tuple[SLOReport, List[RequestOutcome]]:
-    """One-shot convenience wrapper around :class:`ReplayDriver`."""
-    stop_event = kwargs.pop("stop_event", None)
-    return ReplayDriver(host, port, **kwargs).run(
-        trace, stop_event=stop_event
-    )

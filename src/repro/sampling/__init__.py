@@ -1,6 +1,6 @@
 """Training-data and workload sampling (paper §VII-A and §VIII).
 
-Uniform and biased random-walk instance samplers over star/chain shapes,
+Uniform instance samplers and the paper's random walk over star/chain shapes,
 variable unbinding, and bucketed workload generation.
 """
 
@@ -8,8 +8,6 @@ from repro.sampling.random_walk import (
     ChainSampler,
     Instance,
     StarSampler,
-    biased_rw_chain,
-    biased_rw_star,
     chain_walk_counts,
     count_chain_instances,
     count_star_instances,
@@ -17,7 +15,6 @@ from repro.sampling.random_walk import (
 )
 from repro.sampling.unbinding import (
     chain_query_from_instance,
-    enumerate_masks,
     query_from_instance,
     random_unbound_mask,
     star_query_from_instance,
@@ -54,21 +51,17 @@ from repro.sampling.workload import (
     bucket_of,
     generate_test_queries,
     generate_workload,
-    merge_workloads,
 )
 
 __all__ = [
     "ChainSampler",
     "Instance",
     "StarSampler",
-    "biased_rw_chain",
-    "biased_rw_star",
     "chain_walk_counts",
     "count_chain_instances",
     "count_star_instances",
     "sample_instances",
     "chain_query_from_instance",
-    "enumerate_masks",
     "query_from_instance",
     "random_unbound_mask",
     "star_query_from_instance",
@@ -97,5 +90,4 @@ __all__ = [
     "bucket_of",
     "generate_test_queries",
     "generate_workload",
-    "merge_workloads",
 ]

@@ -11,9 +11,10 @@ shapes:
 - **exact uniform** instance samplers — subjects drawn proportional to
   ``outdeg^k`` for stars, walks drawn via the walk-count dynamic program
   for chains — giving unbiased training data,
-- the paper's **biased random-walk** samplers (uniform start node, uniform
-  steps), kept for the sampling-quality ablation: the paper attributes
-  LMKG-U's residual error largely to RW sample quality.
+- the paper's **biased random walk** (uniform steps from start nodes the
+  caller draws), the one walk behind both RW strategies of
+  :mod:`repro.sampling.strategies`: the paper attributes LMKG-U's
+  residual error largely to RW sample quality.
 
 All samplers draw against the columnar store
 (:mod:`repro.rdf.columnar`): a walk step indexes a contiguous SPO
@@ -302,64 +303,21 @@ class ChainSampler:
         return [tuple(row) for row in flat.tolist()]
 
 
-def biased_rw_star(
-    store: TripleStore, size: int, rng: np.random.Generator
-) -> Optional[Instance]:
-    """The paper's RW star sampler: uniform start, uniform edge steps.
-
-    Biased toward low-degree subjects relative to the true instance
-    distribution; kept for the sampling-quality ablation.  Returns None
-    when the start node has no out-edges.
-    """
-    col = store.backend
-    nodes = col.nodes()
-    s = int(nodes[rng.integers(nodes.size)])
-    lo, hi = col.s_range(s)
-    if hi == lo:
-        return None
-    eidx = lo + rng.integers(0, hi - lo, size=size)
-    flat: List[int] = [s]
-    for p, o in zip(col.spo_p[eidx].tolist(), col.spo_o[eidx].tolist()):
-        flat.extend((p, o))
-    return tuple(flat)
-
-
-def biased_rw_chain(
-    store: TripleStore, size: int, rng: np.random.Generator
-) -> Optional[Instance]:
-    """The paper's RW chain sampler; None when the walk dead-ends."""
-    col = store.backend
-    nodes = col.nodes()
-    node = int(nodes[rng.integers(nodes.size)])
-    flat: List[int] = [node]
-    for _ in range(size):
-        lo, hi = col.s_range(node)
-        if hi == lo:
-            return None
-        eidx = lo + int(rng.integers(hi - lo))
-        p, o = int(col.spo_p[eidx]), int(col.spo_o[eidx])
-        flat.extend((p, o))
-        node = o
-    return tuple(flat)
-
-
 def _biased_rw_batch(
     store: TripleStore,
     topology: str,
     size: int,
-    count: int,
+    start: np.ndarray,
     rng: np.random.Generator,
 ) -> List[Instance]:
-    """One vectorized batch of the paper's biased RW draws.
+    """One vectorized batch of the paper's RW draws, one per start node.
 
-    Dead-ended walks are dropped (the caller retries), matching the
-    per-draw ``None`` of the scalar samplers.
+    Every step picks an out-edge uniformly.  Dead-ended walks are
+    dropped, so the batch may come back shorter than *start* (the
+    caller retries).
     """
     col = store.backend
-    nodes = col.nodes()
-    if nodes.size == 0 or count <= 0:
-        return []
-    start = nodes[rng.integers(nodes.size, size=count)]
+    count = start.size
     flat = np.empty((count, 2 * size + 1), dtype=np.int64)
     flat[:, 0] = start
     if topology == "star":
@@ -408,32 +366,13 @@ def sample_instances(
 ) -> Tuple[List[Instance], int]:
     """Sample *count* bound instances; returns (instances, universe size).
 
-    ``method='exact'`` uses the unbiased samplers; ``method='rw'`` uses the
-    paper's biased random walks (universe size is still exact).  Any
-    other name resolves through the strategy registry of
-    :mod:`repro.sampling.strategies` (``degree_rw``, ``forest_fire``,
-    ``snowball``).
+    *method* names a strategy of :mod:`repro.sampling.strategies`:
+    ``'exact'`` (the default) uses the unbiased samplers, ``'rw'`` the
+    paper's biased random walk, and ``degree_rw``, ``forest_fire`` and
+    ``snowball`` the ablation's alternatives.  The universe size is
+    exact whatever the method.
     """
-    if topology == "star":
-        sampler = StarSampler(store, size, seed=seed)
-    elif topology == "chain":
-        sampler = ChainSampler(store, size, seed=seed)
-    else:
-        raise ValueError(f"unknown topology {topology!r}")
-    if method == "exact":
-        return sampler.sample_many(count), sampler.universe
-    if method == "rw":
-        rng = np.random.default_rng(seed)
-        instances: List[Instance] = []
-        attempts = 0
-        while len(instances) < count and attempts < count * 50:
-            batch = min(count - len(instances), count)
-            instances.extend(
-                _biased_rw_batch(store, topology, size, batch, rng)
-            )
-            attempts += batch
-        return instances[:count], sampler.universe
     from repro.sampling.strategies import make_strategy
 
     strategy = make_strategy(method, store, topology, size, seed=seed)
-    return strategy.sample_many(count), sampler.universe
+    return strategy.sample_many(count), strategy.universe()

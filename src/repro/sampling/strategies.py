@@ -19,6 +19,10 @@ plus quality metrics:
 - :class:`SnowballStrategy` — BFS ball around random seeds, instances
   drawn within.
 
+The two walks draw through the one vectorised walk of
+:mod:`repro.sampling.random_walk` (the one ``sample_instances(...,
+method='rw')`` runs); they differ only in their start nodes.
+
 :func:`sample_quality` scores any strategy's output by how well it
 preserves two scaled-down statistics that drive estimator accuracy: the
 predicate distribution (total-variation distance) and the subject
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,9 +42,10 @@ from repro.sampling.random_walk import (
     ChainSampler,
     Instance,
     StarSampler,
-    biased_rw_chain,
-    biased_rw_star,
+    _biased_rw_batch,
     chain_walk_counts,
+    count_chain_instances,
+    count_star_instances,
 )
 
 
@@ -69,6 +74,12 @@ class InstanceStrategy:
         """Draw *count* bound instances (best effort for heuristics)."""
         raise NotImplementedError
 
+    def universe(self) -> int:
+        """Exact number of instances of this shape in the whole store."""
+        if self.topology == "star":
+            return count_star_instances(self.store, self.size)
+        return count_chain_instances(self.store, self.size)
+
 
 class ExactUniformStrategy(InstanceStrategy):
     """Unbiased sampling from the true instance universe."""
@@ -83,25 +94,38 @@ class ExactUniformStrategy(InstanceStrategy):
     def sample_many(self, count: int) -> List[Instance]:
         return self._sampler.sample_many(count)
 
+    def universe(self) -> int:
+        return self._sampler.universe
+
 
 class UniformStartRW(InstanceStrategy):
     """The paper's §VII-A sampler: uniform start node, uniform steps."""
 
     name = "rw"
 
+    def _starts(self, count: int) -> np.ndarray:
+        nodes = self.store.backend.nodes()
+        return nodes[self._rng.integers(nodes.size, size=count)]
+
     def sample_many(self, count: int) -> List[Instance]:
-        draw = biased_rw_star if self.topology == "star" else biased_rw_chain
         instances: List[Instance] = []
         attempts = 0
         while len(instances) < count and attempts < count * 50:
-            inst = draw(self.store, self.size, self._rng)
-            attempts += 1
-            if inst is not None:
-                instances.append(inst)
+            batch = count - len(instances)
+            instances.extend(
+                _biased_rw_batch(
+                    self.store,
+                    self.topology,
+                    self.size,
+                    self._starts(batch),
+                    self._rng,
+                )
+            )
+            attempts += batch
         return instances
 
 
-class DegreeWeightedRW(InstanceStrategy):
+class DegreeWeightedRW(UniformStartRW):
     """RW whose start node is drawn proportional to out-degree.
 
     The Leskovec & Faloutsos bias "towards highly connected nodes" made
@@ -113,50 +137,16 @@ class DegreeWeightedRW(InstanceStrategy):
 
     def __init__(self, store, topology, size, seed=0):
         super().__init__(store, topology, size, seed)
-        starts = [s for s in store.subjects() if store.out_degree(s) > 0]
-        if not starts:
+        subjects, degrees = store.backend.subject_degrees()
+        if subjects.size == 0:
             raise ValueError("store has no out-edges to start walks from")
-        weights = np.array(
-            [float(store.out_degree(s)) for s in starts]
-        )
-        self._starts = starts
-        self._cdf = np.cumsum(weights / weights.sum())
+        self._subjects = subjects
+        self._probs = degrees / degrees.sum()
 
-    def _start(self) -> int:
-        return self._starts[
-            int(np.searchsorted(self._cdf, self._rng.random()))
+    def _starts(self, count: int) -> np.ndarray:
+        return self._subjects[
+            self._rng.choice(self._subjects.size, size=count, p=self._probs)
         ]
-
-    def _walk(self) -> Optional[Instance]:
-        node = self._start()
-        flat: List[int] = [node]
-        backend = self.store.backend
-        if self.topology == "star":
-            preds, objs = backend.out_slice(node)
-            degree = int(preds.size)
-            for _ in range(self.size):
-                pick = int(self._rng.integers(degree))
-                flat.extend((int(preds[pick]), int(objs[pick])))
-            return tuple(flat)
-        for _ in range(self.size):
-            preds, objs = backend.out_slice(node)
-            degree = int(preds.size)
-            if degree == 0:
-                return None
-            pick = int(self._rng.integers(degree))
-            node = int(objs[pick])
-            flat.extend((int(preds[pick]), node))
-        return tuple(flat)
-
-    def sample_many(self, count: int) -> List[Instance]:
-        instances: List[Instance] = []
-        attempts = 0
-        while len(instances) < count and attempts < count * 50:
-            inst = self._walk()
-            attempts += 1
-            if inst is not None:
-                instances.append(inst)
-        return instances
 
 
 def _subgraph_store(store: TripleStore, nodes: Set[int]) -> TripleStore:

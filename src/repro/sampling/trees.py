@@ -95,7 +95,6 @@ def generate_tree_workload(
     size: int,
     num_queries: int,
     seed: int = 0,
-    min_unbound: int = 1,
 ) -> Workload:
     """Sampled, unbound, deduplicated, exactly-labelled tree queries.
 
@@ -119,7 +118,7 @@ def generate_tree_workload(
         num_nodes = len(
             {n for s, _, o in instance for n in (s, o)}
         )
-        mask = random_unbound_mask(num_nodes, rng, min_unbound)
+        mask = random_unbound_mask(num_nodes, rng)
         query = tree_query_from_instance(instance, mask)
         key = query.canonical_key()
         if key in seen:

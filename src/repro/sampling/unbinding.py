@@ -101,17 +101,3 @@ def random_unbound_mask(
     for idx in rng.choice(num_nodes, size=count, replace=False):
         mask[int(idx)] = True
     return mask
-
-
-def enumerate_masks(num_nodes: int, min_unbound: int = 1) -> List[List[bool]]:
-    """All node masks with at least *min_unbound* variables.
-
-    Only practical for small patterns (2^num_nodes masks); used by tests
-    and by exhaustive training-data generation for size-2 queries.
-    """
-    masks = []
-    for bits in range(2 ** num_nodes):
-        mask = [(bits >> i) & 1 == 1 for i in range(num_nodes)]
-        if sum(mask) >= min_unbound:
-            masks.append(mask)
-    return masks

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,15 +104,13 @@ def generate_workload(
     size: int,
     num_queries: int,
     seed: int = 0,
-    method: str = "exact",
-    min_unbound: int = 1,
     max_instances: Optional[int] = None,
     workers: Optional[int] = 1,
     snapshot_dir: Union[str, Path, None] = None,
 ) -> Workload:
     """Sample, unbind, deduplicate, and label queries of one shape.
 
-    Instances are drawn from the store (uniform by default), each is
+    Instances are drawn uniformly from the store, each is
     turned into a query by unbinding a random subset of its nodes, exact
     duplicates (up to variable renaming) are dropped, and every query is
     labelled with its exact cardinality.
@@ -128,9 +126,7 @@ def generate_workload(
     """
     rng = np.random.default_rng(seed + 1)
     budget = max_instances if max_instances is not None else num_queries * 4
-    instances, _ = sample_instances(
-        store, topology, size, budget, seed=seed, method=method
-    )
+    instances, _ = sample_instances(store, topology, size, budget, seed=seed)
     # Sampling/unbinding/dedup is cheap and order-defining, so it stays
     # serial; only the cardinality labeling below is sharded.
     seen = set()
@@ -138,7 +134,7 @@ def generate_workload(
     for instance in instances:
         if len(queries) >= num_queries:
             break
-        mask = random_unbound_mask(size + 1, rng, min_unbound=min_unbound)
+        mask = random_unbound_mask(size + 1, rng)
         query = query_from_instance(topology, instance, mask)
         key = query.canonical_key()
         if key in seen:
@@ -166,13 +162,11 @@ def generate_test_queries(
     size: int,
     per_bucket: int,
     seed: int = 100,
-    oversample: int = 12,
-    workers: Optional[int] = 1,
-    snapshot_dir: Union[str, Path, None] = None,
 ) -> Workload:
     """Bucket-balanced test queries, the paper's 600-query protocol.
 
-    Draws a large candidate pool and keeps up to *per_bucket* queries per
+    Draws a candidate pool 12 times the target size and keeps up to
+    *per_bucket* queries per
     result-size bucket.  Buckets with large cardinalities are naturally
     sparse (the paper notes the same), so the returned workload may hold
     fewer than ``per_bucket * NUM_BUCKETS`` queries.
@@ -181,11 +175,9 @@ def generate_test_queries(
         store,
         topology,
         size,
-        num_queries=per_bucket * NUM_BUCKETS * oversample,
+        num_queries=per_bucket * NUM_BUCKETS * 12,
         seed=seed,
-        max_instances=per_bucket * NUM_BUCKETS * oversample * 2,
-        workers=workers,
-        snapshot_dir=snapshot_dir,
+        max_instances=per_bucket * NUM_BUCKETS * 24,
     )
     kept: Dict[int, List[QueryRecord]] = {}
     for record in candidates.records:
@@ -197,11 +189,3 @@ def generate_test_queries(
             slot.append(record)
     records = [r for bucket in sorted(kept) for r in kept[bucket]]
     return Workload(topology, size, records)
-
-
-def merge_workloads(workloads: Sequence[Workload]) -> List[QueryRecord]:
-    """Flatten several workloads into one record list."""
-    merged: List[QueryRecord] = []
-    for workload in workloads:
-        merged.extend(workload.records)
-    return merged

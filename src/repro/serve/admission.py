@@ -86,10 +86,6 @@ class ShapeManifest:
     # Checks
     # ------------------------------------------------------------------
 
-    @property
-    def tree_max_size(self) -> int:
-        return max(self.covered.get("tree", frozenset()), default=0)
-
     def rejection_reason(self, query: QueryPattern) -> Optional[str]:
         """Why *query* cannot be served, or None when it is admitted.
 

@@ -14,8 +14,8 @@ concurrent requests into batched ``estimate_batch`` calls.  Routes:
   is untrained, else post-execution with ``reason:
   "estimation_failed"``; a full scheduler queue is a 429 whose
   ``Retry-After`` header and ``retry_after_s`` field are derived from
-  the live queue depth / drain rate (see
-  :meth:`~repro.serve.scheduler.BatchScheduler.retry_after_hint`), with
+  the live queue depth / drain rate (the same ``retry_after_s`` and
+  ``drain_rate_qps`` that ``GET /stats`` reports), with
   ``reason: "queue_full"``.
 - ``POST /admin/reload`` — body ``{}``, ``{"checkpoint": "<dir>"}``, or
   ``{"checkpoint": "<dir>", "snapshot": "<dir>"}``; hot-swaps the

@@ -95,7 +95,7 @@ class _Counters:
         default_factory=lambda: deque(maxlen=4096)
     )
     #: (finished_at, queries) per recent executed batch — the drain-rate
-    #: window behind :meth:`BatchScheduler.retry_after_hint`.
+    #: window behind ``retry_after_s``.
     drained: Deque[tuple] = field(
         default_factory=lambda: deque(maxlen=64)
     )
@@ -252,7 +252,7 @@ class BatchScheduler:
     MIN_RETRY_AFTER_S = 0.05
     MAX_RETRY_AFTER_S = 30.0
 
-    def drain_rate_qps(self) -> float:
+    def _drain_rate_locked(self) -> float:
         """Recent backlog drain rate in queries/second (0.0 = unknown).
 
         Measured over the window of the last executed batches: total
@@ -260,20 +260,6 @@ class BatchScheduler:
         batch completion to now — so an idle scheduler's rate decays
         instead of reporting the last burst's throughput forever.
         """
-        with self._cv:
-            return self._drain_rate_locked()
-
-    def retry_after_hint(self) -> float:
-        """Seconds until the current backlog should have drained.
-
-        ``queue depth / drain rate``, clamped to
-        ``[MIN_RETRY_AFTER_S, MAX_RETRY_AFTER_S]``;
-        :data:`DEFAULT_RETRY_AFTER_S` before any batch has finished.
-        """
-        with self._cv:
-            return self._retry_after_locked()
-
-    def _drain_rate_locked(self) -> float:
         drained = self._counters.drained
         if not drained:
             return 0.0
@@ -284,6 +270,12 @@ class BatchScheduler:
         return sum(width for _, width in drained) / span
 
     def _retry_after_locked(self) -> float:
+        """Seconds until the current backlog should have drained.
+
+        ``queue depth / drain rate``, clamped to
+        ``[MIN_RETRY_AFTER_S, MAX_RETRY_AFTER_S]``;
+        :data:`DEFAULT_RETRY_AFTER_S` before any batch has finished.
+        """
         rate = self._drain_rate_locked()
         if rate <= 0:
             return self.DEFAULT_RETRY_AFTER_S

@@ -466,7 +466,16 @@ class SupervisedPool:
                 except BaseException:
                     error = traceback.format_exc()
                 with self._state_cv:
-                    if error is None:
+                    if self._closed or not any(
+                        w is worker for w in self._workers
+                    ):
+                        # reload() flipped the set, or close() ran,
+                        # while this worker restarted: its set was
+                        # stopped before it had a process to stop, so
+                        # nothing else would ever stop it.
+                        worker.kill()
+                        worker.state = _DEAD
+                    elif error is None:
                         worker.state = _READY
                         worker.last_error = None
                     else:
@@ -1088,11 +1097,12 @@ class ServingRuntime:
                     'or POST {"checkpoint": "<dir>"}'
                 )
             if snapshot_dir is not None:
+                from repro.rdf.columnar import SnapshotError
                 from repro.rdf.store import TripleStore
 
                 store = TripleStore.load_snapshot(str(snapshot_dir))
                 if store.dictionary is None:
-                    raise ReloadError(
+                    raise SnapshotError(
                         f"snapshot at {snapshot_dir} has no term "
                         "dictionary; queries could not be parsed"
                     )

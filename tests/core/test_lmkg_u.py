@@ -164,14 +164,6 @@ class TestIntrospection:
         # tables) + masked training weights + masks.
         assert footprint <= params * 32 + mask_bytes
 
-    def test_log_likelihood_diagnostic(self, star_model, lubm_store):
-        from repro.sampling import sample_instances
-
-        instances, _ = sample_instances(lubm_store, "star", 2, 50, seed=5)
-        ll = star_model.log_likelihood(np.array(instances))
-        assert np.isfinite(ll)
-        assert ll < 0.0
-
 
 class TestCheckpointSampler:
     """Sampler identity across save/load: the seed keys the noise

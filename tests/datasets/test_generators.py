@@ -5,7 +5,6 @@ import pytest
 
 from repro.datasets import (
     clear_cache,
-    dataset_builders,
     generate_lubm,
     generate_swdf,
     generate_yago,
@@ -93,27 +92,6 @@ class TestYago:
         assert stats.degree_gini > 0.3
 
 
-class TestGraphBuilder:
-    def test_add_batch_matches_per_triple_add(self):
-        from repro.datasets.synthetic import GraphBuilder
-
-        triples = [
-            ("a", "p", "b"),
-            ("b", "p", "c"),
-            ("a", "q", "c"),
-            ("a", "p", "b"),  # duplicate collapses
-        ]
-        one = GraphBuilder()
-        for s, p, o in triples:
-            one.add(s, p, o)
-        bulk = GraphBuilder()
-        bulk.add_batch(triples)
-        assert bulk.num_triples == one.num_triples == 3
-        assert set(bulk.build()) == set(one.build())
-        # One batch, one generation bump.
-        assert bulk.store.generation == 1
-
-
 class TestRegistry:
     def test_memoisation_returns_same_object(self):
         clear_cache()
@@ -124,10 +102,6 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             load_dataset("freebase")
-
-    def test_builders_exposed(self):
-        builders = dataset_builders()
-        assert set(builders) == {"swdf", "lubm", "yago"}
 
     def test_scale_changes_size(self):
         clear_cache()

@@ -7,7 +7,6 @@ from repro.datasets import (
     cache_key,
     cached_store,
     clear_cache,
-    generate_lubm,
     load_dataset,
 )
 from repro.datasets import registry
@@ -145,27 +144,3 @@ class TestRegistryCache:
         with pytest.raises(KeyError):
             load_dataset("freebase", cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
-
-
-class TestGeneratorCache:
-    def test_generate_lubm_cache_round_trip(self, tmp_path):
-        direct = generate_lubm(universities=1, seed=5)
-        cached = generate_lubm(universities=1, seed=5, cache_dir=tmp_path)
-        reloaded = generate_lubm(universities=1, seed=5, cache_dir=tmp_path)
-        assert set(direct) == set(cached) == set(reloaded)
-        assert isinstance(reloaded.backend.spo_s, np.memmap)
-
-    def test_profile_participates_in_cache_key(self, tmp_path):
-        """Regression: a custom profile must not hit the default-profile
-        snapshot."""
-        from repro.datasets import LubmProfile
-
-        default = generate_lubm(universities=1, seed=5, cache_dir=tmp_path)
-        dense = LubmProfile(full_low=5, full_high=8)
-        custom = generate_lubm(
-            universities=1, seed=5, profile=dense, cache_dir=tmp_path
-        )
-        assert set(custom) != set(default)
-        assert set(custom) == set(
-            generate_lubm(universities=1, seed=5, profile=dense)
-        )

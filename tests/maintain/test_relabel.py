@@ -5,7 +5,6 @@ import pytest
 
 from repro.maintain.relabel import (
     affected_mask,
-    merge_records,
     relabel_records,
 )
 from repro.rdf.fastcount import count_query
@@ -126,22 +125,3 @@ class TestRelabelRecords:
             relabel_records(
                 live_store, records, np.zeros(3, dtype=bool)
             )
-
-
-class TestMergeRecords:
-    def test_merges_labels_in_mask_order(self):
-        records = [
-            star_record([(1, v("a")), (2, v("b"))], cardinality=10),
-            star_record([(3, v("a")), (4, v("b"))], cardinality=20),
-            star_record([(5, v("a")), (6, v("b"))], cardinality=30),
-        ]
-        mask = np.array([True, False, True])
-        merged = merge_records(records, mask, [11, 33])
-        assert [r.cardinality for r in merged] == [11, 20, 33]
-        assert merged[1] is records[1]
-        assert merged[0].query is records[0].query
-
-    def test_label_count_mismatch_rejected(self):
-        records = [star_record([(1, v("a")), (2, v("b"))])]
-        with pytest.raises(ValueError, match="labels"):
-            merge_records(records, np.array([True]), [1, 2])

@@ -324,13 +324,13 @@ class TestCheckpointMasters:
     def test_state_roundtrip_preserves_float64_masters_exactly(
         self, rng, tmp_path
     ):
-        from repro.nn import load_made, save_made
+        from repro.nn import load_arrays, save_arrays
 
         model = _make_model()
         _fit_a_little(model, rng)
         path = tmp_path / "made.npz"
-        save_made(path, model)
-        restored = load_made(path)
+        save_arrays(path, model.state())
+        restored = MADE.from_state(load_arrays(path))
         for original, loaded in zip(
             model.parameters(), restored.parameters()
         ):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     Dropout,
-    Embedding,
     Linear,
     ReLU,
     Sequential,
@@ -99,19 +98,3 @@ class TestSequential:
     def test_parameter_count(self, rng):
         net = Sequential([Linear(3, 4, rng), Linear(4, 2, rng)])
         assert net.num_parameters() == (3 * 4 + 4) + (4 * 2 + 2)
-
-
-class TestEmbedding:
-    def test_lookup_concatenates_slots(self, rng):
-        emb = Embedding(10, 3, rng)
-        out = emb.forward(np.array([[1, 2], [3, 4]]))
-        assert out.shape == (2, 6)
-        assert np.allclose(out[0, :3], emb.table.value[1])
-
-    def test_backward_routes_gradient_to_rows(self, rng):
-        emb = Embedding(10, 2, rng)
-        emb.forward(np.array([[1, 1]]))
-        emb.backward(np.ones((1, 4)))
-        # Row 1 used twice -> gradient 2 per dim; others zero.
-        assert np.allclose(emb.table.grad[1], [2.0, 2.0])
-        assert np.allclose(emb.table.grad[0], 0.0)

@@ -154,7 +154,7 @@ class TestDensityEstimation:
 
 class TestSerialisationMeta:
     def test_state_roundtrip(self, rng, tmp_path):
-        from repro.nn import load_made, save_made
+        from repro.nn import load_arrays, save_arrays
 
         model = MADE(
             var_vocabs=[0, 1, 0],
@@ -167,7 +167,7 @@ class TestSerialisationMeta:
         ids = rng.integers(1, 4, size=(5, 3))
         expected = model.log_prob(ids)
         path = tmp_path / "made.npz"
-        save_made(path, model)
-        restored = load_made(path)
+        save_arrays(path, model.state())
+        restored = MADE.from_state(load_arrays(path))
         assert np.allclose(restored.log_prob(ids), expected)
         assert restored.residual == model.residual

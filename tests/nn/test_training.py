@@ -9,7 +9,6 @@ from repro.nn import (
     MSELoss,
     QErrorLoss,
     Regressor,
-    SGD,
     build_mlp,
 )
 from repro.nn.layers import Parameter
@@ -23,22 +22,6 @@ def rng():
 class TestOptimizers:
     def _quadratic_param(self):
         return Parameter("w", np.array([5.0, -3.0]))
-
-    def test_sgd_descends_quadratic(self):
-        param = self._quadratic_param()
-        opt = SGD([param], lr=0.1)
-        for _ in range(100):
-            param.grad[...] = 2 * param.value
-            opt.step()
-        assert np.allclose(param.value, 0.0, atol=1e-4)
-
-    def test_sgd_momentum_descends(self):
-        param = self._quadratic_param()
-        opt = SGD([param], lr=0.05, momentum=0.9)
-        for _ in range(100):
-            param.grad[...] = 2 * param.value
-            opt.step()
-        assert np.linalg.norm(param.value) < 0.1
 
     def test_adam_descends_quadratic(self):
         param = self._quadratic_param()
@@ -116,15 +99,6 @@ class TestRegressor:
         q = np.maximum(pred / y, y / pred)
         assert np.mean(q) < 1.5
 
-    def test_validation_tracked(self, rng):
-        x = rng.random((100, 4))
-        z = x.mean(axis=1)
-        reg = Regressor(build_mlp(4, [16], rng), MSELoss())
-        history = reg.fit(
-            x, z, epochs=5, validation=(x, z), seed=0
-        )
-        assert len(history.val_losses) == 5
-
     def test_mismatched_shapes_rejected(self, rng):
         reg = Regressor(build_mlp(4, [8], rng), MSELoss())
         with pytest.raises(ValueError):
@@ -201,27 +175,3 @@ class TestRegressor:
     def test_memory_accounting(self, rng):
         reg = Regressor(build_mlp(4, [8], rng), MSELoss())
         assert reg.memory_bytes() == reg.num_parameters() * 4
-
-
-class TestSequentialSerialization:
-    def test_save_load_roundtrip(self, rng, tmp_path):
-        from repro.nn import load_sequential, save_sequential
-
-        net = build_mlp(5, [8, 8], rng)
-        x = rng.random((3, 5))
-        expected = net.forward(x)
-        path = tmp_path / "mlp.npz"
-        save_sequential(path, net)
-        net2 = build_mlp(5, [8, 8], np.random.default_rng(99))
-        load_sequential(path, net2)
-        assert np.allclose(net2.forward(x), expected)
-
-    def test_shape_mismatch_detected(self, rng, tmp_path):
-        from repro.nn import load_sequential, save_sequential
-
-        net = build_mlp(5, [8], rng)
-        path = tmp_path / "mlp.npz"
-        save_sequential(path, net)
-        other = build_mlp(5, [16], rng)
-        with pytest.raises((ValueError, KeyError)):
-            load_sequential(path, other)

@@ -16,7 +16,7 @@ from repro.rdf import (
 )
 from repro.rdf.parser import _tokenize, parse_ntriples_line
 from repro.rdf.terms import Variable
-from repro.replay.strategies import query_texts, vocab_sample
+from strategies import query_texts, vocab_sample
 
 
 class TestNTriplesLine:

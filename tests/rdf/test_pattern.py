@@ -92,10 +92,6 @@ class TestOrdering:
         q = chain_pattern([v("a"), 1, v("b"), 2, v("c")])
         assert q.node_order() == [v("a"), v("b"), v("c")]
 
-    def test_edge_order_indexes_occurrences(self):
-        q = star_pattern(v("x"), [(5, v("y")), (5, v("z"))])
-        assert q.edge_order() == [(0, 5), (1, 5)]
-
 
 class TestCanonicalKey:
     def test_variable_names_do_not_matter(self):

@@ -5,10 +5,7 @@ import numpy as np
 from repro.rdf.stats import (
     compute_stats,
     correlation_factor,
-    degree_distribution,
     gini,
-    predicate_cooccurrence,
-    predicate_histogram,
 )
 
 
@@ -39,39 +36,12 @@ class TestComputeStats:
         assert stats.max_out_degree == 3
         assert stats.max_in_degree == 3
 
-    def test_table_row_formatting(self, tiny_store):
-        name, triples, entities, preds = compute_stats(
-            tiny_store, "tiny"
-        ).table_row()
-        assert name == "tiny"
-        assert triples == "8"
-        assert preds == "3"
-
-    def test_si_formatting(self, lubm_store):
-        stats = compute_stats(lubm_store, "lubm")
-        assert "K" in stats.table_row()[1] or "M" in stats.table_row()[1]
-
 
 class TestPredicateStats:
-    def test_histogram_sums_to_triples(self, tiny_store):
-        hist = predicate_histogram(tiny_store)
-        assert sum(hist.values()) == len(tiny_store)
-
-    def test_cooccurrence_counts(self, tiny_store):
-        cooc = predicate_cooccurrence(tiny_store)
-        # Subjects 1 and 2 both emit predicates {1, 2}.
-        assert cooc[(1, 2)] == 2
-
     def test_correlation_factor_positive_correlation(self, tiny_store):
         # p1 and p2 co-occur on 2 of 4 subjects; independent expectation
         # is lower, so the factor exceeds 1.
         assert correlation_factor(tiny_store, 1, 2) > 1.0
-
-    def test_degree_distribution(self, tiny_store):
-        dist = dict(degree_distribution(tiny_store))
-        assert dist[3] == 1  # subject 1
-        assert dist[2] == 2  # subjects 2 and 4
-        assert dist[1] == 1  # subject 3
 
 
 class TestDatasetCharacter:

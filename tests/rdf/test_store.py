@@ -60,7 +60,7 @@ class TestAccessors:
 
     def test_degrees(self, tiny_store):
         assert tiny_store.out_degree(1) == 3
-        assert tiny_store.in_degree(4) == 3
+        assert tiny_store.backend.in_degree(4) == 3
         assert tiny_store.predicate_count(2) == 3
 
     def test_nodes_sorted_and_complete(self, tiny_store):
@@ -168,7 +168,7 @@ class TestStoreProperties:
         store = TripleStore()
         store.add_all(triples)
         out_total = sum(store.out_degree(n) for n in store.nodes())
-        in_total = sum(store.in_degree(n) for n in store.nodes())
+        in_total = sum(store.backend.in_degree(n) for n in store.nodes())
         assert out_total == len(store)
         assert in_total == len(store)
 

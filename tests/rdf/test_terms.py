@@ -29,13 +29,11 @@ class TestTriplePattern:
     def test_fully_bound(self):
         tp = TriplePattern(1, 2, 3)
         assert tp.is_fully_bound
-        assert tp.num_bound == 3
         assert tp.variables == ()
 
     def test_partially_bound(self):
         tp = TriplePattern(Variable("x"), 2, Variable("y"))
         assert not tp.is_fully_bound
-        assert tp.num_bound == 1
         assert tp.variables == (Variable("x"), Variable("y"))
 
     def test_is_bound_helper(self):

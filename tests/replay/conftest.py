@@ -76,7 +76,7 @@ def record_counterexample():
         _pending_counterexamples[slot] = payload
 
     yield _record
-    from repro.replay import save_counterexample
+    from strategies import save_counterexample
 
     for payload in _pending_counterexamples.values():
         save_counterexample(CORPUS_DIR, payload)

@@ -12,8 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.replay import iter_corpus, save_counterexample
-from repro.replay.corpus import CorpusError, entry_name
+from strategies import (
+    CorpusError,
+    entry_name,
+    iter_corpus,
+    save_counterexample,
+)
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 

@@ -30,7 +30,7 @@ import hypothesis as hyp  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.framework import EstimationError  # noqa: E402
-from repro.replay.strategies import (  # noqa: E402
+from strategies import (  # noqa: E402
     estimate_bodies,
     fuzz_settings,
     malformed_texts,

@@ -9,13 +9,13 @@ from repro.rdf import TripleStore
 from repro.sampling import (
     ChainSampler,
     StarSampler,
-    biased_rw_chain,
-    biased_rw_star,
     chain_walk_counts,
     count_chain_instances,
     count_star_instances,
+    make_strategy,
     sample_instances,
 )
+from repro.sampling.random_walk import _biased_rw_batch
 
 
 class TestUniverseCounts:
@@ -92,20 +92,24 @@ class TestChainSampler:
 
 class TestBiasedRW:
     def test_star_none_on_dead_node_possible(self, tiny_store, rng):
-        results = [biased_rw_star(tiny_store, 2, rng) for _ in range(200)]
-        # Start nodes 5 and 6 have no out-edges -> some Nones.
-        assert any(r is None for r in results)
-        assert any(r is not None for r in results)
+        """A walk from a node without out-edges is dropped, not padded."""
+        start = np.repeat(tiny_store.backend.nodes(), 20)
+        instances = _biased_rw_batch(tiny_store, "star", 2, start, rng)
+        # Start nodes 5 and 6 have no out-edges; 1-4 always succeed.
+        assert len(instances) == 4 * 20
+        assert {inst[0] for inst in instances} == {1, 2, 3, 4}
 
     def test_chain_walks_valid_when_complete(self, tiny_store, rng):
-        for _ in range(100):
-            inst = biased_rw_chain(tiny_store, 2, rng)
-            if inst is None:
-                continue
+        start = np.repeat(tiny_store.backend.nodes(), 50)
+        instances = _biased_rw_batch(tiny_store, "chain", 2, start, rng)
+        assert instances
+        for inst in instances:
             for i in range(2):
                 assert (
                     inst[2 * i], inst[2 * i + 1], inst[2 * i + 2]
                 ) in tiny_store
+        # 4 -> {5, 6} dead-ends after one step; 5 and 6 have no edge.
+        assert not {inst[0] for inst in instances} & {4, 5, 6}
 
     def test_rw_bias_differs_from_exact(self, tiny_store):
         """The RW sampler over-represents low-degree start nodes relative
@@ -131,6 +135,23 @@ class TestSampleInstances:
     def test_returns_universe(self, tiny_store):
         _, universe = sample_instances(tiny_store, "chain", 2, 5)
         assert universe == 10
+
+    @pytest.mark.parametrize("method", ["exact", "rw", "degree_rw"])
+    def test_universe_exact_for_every_method(self, tiny_store, method):
+        for topology, universe in (("star", 18), ("chain", 10)):
+            _, got = sample_instances(
+                tiny_store, topology, 2, 5, method=method
+            )
+            assert got == universe
+
+    @pytest.mark.parametrize("topology", ["star", "chain"])
+    def test_rw_strategy_is_sample_instances_rw(self, lubm_store, topology):
+        """One walk: the ablation's strategy draws what training uses."""
+        strategy = make_strategy("rw", lubm_store, topology, 2, seed=4)
+        instances, _ = sample_instances(
+            lubm_store, topology, 2, 300, seed=4, method="rw"
+        )
+        assert strategy.sample_many(300) == instances
 
 
 class TestBiasedRWBatchValidity:

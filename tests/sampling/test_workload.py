@@ -12,10 +12,8 @@ from repro.sampling import (
     Workload,
     bucket_label,
     bucket_of,
-    enumerate_masks,
     generate_test_queries,
     generate_workload,
-    merge_workloads,
     query_from_instance,
     random_unbound_mask,
 )
@@ -79,10 +77,6 @@ class TestUnbinding:
         assert len(mask) == num_nodes
         assert sum(mask) >= min_unbound
 
-    def test_enumerate_masks_complete(self):
-        masks = enumerate_masks(3, min_unbound=1)
-        assert len(masks) == 7  # 2^3 - 1 (all-bound excluded)
-
     def test_unbound_instance_query_matches_instance(self, tiny_store):
         """The query produced from an instance must match that instance."""
         instance = (1, 1, 2, 2, 4)  # star: 1 -p1-> 2, 1 -p2-> 4
@@ -121,7 +115,7 @@ class TestGenerateWorkload:
     def test_at_least_one_variable(self, lubm_store):
         workload = generate_workload(lubm_store, "star", 2, 40, seed=3)
         for record in workload.records:
-            assert record.query.num_unbound >= 1
+            assert len(record.query.variables) >= 1
 
 
 class TestParallelLabeling:
@@ -191,12 +185,6 @@ class TestWorkloadContainer:
         train, test = workload.split(0.75, seed=0)
         assert len(train) + len(test) == len(workload)
         assert train.topology == "star"
-
-    def test_merge(self, lubm_store):
-        a = generate_workload(lubm_store, "star", 2, 20, seed=4)
-        b = generate_workload(lubm_store, "chain", 2, 20, seed=5)
-        merged = merge_workloads([a, b])
-        assert len(merged) == len(a) + len(b)
 
     def test_cardinalities_vector(self, lubm_store):
         workload = generate_workload(lubm_store, "star", 2, 20, seed=6)

@@ -154,6 +154,30 @@ class TestReloadEndpoint:
         assert payload["reason"] == "missing"
         assert runtime.generation == generation
 
+    def test_snapshot_without_dictionary_is_a_checkpoint_error(
+        self, stack, v2_checkpoint, tmp_path
+    ):
+        """Like a missing or corrupt snapshot: ``no_checkpoint`` is only
+        for a server that has no checkpoint to reload from."""
+        from repro.rdf import TripleStore
+
+        base_url, runtime = stack
+        bare = TripleStore()
+        bare.add_all([(1, 1, 2), (2, 1, 3)])
+        bare.save_snapshot(tmp_path / "bare")
+        generation = runtime.generation
+        status, payload = post(
+            f"{base_url}/admin/reload",
+            {
+                "checkpoint": str(v2_checkpoint),
+                "snapshot": str(tmp_path / "bare"),
+            },
+        )
+        assert status == 409, payload
+        assert payload["reason"] == "checkpoint_error"
+        assert "no term dictionary" in payload["error"]
+        assert runtime.generation == generation
+
 
 class TestRuntimeNoPath:
     def test_reload_error_without_any_checkpoint(self, service):

@@ -475,6 +475,38 @@ class TestReloadRestartPair:
         assert restarted == {"state": "ready", "error": None}
         assert np.isfinite(values).all()
 
+    def test_restart_finishing_after_the_flip_does_not_outlive_its_set(
+        self, snapshot_dir, checkpoint_dir
+    ):
+        """A restart whose spawn straddles reload()'s flip: the old
+        set is stopped before the restarted worker has a process, so
+        the supervisor must stop it instead of marking it ready."""
+        import threading
+
+        entered, gate = threading.Event(), threading.Event()
+        with SupervisedPool(
+            snapshot_dir, checkpoint_dir, workers=1, backoff_base=0.01
+        ) as pool:
+            spawn_worker = pool._spawn_worker
+
+            def gated_spawn_worker(*args):
+                if threading.current_thread() is pool._supervisor:
+                    entered.set()
+                    assert gate.wait(60.0)
+                return spawn_worker(*args)
+
+            pool._spawn_worker = gated_spawn_worker
+            orphan = pool._workers[0]
+            os.kill(orphan.process.pid, signal.SIGKILL)
+            assert entered.wait(30.0), pool.stats()
+            pool.reload(checkpoint_dir)
+            assert all(w is not orphan for w in pool._workers)
+            gate.set()
+            assert _wait(lambda: orphan.state != "starting"), pool.stats()
+            process = orphan.process
+            assert orphan.state != "ready"
+            assert process is None or not process.is_alive()
+
 
 def _environ(pid):
     with open(f"/proc/{pid}/environ", "rb") as handle:

@@ -8,10 +8,6 @@ from the served dictionary (so most queries are answerable) with a
 controlled dose of never-seen terms, over-deep shapes, and outright
 malformed text (so the 400/422 taxonomy gets exercised too).
 
-Importing this module does not require hypothesis; building a strategy
-does (`:func:`require_hypothesis``) — the serving layer itself must
-never grow a test-only dependency.
-
 Idiom (see SNIPPETS.md): ``@composite`` builders over a drawn size,
 steered in the property itself via ``hyp.target(...)`` toward the big /
 deep / weird corner of the space.
@@ -23,27 +19,10 @@ import os
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from hypothesis import HealthCheck, strategies as st
+from hypothesis.strategies import composite
 
 from repro.rdf.store import TripleStore
-
-try:  # hypothesis is a test dependency, not a serving dependency
-    from hypothesis import strategies as st
-    from hypothesis.strategies import composite
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover — exercised only without dev deps
-    HAVE_HYPOTHESIS = False
-
-    def composite(fn):  # type: ignore[misc]
-        return fn
-
-
-def require_hypothesis() -> None:
-    if not HAVE_HYPOTHESIS:
-        raise RuntimeError(
-            "repro.replay.strategies needs the 'hypothesis' package "
-            "(a test dependency) to build strategies"
-        )
 
 
 def fuzz_settings(default_examples: int = 30) -> dict:
@@ -51,9 +30,6 @@ def fuzz_settings(default_examples: int = 30) -> dict:
     ``GENTEST_EXAMPLES`` env var, no deadline (server round trips),
     and the filter/slowness health checks suppressed (deep draws
     filter a lot by design)."""
-    require_hypothesis()
-    from hypothesis import HealthCheck
-
     return dict(
         max_examples=int(
             os.environ.get("GENTEST_EXAMPLES", default_examples)
@@ -271,7 +247,6 @@ def query_texts(
     unknown_rate: float = 0.0,
 ):
     """Any well-formed query the server might see."""
-    require_hypothesis()
     return st.one_of(
         star_texts(
             nodes, predicates, max_size=max_size, unknown_rate=unknown_rate
@@ -317,7 +292,6 @@ def estimate_bodies(
 ):
     """Arbitrary ``POST /estimate`` JSON bodies: valid batches, empty
     lists, wrong field types — the 400-taxonomy surface."""
-    require_hypothesis()
     valid = st.lists(
         query_texts(nodes, predicates, unknown_rate=0.1),
         min_size=1,
