@@ -31,6 +31,9 @@ workload isolates, on a synthetic ~100k-triple hub-heavy graph:
   (pre-masked weights, float32 table shadows) — plus LMKG-U
   ``estimate_batch`` queries/sec through the incremental Gumbel-max
   particle sweep,
+- **MADE training**: ms per training step (``loss_and_backward`` plus
+  one ``Adam.step``) at batch 256 over the graph's vocabulary, and the
+  wall time of the ``LMKGU.fit`` whose estimates are timed above,
 - **maintenance** (`test_maintenance_incremental`, its own ~20k-triple
   graph): one incremental maintenance run over a 1% vocabulary-
   preserving delta — relabel affected queries, fine-tune touched
@@ -51,7 +54,8 @@ here rather than restating them):
   loaded snapshot counts a probe pattern like the store, vectorized
   labels == Python labels, parallel labels == serial labels, fused and
   float64 MADE outputs agree to 1e-3.  The memory-mapped cold load and LMKG-U ``estimate_batch`` q/s
-  are absolute rates: recorded, not gated.
+  are absolute rates, as are the MADE training step and ``LMKGU.fit``:
+  recorded, not gated.
 - ``test_maintenance_incremental``: the first run is full, the 1% delta
   plans an incremental run, incremental >= 5x the full refit, and on
   every affected shape its mean q-error <= 2x the refit's.
@@ -103,6 +107,8 @@ SWEEP_CALLS = 256
 #: costs were cut, 7.5-8.8 (median 8.2) after; the bound is the after
 #: maximum plus ~19 %.
 MAX_FIXED_COST_RATIO = 10.5
+#: Minibatch rows of the timed MADE training step (``MADE.fit``'s default).
+TRAIN_BATCH = 256
 
 
 def _timed(fn):
@@ -369,6 +375,7 @@ def test_store_throughput(report, tmp_path):
     # rounding — asserted below — so the speedup is pure dtype/caching.
     from repro.core.lmkg_u import LMKGU, LMKGUConfig
     from repro.nn.masked import MADE
+    from repro.nn.optimizers import Adam
 
     made = MADE(
         var_vocabs=[0, 1, 0, 1, 0],
@@ -425,6 +432,18 @@ def test_store_throughput(report, tmp_path):
     made32_rows_s = made_rows / made32_s
     made_speedup = made32_rows_s / made64_rows_s
 
+    # MADE training step on the same model: loss_and_backward plus one
+    # Adam step on a batch-256 minibatch over the graph's vocabulary.
+    train_ids = made_ids[:TRAIN_BATCH]
+    optimizer = Adam(made.parameters(), lr=1e-3, clip_norm=5.0)
+
+    def _train_step():
+        made.loss_and_backward(train_ids)
+        optimizer.step()
+
+    _train_step()  # warm, untimed
+    train_step_s = _best_time(_train_step)
+
     # LMKG-U end to end: the cross-query batched particle sweep with
     # the vocab-streamed head, through estimate_batch at serving batch
     # width.  One full untimed pass first: the fused-cache builds and
@@ -442,7 +461,7 @@ def test_store_throughput(report, tmp_path):
             particles=64,
         ),
     )
-    lmkgu.fit()
+    _, lmkgu_fit_s = _timed(lmkgu.fit)
     lmkgu_queries = [
         q for topology, size, q in queries if (topology, size) == ("star", 2)
     ][:1024]
@@ -509,6 +528,14 @@ def test_store_throughput(report, tmp_path):
             "estimate_batch_qps": round(lmkgu_qps, 1),
             "estimate_batch_size": len(lmkgu_queries),
             "particles": lmkgu.config.particles,
+        },
+        "made_training": {
+            "batch_rows": TRAIN_BATCH,
+            "vocab_sizes": made.vocab_sizes,
+            "step_ms": round(train_step_s * 1000, 2),
+            "lmkgu_fit_s": round(lmkgu_fit_s, 3),
+            "lmkgu_training_samples": lmkgu.config.training_samples,
+            "lmkgu_epochs": lmkgu.config.epochs,
         },
     }
     merge_json(RESULT_PATH, results)
@@ -611,6 +638,11 @@ def test_store_throughput(report, tmp_path):
                     "LMKG-U estimate_batch q/s",
                     results["made_inference"]["estimate_batch_qps"],
                 ],
+                [
+                    f"MADE train step ms (batch {TRAIN_BATCH})",
+                    results["made_training"]["step_ms"],
+                ],
+                ["LMKG-U fit s", results["made_training"]["lmkgu_fit_s"]],
             ],
             title=(
                 f"Store throughput — {len(store)} triples, "

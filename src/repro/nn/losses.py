@@ -5,6 +5,11 @@ scaled into [0, 1] (Section VI-A), with the *mean q-error* as the loss.
 Because the scaling is affine in log space, the q-error of a prediction is
 ``exp(span * |pred - target|)`` where ``span = log_max - log_min``; both
 the loss and its gradient are computed directly in scaled space.
+
+LMKG-U trains with :func:`softmax_cross_entropy`, which works in place:
+it consumes the ``(batch, classes)`` logits array it is given and returns
+that same array as the gradient, so a training step allocates no
+vocabulary-wide temporary.
 """
 
 from __future__ import annotations
@@ -70,21 +75,28 @@ def softmax_cross_entropy(
 ) -> Tuple[float, np.ndarray]:
     """Cross-entropy over one categorical block; returns (loss, dlogits).
 
-    *logits* has shape ``(batch, classes)``, *targets* integer class ids of
-    shape ``(batch,)``.  The mean is over the batch.  Used per-variable by
-    the autoregressive models.
+    *logits* is a float ``(batch, classes)`` array, *targets* integer class
+    ids of shape ``(batch,)``.  The mean is over the batch.  Used
+    per-variable by the autoregressive models.
+
+    The routine **consumes** *logits*: it is overwritten in place by the
+    shifted logits, their exponentials, the probabilities and finally the
+    gradient, and the returned ``dlogits`` *is* that array.  Pass a copy
+    to keep the logits.  No ``(batch, classes)`` temporary is allocated,
+    and every operation sees the operands, in the order, of the textbook
+    out-of-place form, so loss and gradient are bit for bit the same.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
     batch = logits.shape[0]
     idx = (np.arange(batch), targets)
-    log_probs = shifted[idx] - np.log(exp.sum(axis=1))
-    loss = float(-log_probs.mean())
-    grad = probs
-    grad[idx] -= 1.0
-    grad /= batch
-    return loss, grad
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[idx]
+    np.exp(logits, out=logits)
+    sums = logits.sum(axis=1, keepdims=True)
+    loss = float(-(picked - np.log(sums[:, 0])).mean())
+    logits /= sums
+    logits[idx] -= 1.0
+    logits /= batch
+    return loss, logits
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -25,7 +25,14 @@ Dtype policy
 
 Training is float64 end to end: parameters keep float64 master values,
 ``forward(ids, training=True)`` / ``loss_and_backward`` compute with the
-masked float64 masters, and fits are bit-identical to the seed.
+masked float64 masters (one trunk, :meth:`MADE._trunk_train`, shared by
+both), and fits are bit-identical to the seed.  ``loss_and_backward``
+writes each position's logits into one ``(batch, vocab)`` float64 buffer
+per vocabulary, allocated per call and never kept on the model, and the
+in-place :func:`~repro.nn.losses.softmax_cross_entropy` turns that buffer
+into ``dlogits``; :class:`~repro.nn.optimizers.Adam` updates its moments
+in place.  Both keep every operation's operands and order, so the
+weights come out bit for bit as from the out-of-place forms.
 Inference (``forward``, ``log_prob``, ``logits_for``,
 :class:`MADESweep`) runs on **fused float32 caches**: each masked layer
 holds ``(W * M).astype(float32)`` plus a float32 bias, and the embedding
@@ -735,16 +742,27 @@ class MADE:
 
         Position i's logits depend only on ids at positions < i, so callers
         may place arbitrary valid ids at positions >= i.  With
-        ``training=True`` the trunk runs on the float64 masters and caches
-        activations for :meth:`loss_and_backward`; otherwise it runs on
-        the fused float32 inference weights.
+        ``training=True`` the trunk runs on the float64 masters (the one
+        :meth:`loss_and_backward` runs); otherwise it runs on the fused
+        float32 inference weights.
         """
         ids = self._validated_ids(ids)
         if not training:
             return self._forward_fused(ids)
-        self._cache = {"ids": ids}
+        out = self._trunk_train(ids)
+        logits: List[np.ndarray] = []
+        for i in range(self.num_vars):
+            block = out[:, i * self.embed_dim: (i + 1) * self.embed_dim]
+            table = self.tables[self.var_vocabs[i]].value
+            logits.append(block @ table.T + self.out_bias[i].value)
+        return logits
+
+    def _trunk_train(self, ids: np.ndarray) -> np.ndarray:
+        """Float64 master trunk up to the out blocks ``(batch, n * embed)``.
+
+        Caches the activations that :meth:`_backward_hidden` reads.
+        """
         h = self._embed(ids)
-        self._cache["embedded"] = h
         activations: List[np.ndarray] = []
         residual_in: List[Optional[np.ndarray]] = []
         for li, layer in enumerate(self.hidden_layers):
@@ -756,16 +774,11 @@ class MADE:
             residual_in.append(h if use_res else None)
             h = post + h if use_res else post
             activations.append(pre)
-        self._cache["pre_activations"] = activations
-        self._cache["residual_in"] = residual_in
-        out = self.out_proj.forward(h, training=True)
-        self._cache["out_blocks"] = out
-        logits: List[np.ndarray] = []
-        for i in range(self.num_vars):
-            block = out[:, i * self.embed_dim: (i + 1) * self.embed_dim]
-            table = self.tables[self.var_vocabs[i]].value
-            logits.append(block @ table.T + self.out_bias[i].value)
-        return logits
+        self._cache = {
+            "pre_activations": activations,
+            "residual_in": residual_in,
+        }
+        return self.out_proj.forward(h, training=True)
 
     def _forward_fused(self, ids: np.ndarray) -> List[np.ndarray]:
         """Full inference forward on the fused caches (no grad state)."""
@@ -791,22 +804,36 @@ class MADE:
         return logits
 
     def loss_and_backward(self, ids: np.ndarray) -> float:
-        """Mean negative log-likelihood over the batch; accumulates grads."""
-        logits = self.forward(ids, training=True)
-        ids = self._cache["ids"]  # type: ignore[assignment]
-        out = self._cache["out_blocks"]  # type: ignore[assignment]
+        """Mean negative log-likelihood over the batch; accumulates grads.
+
+        Each position's logits are written into one ``(batch, vocab)``
+        buffer per vocabulary, turned into ``dlogits`` in place by
+        :func:`softmax_cross_entropy` and consumed before the next
+        position of that vocabulary reuses it.  The buffers live for this
+        call only.
+        """
+        ids = self._validated_ids(ids)
+        out = self._trunk_train(ids)
         batch = ids.shape[0]
         total_loss = 0.0
         grad_out = np.zeros_like(out)
+        buffers = {
+            vocab: np.empty((batch, self.vocab_sizes[vocab]))
+            for vocab, _ in self._vocab_positions
+        }
         for i in range(self.num_vars):
-            table_param = self.tables[self.var_vocabs[i]]
-            block = out[:, i * self.embed_dim: (i + 1) * self.embed_dim]
-            loss_i, dlogits = softmax_cross_entropy(logits[i], ids[:, i])
+            vocab = self.var_vocabs[i]
+            table_param = self.tables[vocab]
+            cols = slice(i * self.embed_dim, (i + 1) * self.embed_dim)
+            block = out[:, cols]
+            dlogits = np.matmul(
+                block, table_param.value.T, out=buffers[vocab]
+            )
+            dlogits += self.out_bias[i].value
+            loss_i, dlogits = softmax_cross_entropy(dlogits, ids[:, i])
             total_loss += loss_i
             self.out_bias[i].grad += dlogits.sum(axis=0)
-            grad_out[:, i * self.embed_dim: (i + 1) * self.embed_dim] = (
-                dlogits @ table_param.value
-            )
+            grad_out[:, cols] = dlogits @ table_param.value
             table_param.grad += dlogits.T @ block
         grad_h = self.out_proj.backward(grad_out)
         grad_h = self._backward_hidden(grad_h)

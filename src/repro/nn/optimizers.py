@@ -24,7 +24,16 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) — the optimiser used for all learned models."""
+    """Adam (Kingma & Ba) — the optimiser used for all learned models.
+
+    After the first step, :meth:`step` allocates no per-parameter array:
+    the moments are updated in place, ``lr * m_hat / (sqrt(v_hat) +
+    eps)`` is built in one scratch array shared by every parameter
+    (sized to the largest), and the gradient buffer, which the step
+    clears anyway, is consumed as the second workspace.  Each operation
+    keeps the operands and the order of the textbook out-of-place form,
+    so the updated weights are bit for bit the same.
+    """
 
     def __init__(
         self,
@@ -44,26 +53,44 @@ class Adam(Optimizer):
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
+        self._scratch = np.empty(
+            max((p.size for p in self.parameters), default=0)
+        )
+
+    def _scratch_for(self, param: Parameter) -> np.ndarray:
+        return self._scratch[: param.size].reshape(param.value.shape)
 
     def step(self) -> None:
         self._t += 1
         if self.clip_norm > 0.0:
             self._clip_gradients()
+        m_scale = 1.0 - self.beta1 ** self._t
+        v_scale = 1.0 - self.beta2 ** self._t
         for param in self.parameters:
             key = id(param)
             m = self._m.get(key)
             v = self._v.get(key)
             if m is None:
-                m = np.zeros_like(param.value)
-                v = np.zeros_like(param.value)
+                m = self._m[key] = np.zeros_like(param.value)
+                v = self._v[key] = np.zeros_like(param.value)
             grad = param.grad
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
-            self._m[key] = m
-            self._v[key] = v
-            m_hat = m / (1.0 - self.beta1 ** self._t)
-            v_hat = v / (1.0 - self.beta2 ** self._t)
-            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            scratch = self._scratch_for(param)
+            # m = beta1 * m + (1 - beta1) * grad
+            m *= self.beta1
+            m += np.multiply(grad, 1.0 - self.beta1, out=scratch)
+            # v = beta2 * v + (1 - beta2) * grad ** 2; grad is spent here.
+            v *= self.beta2
+            np.square(grad, out=grad)
+            grad *= 1.0 - self.beta2
+            v += grad
+            # value -= lr * m_hat / (sqrt(v_hat) + eps)
+            denom = np.divide(v, v_scale, out=grad)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = np.divide(m, m_scale, out=scratch)
+            update *= self.lr
+            update /= denom
+            param.value -= update
             # Invalidate the fused float32 inference caches derived from
             # this master (see MaskedLinear.fused / MADE table shadows).
             param.bump_version()
@@ -72,7 +99,8 @@ class Adam(Optimizer):
     def _clip_gradients(self) -> None:
         total = 0.0
         for param in self.parameters:
-            total += float(np.sum(param.grad ** 2))
+            squares = np.square(param.grad, out=self._scratch_for(param))
+            total += float(np.sum(squares))
         norm = np.sqrt(total)
         if norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)

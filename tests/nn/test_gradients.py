@@ -111,11 +111,12 @@ class TestLossGradients:
         logits = rng.normal(size=(5, 4))
         targets = rng.integers(0, 4, size=5)
 
+        # softmax_cross_entropy consumes its logits: evaluate on copies.
         def loss():
-            value, _ = softmax_cross_entropy(logits, targets)
+            value, _ = softmax_cross_entropy(logits.copy(), targets)
             return value
 
-        _, grad = softmax_cross_entropy(logits, targets)
+        _, grad = softmax_cross_entropy(logits.copy(), targets)
         assert np.allclose(grad, numeric_grad(loss, logits), atol=1e-5)
 
 
@@ -148,3 +149,90 @@ class TestMADEGradients:
         for param in model.parameters():
             numeric = numeric_grad(loss, param.value)
             assert np.allclose(param.grad, numeric, atol=1e-4), param.name
+
+
+def _textbook_cross_entropy(logits, targets):
+    """Out-of-place softmax cross-entropy: (loss, dlogits)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    batch = logits.shape[0]
+    idx = (np.arange(batch), targets)
+    log_probs = shifted[idx] - np.log(exp.sum(axis=1))
+    grad = probs
+    grad[idx] -= 1.0
+    grad /= batch
+    return float(-log_probs.mean()), grad
+
+
+def _reference_step(model, ids):
+    """One training step from forward(training=True) and the textbook loss.
+
+    Returns the loss and a copy of every gradient; leaves them zeroed.
+    """
+    for param in model.parameters():
+        param.zero_grad()
+    logits = model.forward(ids, training=True)
+    out = model._trunk_train(ids)  # the same trunk, for its out blocks
+    embed = model.embed_dim
+    total = 0.0
+    grad_out = np.zeros_like(out)
+    for i in range(model.num_vars):
+        table = model.tables[model.var_vocabs[i]]
+        block = out[:, i * embed: (i + 1) * embed]
+        loss_i, dlogits = _textbook_cross_entropy(logits[i], ids[:, i])
+        total += loss_i
+        model.out_bias[i].grad += dlogits.sum(axis=0)
+        grad_out[:, i * embed: (i + 1) * embed] = dlogits @ table.value
+        table.grad += dlogits.T @ block
+    grad_h = model._backward_hidden(model.out_proj.backward(grad_out))
+    model._backward_embedding(grad_h, ids, ids.shape[0])
+    grads = {p.name: p.grad.copy() for p in model.parameters()}
+    for param in model.parameters():
+        param.zero_grad()
+    return total, grads
+
+
+class TestTrainingStepIdentity:
+    """loss_and_backward's in-place head is the textbook step, bitwise."""
+
+    @pytest.mark.parametrize("residual", [False, True], ids=["made", "resmade"])
+    @pytest.mark.parametrize(
+        "batch, vocab_sizes",
+        [(24, [64, 7]), (48, [9, 130])],
+        ids=["node-wider", "predicate-wider"],
+    )
+    def test_loss_and_grads_array_equal(
+        self, residual, batch, vocab_sizes, rng
+    ):
+        model = MADE(
+            var_vocabs=[0, 1, 0, 1, 0],
+            vocab_sizes=vocab_sizes,
+            embed_dim=8,
+            hidden_sizes=(32, 32),
+            residual=residual,
+            seed=4,
+        )
+        ids = np.stack(
+            [
+                rng.integers(0, vocab_sizes[v], size=batch)
+                for v in model.var_vocabs
+            ],
+            axis=1,
+        )
+        expected_loss, expected = _reference_step(model, ids)
+        loss = model.loss_and_backward(ids)
+        assert loss == expected_loss
+        for param in model.parameters():
+            assert np.array_equal(param.grad, expected[param.name]), (
+                param.name
+            )
+
+    def test_cross_entropy_consumes_its_logits(self, rng):
+        logits = rng.normal(size=(6, 9))
+        targets = rng.integers(0, 9, size=6)
+        expected_loss, expected = _textbook_cross_entropy(logits, targets)
+        loss, grad = softmax_cross_entropy(logits, targets)
+        assert grad is logits
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected)

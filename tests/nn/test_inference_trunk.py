@@ -368,6 +368,10 @@ class TestMemoryAccounting:
         assert model.memory_bytes() == expected
         model.forward(ids, training=True)  # reuses the same buffers
         assert model.memory_bytes() == expected
+        # The training step's (batch, vocab) logits buffers live for one
+        # call and are never kept on the model.
+        model.loss_and_backward(ids)
+        assert model.memory_bytes() == expected
 
 
 class TestEmbedGather:

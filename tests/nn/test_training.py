@@ -45,6 +45,40 @@ class TestOptimizers:
         opt._clip_gradients()
         assert np.linalg.norm(param.grad) <= 1.0 + 1e-9
 
+    def test_step_matches_textbook_adam_bitwise(self, rng):
+        """The in-place step equals the out-of-place formula, bit for bit.
+
+        Clipping is on and fires, and one parameter's gradient is zero.
+        """
+        lr, beta1, beta2, eps, clip = 3e-3, 0.9, 0.999, 1e-8, 1.0
+        shapes = [(7, 3), (5,), (2, 4)]
+        params = [
+            Parameter(f"p{k}", rng.normal(size=shape))
+            for k, shape in enumerate(shapes)
+        ]
+        opt = Adam(params, lr=lr, clip_norm=clip)
+        values = [p.value.copy() for p in params]
+        m = [np.zeros_like(v) for v in values]
+        v = [np.zeros_like(x) for x in values]
+        for t in range(1, 4):
+            grads = [10.0 * rng.normal(size=shape) for shape in shapes]
+            grads[1] = np.zeros(shapes[1])
+            for param, grad in zip(params, grads):
+                param.grad[...] = grad
+            opt.step()
+            norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads))
+            assert norm > clip
+            grads = [g * (clip / (norm + 1e-12)) for g in grads]
+            for k, grad in enumerate(grads):
+                m[k] = beta1 * m[k] + (1.0 - beta1) * grad
+                v[k] = beta2 * v[k] + (1.0 - beta2) * grad ** 2
+                m_hat = m[k] / (1.0 - beta1 ** t)
+                v_hat = v[k] / (1.0 - beta2 ** t)
+                values[k] = values[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for k, param in enumerate(params):
+                assert np.array_equal(param.value, values[k]), (t, k)
+                assert not param.grad.any()
+
 
 class TestScaler:
     def test_transform_range(self):
