@@ -8,8 +8,8 @@ benches that measure them.
 """
 
 from repro.core.decomposition import (
+    classified_components,
     combine_estimates,
-    decompose,
     shared_variables,
 )
 from repro.core.encoders import (
@@ -48,8 +48,8 @@ from repro.core.pattern_bound import PatternBoundEncoder
 from repro.core.sg_encoding import SGEncoding
 
 __all__ = [
+    "classified_components",
     "combine_estimates",
-    "decompose",
     "shared_variables",
     "TermEncoder",
     "binary_width",

@@ -17,25 +17,27 @@ Decomposition strategy:
 Combination: for components ``C1..Cm`` joined on shared variables, the
 estimate is ``prod card(Ci) / prod |dom(v)|`` with one divisor per extra
 occurrence of each shared variable — the classic join-uniformity
-correction with the node count as the domain size.
+correction with the node count as the domain size.  The divisions run
+in the variables' order of first occurrence, which fixes the bits of
+the result.
+
+Both halves compare and group terms by key — a term id itself, a
+variable's name — as :meth:`~repro.rdf.pattern.QueryPattern.is_star`
+does: equal terms have equal keys, and a key compares and hashes
+without the Python-level ``Variable.__eq__`` / ``__hash__``.
+``LMKG._estimate_batch`` (:mod:`repro.core.framework`) decomposes each
+composite query of a call once, with the topology it has already
+computed, and routes the components through a route table local to
+that call; nothing here or there is remembered between calls.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import TriplePattern, Variable
-
-
-def decompose(query: QueryPattern) -> List[QueryPattern]:
-    """Split a composite query into star/chain/single components.
-
-    Star and chain queries pass through unchanged.
-    """
-    return [c for c, _ in classified_components(query, query.topology())]
 
 
 def classified_components(
@@ -44,15 +46,24 @@ def classified_components(
     """The components of *query*, each with its topology.
 
     *topology* is ``query.topology()``, which the caller has already
-    computed; a component's topology follows from how it was built, so
+    computed; a star, chain or single triple is its own only component,
+    and a component's topology follows from how it was built, so
     nothing is classified twice.
     """
     if topology is not Topology.COMPOSITE:
         return [(query, topology)]
 
-    by_subject: Dict[object, List[TriplePattern]] = defaultdict(list)
+    # Terms are grouped and linked by key, as QueryPattern.is_star
+    # compares them: a term id itself, a variable's name.
+    by_subject: Dict[Union[int, str], List[TriplePattern]] = {}
     for tp in query.triples:
-        by_subject[tp.s].append(tp)
+        s = tp.s
+        subject = s.name if isinstance(s, Variable) else s
+        group = by_subject.get(subject)
+        if group is None:
+            by_subject[subject] = [tp]
+        else:
+            group.append(tp)
 
     components: List[Tuple[QueryPattern, Topology]] = []
     leftovers: List[TriplePattern] = []
@@ -60,13 +71,16 @@ def classified_components(
         if len(triples) >= 2:
             components.append((QueryPattern(triples), Topology.STAR))
         else:
-            leftovers.extend(triples)
+            leftovers.append(triples[0])
 
     # Leftover triples have pairwise distinct subjects, so a stitched
     # chain of two or more is never also a star.
     for chain in _stitch_chains(leftovers):
         components.append(
-            (chain, Topology.CHAIN if chain.size > 1 else Topology.SINGLE)
+            (
+                chain,
+                Topology.CHAIN if len(chain.triples) > 1 else Topology.SINGLE,
+            )
         )
     return components
 
@@ -75,20 +89,34 @@ def _stitch_chains(
     triples: Sequence[TriplePattern],
 ) -> List[QueryPattern]:
     """Greedily link triples into maximal chains via object->subject."""
-    remaining = list(triples)
+    remaining = []
+    for tp in triples:
+        s, o = tp.s, tp.o
+        remaining.append(
+            (
+                s.name if isinstance(s, Variable) else s,
+                o.name if isinstance(o, Variable) else o,
+                tp,
+            )
+        )
     chains: List[QueryPattern] = []
     while remaining:
-        chain = [remaining.pop(0)]
+        head, tail, first = remaining.pop(0)
+        chain = [first]
         grew = True
         while grew:
             grew = False
-            for i, tp in enumerate(remaining):
-                if tp.s == chain[-1].o:
-                    chain.append(remaining.pop(i))
+            for i, (subject, obj, tp) in enumerate(remaining):
+                if subject == tail:
+                    del remaining[i]
+                    chain.append(tp)
+                    tail = obj
                     grew = True
                     break
-                if tp.o == chain[0].s:
-                    chain.insert(0, remaining.pop(i))
+                if obj == head:
+                    del remaining[i]
+                    chain.insert(0, tp)
+                    head = subject
                     grew = True
                     break
         chains.append(QueryPattern(chain))
@@ -99,12 +127,31 @@ def shared_variables(
     components: Sequence[QueryPattern],
 ) -> Dict[Variable, int]:
     """Variables appearing in more than one component, with their
-    component counts."""
-    counts: Dict[Variable, int] = defaultdict(int)
+    component counts, in first-occurrence order.
+
+    Variables are counted by name, and each is keyed by its first
+    occurrence.
+    """
+    #: name -> [first occurrence, number of components naming it]
+    counts: Dict[str, list] = {}
     for component in components:
-        for var in component.variables:
-            counts[var] += 1
-    return {v: c for v, c in counts.items() if c > 1}
+        #: this component's variables by name, in first-occurrence order
+        named: Dict[str, Variable] = {}
+        for tp in component.triples:
+            s, p, o = tp.s, tp.p, tp.o
+            if isinstance(s, Variable):
+                named.setdefault(s.name, s)
+            if isinstance(p, Variable):
+                named.setdefault(p.name, p)
+            if isinstance(o, Variable):
+                named.setdefault(o.name, o)
+        for name, var in named.items():
+            entry = counts.get(name)
+            if entry is None:
+                counts[name] = [var, 1]
+            else:
+                entry[1] += 1
+    return {var: count for var, count in counts.values() if count > 1}
 
 
 def combine_estimates(
@@ -116,7 +163,7 @@ def combine_estimates(
 
     Multiplies component cardinalities and divides by the node-domain
     size once per extra occurrence of each shared variable (uniform join
-    selectivity ``1/|dom|``).
+    selectivity ``1/|dom|``), in the variables' first-occurrence order.
     """
     if len(components) != len(estimates):
         raise ValueError("components and estimates disagree")
@@ -126,6 +173,6 @@ def combine_estimates(
     for estimate in estimates:
         product *= max(float(estimate), 0.0)
     domain = max(store.num_nodes, 1)
-    for _, count in shared_variables(components).items():
+    for count in shared_variables(components).values():
         product /= float(domain) ** (count - 1)
     return product

@@ -288,15 +288,27 @@ class LMKG(Estimator):
 
         The one estimation routine of the framework (``estimate`` is the
         protocol-derived one-query batch).  Each query is classified
-        once and its topology handed down.  A star, chain or single
-        triple pattern is its own only component and lands straight in
-        its result slot.  Composite queries are answered by a trained
-        tree model where possible, otherwise decomposed into star/chain
-        components; components landing on the same trained model are
-        collected and answered by a single ``estimate_batch`` call on it
-        (one encoding pass + one network forward for LMKG-S / one shared
-        particle sweep for LMKG-U), which returns them validated and
-        clamped.
+        once and its topology handed down.  A single triple pattern is
+        counted exactly from the indexes, as every RDF engine does; a
+        star or chain is its own only component.  Composite queries are
+        answered by a trained tree model where possible, otherwise
+        decomposed into star/chain/single components.
+
+        Routing is one pass over the batch.  A route table local to
+        this call maps each (topology, size) to the model covering it,
+        or to the :class:`EstimationError` saying none does, and each
+        size to its tree model or None; the grouping strategy is asked
+        once per shape, and nothing outlives the call, so a model
+        trained or loaded between calls is always seen.  A single
+        triple's count and a tree model's estimate never enter the
+        table: both depend on the query, not on its shape.  A star or
+        chain whose shape lacks a model can still be absorbed by a
+        trained tree model (a star/chain is also a tree).
+
+        Components landing on the same trained model are collected and
+        answered by a single ``estimate_batch`` call on it (one encoding
+        pass + one network forward for LMKG-S / one shared particle
+        sweep for LMKG-U), which returns them validated and clamped.
         """
         results: List[Optional[float]] = [None] * len(queries)
         #: composite query index, its classified components, their
@@ -315,34 +327,69 @@ class LMKG(Estimator):
             Union[LMKGS, LMKGU],
             List[Tuple[List[Optional[float]], int, QueryPattern]],
         ] = {}
+        #: the route table: (topology, size) -> model or EstimationError
+        routes: Dict[
+            Tuple[Topology, int], Union[LMKGS, LMKGU, EstimationError]
+        ] = {}
+        #: size -> the tree model a query of that size may route to
+        trees: Dict[int, Optional[LMKGS]] = {}
+        count = self.store.count_pattern
+
+        def tree_estimate(query: QueryPattern) -> Optional[float]:
+            size = len(query.triples)
+            if size not in trees:
+                trees[size] = self._tree_model(size)
+            model = trees[size]
+            if model is None:
+                return None
+            # Imported here: a process without a tree model never loads
+            # treecount.
+            from repro.rdf.treecount import is_tree_query
+
+            if not is_tree_query(query):
+                return None
+            return max(float(model.estimate(query)), 0.0)
+
+        def route(
+            component: QueryPattern,
+            topology: Topology,
+            slots: List[Optional[float]],
+            index: int,
+        ) -> None:
+            triples = component.triples
+            size = len(triples)
+            if size == 1:
+                slots[index] = float(count(triples[0]))
+                return
+            model = routes.get((topology, size))
+            if model is None:
+                try:
+                    model = self._model_for(topology.value, size)
+                except EstimationError as error:
+                    model = error
+                routes[topology, size] = model
+            if isinstance(model, EstimationError):
+                estimate = tree_estimate(component)
+                if estimate is None:
+                    raise model
+                slots[index] = estimate
+                return
+            grouped.setdefault(model, []).append((slots, index, component))
+
         for qi, query in enumerate(queries):
             topology = query.topology()
             if topology is not Topology.COMPOSITE:
-                resolved = self._resolve_component(query, topology)
-                if isinstance(resolved, float):
-                    results[qi] = resolved
-                else:
-                    grouped.setdefault(resolved, []).append(
-                        (results, qi, query)
-                    )
+                route(query, topology, results, qi)
                 continue
-            tree_estimate = self._try_tree_model(query)
-            if tree_estimate is not None:
-                results[qi] = tree_estimate
+            estimate = tree_estimate(query)
+            if estimate is not None:
+                results[qi] = estimate
                 continue
             classified = classified_components(query, topology)
             slots: List[Optional[float]] = [None] * len(classified)
             pending.append((qi, classified, slots))
             for ci, (component, component_topology) in enumerate(classified):
-                resolved = self._resolve_component(
-                    component, component_topology
-                )
-                if isinstance(resolved, float):
-                    slots[ci] = resolved
-                else:
-                    grouped.setdefault(resolved, []).append(
-                        (slots, ci, component)
-                    )
+                route(component, component_topology, slots, ci)
         for model, items in grouped.items():
             batch = model.estimate_batch([c for _, _, c in items])
             for (slots, ci, _), value in zip(items, batch.tolist()):
@@ -356,34 +403,10 @@ class LMKG(Estimator):
                 )
         return results
 
-    def _resolve_component(
-        self, component: QueryPattern, topology: Topology
-    ) -> Union[float, LMKGS, LMKGU]:
-        """A final estimate when answerable directly, else the model to
-        batch the component through.
-
-        *topology* is the component's, already known to the caller.
-        Single triple patterns are answered exactly from the indexes, as
-        every RDF engine does; a star/chain whose shape lacks a model can
-        still be absorbed by a trained tree model (a star/chain is also a
-        tree).
-        """
-        if component.size == 1:
-            return float(self.store.count_pattern(component.triples[0]))
-        if topology is not Topology.COMPOSITE:
-            try:
-                return self._model_for(topology.value, component.size)
-            except EstimationError:
-                tree_estimate = self._try_tree_model(component)
-                if tree_estimate is not None:
-                    return tree_estimate
-                raise
-        return self._estimate_composite_component(component)
-
-    def _try_tree_model(self, query: QueryPattern) -> Optional[float]:
-        from repro.rdf.treecount import is_tree_query
-
-        key = self.grouping.key("tree", query.size)
+    def _tree_model(self, size: int) -> Optional[LMKGS]:
+        """The LMKG-S model a tree-shaped query of *size* triples may be
+        answered by, or None; it depends on the size only."""
+        key = self.grouping.key("tree", size)
         model = self.models.get(key)
         if model is None or isinstance(model, LMKGU):
             return None
@@ -391,25 +414,9 @@ class LMKG(Estimator):
         # an untouched star/chain model would extrapolate blindly.
         if "tree" not in self._group_topologies.get(key, set()):
             return None
-        if query.size > self._group_max_size.get(key, 0):
+        if size > self._group_max_size.get(key, 0):
             return None
-        if not is_tree_query(query):
-            return None
-        return max(float(model.estimate(query)), 0.0)
-
-    def _estimate_composite_component(
-        self, component: QueryPattern
-    ) -> float:
-        # Decomposition only emits stars, chains, and singles; reaching
-        # here means a bug upstream, except for tree-shaped leftovers a
-        # trained tree model can still absorb.
-        tree_estimate = self._try_tree_model(component)
-        if tree_estimate is not None:
-            return tree_estimate
-        raise EstimationError(
-            "decomposition produced a composite component; "
-            f"cannot estimate {component!r}"
-        )
+        return model
 
     def _model_for(
         self, topology: str, size: int
@@ -453,7 +460,7 @@ class LMKG(Estimator):
 
         Probes the actual routing: for every trained model, the grouping
         strategy is asked which (topology, size) pairs land on its key,
-        so the answer is exactly what ``_model_for`` / ``_try_tree_model``
+        so the answer is exactly what ``_model_for`` / ``_tree_model``
         accept.  This is the ``trained_shapes`` record of the artifact.
         """
         covered: Dict[str, set] = {}
@@ -462,7 +469,7 @@ class LMKG(Estimator):
             for topology in self._group_topologies.get(key, set()):
                 if isinstance(model, LMKGU):
                     if topology == "tree":
-                        # _try_tree_model never answers through LMKG-U,
+                        # _tree_model never answers through LMKG-U,
                         # and "tree" is not a routable Topology value.
                         continue
                     # LMKG-U is fixed-size by construction; routing

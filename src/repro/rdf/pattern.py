@@ -74,19 +74,37 @@ class QueryPattern:
 
     def is_star(self) -> bool:
         """True when all triples share one centre subject (term or var)."""
-        if len(self.triples) < 2:
+        triples = self.triples
+        if len(triples) < 2:
             return False
-        centre = self.triples[0].s
-        return all(tp.s == centre for tp in self.triples)
+        # Terms compare by key: a term id itself, a variable's name.
+        # Equal terms have equal keys, and comparing keys skips the
+        # Python-level Variable.__eq__ (this runs once per estimated
+        # query).
+        centre = triples[0].s
+        if isinstance(centre, Variable):
+            centre = centre.name
+        for tp in triples[1:]:
+            s = tp.s
+            if (s.name if isinstance(s, Variable) else s) != centre:
+                return False
+        return True
 
     def is_chain(self) -> bool:
         """True when triples form a chain: object i equals subject i+1."""
-        if len(self.triples) < 2:
+        triples = self.triples
+        if len(triples) < 2:
             return False
-        for prev, nxt in zip(self.triples, self.triples[1:]):
-            if prev.o != nxt.s:
+        link = triples[0].o
+        if isinstance(link, Variable):
+            link = link.name
+        for tp in triples[1:]:
+            s = tp.s
+            if (s.name if isinstance(s, Variable) else s) != link:
                 return False
-        # A chain must not loop back onto the same centre like a star does.
+            link = tp.o
+            if isinstance(link, Variable):
+                link = link.name
         return True
 
     # ------------------------------------------------------------------

@@ -14,8 +14,8 @@ model the grouping strategy is asked which (topology, size) pairs land
 on it, so the admitted set is exactly the set the execution phase can
 answer — never a re-implementation that could drift.  Composite queries
 are checked through the same
-:func:`~repro.core.decomposition.decompose` + tree-absorption logic the
-framework itself uses.
+:func:`~repro.core.decomposition.classified_components` +
+tree-absorption logic the framework itself uses.
 
 Admission is **sound, not complete** in one direction only: a query it
 admits is guaranteed to route (the worker-side 422 path stays as the
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence
 
-from repro.core.decomposition import decompose
+from repro.core.decomposition import classified_components
 from repro.rdf.pattern import QueryPattern, Topology
 
 
@@ -97,25 +97,21 @@ class ShapeManifest:
         """
         if query.size == 1:
             return None
-        if query.topology() is Topology.COMPOSITE and self._tree_absorbs(
-            query
-        ):
+        topology = query.topology()
+        if topology is Topology.COMPOSITE and self._tree_absorbs(query):
             return None
-        for component in decompose(query):
+        for component, shape in classified_components(query, topology):
             if component.size == 1:
                 continue
-            topology = component.topology()
-            if (
-                topology is not Topology.COMPOSITE
-                and component.size
-                in self.covered.get(topology.value, frozenset())
+            if component.size in self.covered.get(
+                shape.value, frozenset()
             ):
                 continue
             if self._tree_absorbs(component):
                 continue
             return (
                 f"no trained model covers shape "
-                f"{topology.value}:{component.size} "
+                f"{shape.value}:{component.size} "
                 f"(covered: {self.to_dict() or 'nothing'})"
             )
         return None

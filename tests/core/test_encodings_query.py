@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from strategies import STANDARD_SETTINGS
+
 from repro.core.encoders import (
     encode_binary,
     encode_one_hot,
@@ -337,7 +339,7 @@ class TestBatchEncodingProperties:
         BAD_IDS,
         kinds,
     )
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_out_of_domain_id_anywhere_in_batch_raises(
         self, queries, position, bad, kind
     ):

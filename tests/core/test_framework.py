@@ -1,9 +1,14 @@
 """Tests for the LMKG framework façade: grouping, routing, decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.core.decomposition import combine_estimates, decompose
+from repro.core.decomposition import (
+    classified_components,
+    combine_estimates,
+)
 from repro.core.framework import LMKG, EstimationError
 from repro.core.lmkg_s import LMKGSConfig
 from repro.core.lmkg_u import LMKGUConfig
@@ -24,6 +29,11 @@ FAST_U = LMKGUConfig(
 
 def v(name):
     return Variable(name)
+
+
+def components_of(query):
+    """The components of *query*, without their topologies."""
+    return [c for c, _ in classified_components(query, query.topology())]
 
 
 @pytest.fixture(scope="module")
@@ -259,12 +269,12 @@ class TestEstimateBatch:
         components estimated on their own."""
         compounds = [
             (i, q) for i, q in enumerate(mixed_batch)
-            if len(decompose(q)) > 1
+            if len(components_of(q)) > 1
         ]
         assert len(compounds) >= 10
         base = supervised.estimate_batch(mixed_batch)
         for i, query in compounds:
-            components = decompose(query)
+            components = components_of(query)
             combined = combine_estimates(
                 lubm_store,
                 components,
@@ -285,10 +295,69 @@ class TestEstimateBatch:
         assert all(e >= 0.0 for e in estimates)
 
 
+class TestTreeFallbackInOneBatch:
+    """A star whose shape has no star model is answered by the tree
+    model, per query: the route table of a call holds which model
+    covers a shape, never an estimate."""
+
+    TINY_S = LMKGSConfig(hidden_sizes=(8,), epochs=1, seed=0)
+
+    @pytest.fixture(scope="class")
+    def tree_only(self, lubm_store):
+        """Specialized grouping, one model: ("tree", 3)."""
+        framework = LMKG(
+            lubm_store, grouping="specialized", lmkgs_config=self.TINY_S
+        )
+        framework.fit(shapes=[("tree", 3)], queries_per_shape=30)
+        assert list(framework.models) == [("tree", 3)]
+        return framework
+
+    @pytest.fixture(scope="class")
+    def stars(self, lubm_store, tree_only):
+        """Two tree-shaped star:3 queries whose tree estimates differ."""
+        from repro.rdf.treecount import is_tree_query
+
+        records = generate_workload(lubm_store, "star", 3, 40, seed=17)
+        queries = [r.query for r in records if is_tree_query(r.query)]
+        first = queries[0]
+        second = next(
+            q for q in queries[1:]
+            if tree_only.estimate(q) != tree_only.estimate(first)
+        )
+        return first, second
+
+    def test_each_query_gets_its_own_tree_estimate(self, tree_only, stars):
+        first, second = stars
+        batch = tree_only.estimate_batch([first, second, first])
+        assert batch.tolist() == [
+            tree_only.estimate(first),
+            tree_only.estimate(second),
+            tree_only.estimate(first),
+        ]
+        assert batch[0] != batch[1]
+
+    def test_uncovered_shape_still_raises(self, tree_only, stars):
+        """A chain:2 has neither a chain model nor a tree model of its
+        size: the batch fails with the router's message, whatever the
+        tree model absorbed before it."""
+        first, second = stars
+        chain = generate_workload(
+            tree_only.store, "chain", 2, 1, seed=18
+        ).records[0].query
+        with pytest.raises(
+            EstimationError,
+            match=re.escape(
+                "no model trained for key ('chain', 2) "
+                "(topology=chain, size=2)"
+            ),
+        ):
+            tree_only.estimate_batch([first, chain, second])
+
+
 class TestCoveredShapes:
     """``covered_shapes`` is the routing probe the artifact records and
     admission control reads: exactly what ``_model_for`` /
-    ``_try_tree_model`` accept, per grouping."""
+    ``_tree_model`` accept, per grouping."""
 
     TINY_S = LMKGSConfig(hidden_sizes=(8,), epochs=1, seed=0)
     TINY_U = LMKGUConfig(

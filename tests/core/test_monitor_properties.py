@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import STANDARD_SETTINGS
+
 from ext.monitor import WorkloadMonitor, total_variation
 
 SHAPES = [
@@ -53,7 +55,7 @@ def feed(monitor, shapes):
         monitor.observe(shape)
 
 
-@settings(max_examples=60, deadline=None)
+@STANDARD_SETTINGS
 @given(shapes=shape_sequences, seed=st.integers(0, 2**32 - 1))
 def test_drift_verdict_is_permutation_invariant(shapes, seed):
     shuffled = list(shapes)
@@ -72,7 +74,7 @@ def test_drift_verdict_is_permutation_invariant(shapes, seed):
         assert first.fading == second.fading
 
 
-@settings(max_examples=60, deadline=None)
+@STANDARD_SETTINGS
 @given(before=shape_sequences, after=shape_sequences)
 def test_reset_restores_a_clean_slate(before, after):
     monitor = make_monitor()
@@ -100,7 +102,7 @@ def test_total_variation_is_a_bounded_symmetric_divergence(a, b):
     assert 0.0 <= distance <= bound + 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@STANDARD_SETTINGS
 @given(
     shares=shape_distributions,
     factor=st.floats(0.1, 100.0),

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import STANDARD_SETTINGS
+
 from repro.rdf import TripleStore
 from repro.rdf.columnar import PERMUTATION_COLUMNS, pack_rows
 from repro.rdf.store import _coerce_batch
@@ -61,7 +63,7 @@ def assert_identical_columns(a: TripleStore, b: TripleStore) -> None:
 
 class TestBatchEquivalence:
     @given(st.lists(triples_strategy, min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_bulk_batches_match_per_triple_reference(self, batches):
         """Duplicate-heavy random batches: array path == add loop."""
         reference = reference_store(batches)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+
+from strategies import STANDARD_SETTINGS
 
 from repro.rdf import TripleStore
 from repro.rdf.columnar import ColumnarBackend, expand_ranges, in_sorted
@@ -50,7 +52,7 @@ class TestConstruction:
 
 class TestLookups:
     @given(triples_strategy)
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_lookups_match_brute_force(self, triples):
         triples = set(triples)
         col = build(triples)
@@ -78,7 +80,7 @@ class TestLookups:
         assert not col.contains(99, 99, 99)
 
     @given(triples_strategy)
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_degrees_and_counts(self, triples):
         triples = set(triples)
         col = build(triples)
@@ -101,7 +103,7 @@ class TestLookups:
             assert int(fanouts.sum()) == col.predicate_count(p)
 
     @given(triples_strategy, st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_vectorized_sp_primitives(self, triples, p):
         triples = set(triples)
         col = build(triples)

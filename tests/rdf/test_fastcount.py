@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import STANDARD_SETTINGS
+
 from repro.rdf import TripleStore, count_bgp
 from repro.rdf.fastcount import count_chain, count_query, count_star
 from repro.rdf.pattern import QueryPattern, chain_pattern, star_pattern
@@ -77,7 +79,7 @@ class TestAgainstMatcher:
         st.booleans(),
         st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_star_two_arms(self, triples, p1, p2, unbind1, unbind2):
         store = TripleStore()
         store.add_all(triples)
@@ -94,7 +96,7 @@ class TestAgainstMatcher:
         st.integers(1, 3),
         st.sampled_from(["vvv", "bvv", "vvb", "bvb"]),
     )
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_chain_two_hops(self, triples, p1, p2, binding):
         store = TripleStore()
         store.add_all(triples)

@@ -1,8 +1,10 @@
 """Tests for workload persistence (TSV save/load round trips)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+
+from strategies import STANDARD_SETTINGS
 
 from repro.rdf.pattern import QueryPattern
 from repro.rdf.terms import TriplePattern, Variable
@@ -50,7 +52,7 @@ class TestPatternSerialization:
         ),
     )
 
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     @given(st.lists(st.tuples(term, term, term), min_size=1, max_size=6))
     def test_round_trip_property(self, triples):
         q = QueryPattern([TriplePattern(*t) for t in triples])

@@ -1,8 +1,10 @@
 """The two-sample KS statistic behind ``SampleQuality.degree_ks``."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+
+from strategies import DETERMINISM_SETTINGS
 
 from repro.sampling.strategies import _ks_statistic
 
@@ -56,7 +58,7 @@ _samples = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@DETERMINISM_SETTINGS
 @given(a=_samples, b=_samples)
 def test_matches_naive_ecdf_loop(a, b):
     statistic = _ks_statistic(a, b)

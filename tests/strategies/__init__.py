@@ -4,7 +4,9 @@
   query fuzzer, grounded in a real store's vocabulary, plus the shared
   ``fuzz_settings``;
 - :mod:`strategies.corpus` — persisted minimized counterexamples,
-  replayed deterministically in tier-1.
+  replayed deterministically in tier-1;
+- :mod:`strategies.settings` — the shared ``STANDARD_SETTINGS`` /
+  ``DETERMINISM_SETTINGS`` profiles of the property tests.
 
 ``pytest.ini`` puts ``tests/`` on ``sys.path``, so test modules import
 this package as ``strategies``.  See ``README.md`` beside this file.
@@ -23,8 +25,11 @@ from strategies.queries import (
     query_texts,
     vocab_sample,
 )
+from strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 
 __all__ = [
+    "DETERMINISM_SETTINGS",
+    "STANDARD_SETTINGS",
     "CorpusError",
     "entry_name",
     "iter_corpus",
