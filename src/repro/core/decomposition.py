@@ -21,10 +21,11 @@ correction with the node count as the domain size.  The divisions run
 in the variables' order of first occurrence, which fixes the bits of
 the result.
 
-Both halves compare and group terms by key — a term id itself, a
-variable's name — as :meth:`~repro.rdf.pattern.QueryPattern.is_star`
-does: equal terms have equal keys, and a key compares and hashes
-without the Python-level ``Variable.__eq__`` / ``__hash__``.
+Both halves compare and group terms by
+:func:`~repro.rdf.terms.term_key` — a term id itself, a variable's
+name — as :meth:`~repro.rdf.pattern.QueryPattern.is_star` does: equal
+terms have equal keys, and a key compares and hashes without the
+Python-level ``Variable.__eq__`` / ``__hash__``.
 ``LMKG._estimate_batch`` (:mod:`repro.core.framework`) decomposes each
 composite query of a call once, with the topology it has already
 computed, and routes the components through a route table local to
@@ -37,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.rdf.pattern import QueryPattern, Topology
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import TriplePattern, Variable
+from repro.rdf.terms import TriplePattern, Variable, term_key
 
 
 def classified_components(
@@ -53,12 +54,9 @@ def classified_components(
     if topology is not Topology.COMPOSITE:
         return [(query, topology)]
 
-    # Terms are grouped and linked by key, as QueryPattern.is_star
-    # compares them: a term id itself, a variable's name.
     by_subject: Dict[Union[int, str], List[TriplePattern]] = {}
     for tp in query.triples:
-        s = tp.s
-        subject = s.name if isinstance(s, Variable) else s
+        subject = term_key(tp.s)
         group = by_subject.get(subject)
         if group is None:
             by_subject[subject] = [tp]
@@ -89,16 +87,7 @@ def _stitch_chains(
     triples: Sequence[TriplePattern],
 ) -> List[QueryPattern]:
     """Greedily link triples into maximal chains via object->subject."""
-    remaining = []
-    for tp in triples:
-        s, o = tp.s, tp.o
-        remaining.append(
-            (
-                s.name if isinstance(s, Variable) else s,
-                o.name if isinstance(o, Variable) else o,
-                tp,
-            )
-        )
+    remaining = [(term_key(tp.s), term_key(tp.o), tp) for tp in triples]
     chains: List[QueryPattern] = []
     while remaining:
         head, tail, first = remaining.pop(0)
@@ -129,8 +118,8 @@ def shared_variables(
     """Variables appearing in more than one component, with their
     component counts, in first-occurrence order.
 
-    Variables are counted by name, and each is keyed by its first
-    occurrence.
+    Variables are counted by key (their name), and each is keyed by its
+    first occurrence.
     """
     #: name -> [first occurrence, number of components naming it]
     counts: Dict[str, list] = {}
@@ -138,13 +127,9 @@ def shared_variables(
         #: this component's variables by name, in first-occurrence order
         named: Dict[str, Variable] = {}
         for tp in component.triples:
-            s, p, o = tp.s, tp.p, tp.o
-            if isinstance(s, Variable):
-                named.setdefault(s.name, s)
-            if isinstance(p, Variable):
-                named.setdefault(p.name, p)
-            if isinstance(o, Variable):
-                named.setdefault(o.name, o)
+            for term in (tp.s, tp.p, tp.o):
+                if isinstance(term, Variable):
+                    named.setdefault(term_key(term), term)
         for name, var in named.items():
             entry = counts.get(name)
             if entry is None:

@@ -106,8 +106,9 @@ class TermEncoder:
             raise ValueError(
                 f"term id {outside} outside [1, {self.domain}]"
             )
-        ids = np.array(ids, dtype=np.int64)
-        starts = np.array(starts, dtype=np.intp)
+        count = len(ids)
+        ids = np.fromiter(ids, np.int64, count)
+        starts = np.fromiter(starts, np.intp, count)
         if self.kind == "binary":
             out[starts[:, None] + self._bits] = (
                 ids[:, None] >> self._bits

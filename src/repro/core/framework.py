@@ -64,6 +64,10 @@ def file_crc32(path: Path) -> int:
     return crc
 
 
+#: A route-table entry not looked up yet (None means "no model").
+_UNROUTED = object()
+
+
 class EstimationError(RuntimeError):
     """Raised when no trained model can answer a query component."""
 
@@ -296,14 +300,14 @@ class LMKG(Estimator):
 
         Routing is one pass over the batch.  A route table local to
         this call maps each (topology, size) to the model covering it,
-        or to the :class:`EstimationError` saying none does, and each
-        size to its tree model or None; the grouping strategy is asked
-        once per shape, and nothing outlives the call, so a model
-        trained or loaded between calls is always seen.  A single
-        triple's count and a tree model's estimate never enter the
-        table: both depend on the query, not on its shape.  A star or
-        chain whose shape lacks a model can still be absorbed by a
-        trained tree model (a star/chain is also a tree).
+        or to None when none does, and each size to its tree model or
+        None; the grouping strategy is asked once per shape, and
+        nothing outlives the call, so a model trained or loaded between
+        calls is always seen.  A single triple's count and a tree
+        model's estimate never enter the table: both depend on the
+        query, not on its shape.  A star or chain whose shape lacks a
+        model can still be absorbed by a trained tree model (a
+        star/chain is also a tree).
 
         Components landing on the same trained model are collected and
         answered by a single ``estimate_batch`` call on it (one encoding
@@ -327,9 +331,10 @@ class LMKG(Estimator):
             Union[LMKGS, LMKGU],
             List[Tuple[List[Optional[float]], int, QueryPattern]],
         ] = {}
-        #: the route table: (topology, size) -> model or EstimationError
+        #: the route table: (topology, size) -> the model covering it,
+        #: or None when none does
         routes: Dict[
-            Tuple[Topology, int], Union[LMKGS, LMKGU, EstimationError]
+            Tuple[Topology, int], Optional[Union[LMKGS, LMKGU]]
         ] = {}
         #: size -> the tree model a query of that size may route to
         trees: Dict[int, Optional[LMKGS]] = {}
@@ -361,19 +366,22 @@ class LMKG(Estimator):
             if size == 1:
                 slots[index] = float(count(triples[0]))
                 return
-            model = routes.get((topology, size))
-            if model is None:
+            shape = (topology, size)
+            model = routes.get(shape, _UNROUTED)
+            if model is _UNROUTED:
                 try:
                     model = self._model_for(topology.value, size)
-                except EstimationError as error:
-                    model = error
-                routes[topology, size] = model
-            if isinstance(model, EstimationError):
+                except EstimationError:
+                    model = None
+                routes[shape] = model
+            if model is None:
                 estimate = tree_estimate(component)
-                if estimate is None:
-                    raise model
-                slots[index] = estimate
-                return
+                if estimate is not None:
+                    slots[index] = estimate
+                    return
+                # Asked again only to raise the EstimationError naming
+                # the uncovered shape, once per failing call.
+                model = self._model_for(topology.value, size)
             grouped.setdefault(model, []).append((slots, index, component))
 
         for qi, query in enumerate(queries):

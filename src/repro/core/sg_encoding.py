@@ -87,56 +87,70 @@ class SGEncoding:
         edge_width = self.predicates.width
         x_offset = self.a_width
         e_offset = self.a_width + self.x_width
+        #: distance between the cells A[i][.][.] and A[i + 1][.][.]
+        node_stride = max_nodes * max_edges
         cells: List[int] = []
         node_starts: List[int] = []
         node_ids: List[int] = []
         edge_starts: List[int] = []
         edge_ids: List[int] = []
-        for row, query in enumerate(queries):
-            base = row * width
+        add_cell = cells.append
+        add_node_start = node_starts.append
+        add_node_id = node_ids.append
+        add_edge_start = edge_starts.append
+        add_edge_id = edge_ids.append
+        base = 0
+        for query in queries:
+            triples = query.triples
             first_node = base + x_offset
             first_edge = base + e_offset
             #: node -> index, in ``QueryPattern.node_order()`` order; a
             #: variable is keyed by its name (equal variables share a
             #: name), which hashes without a Python-level ``__hash__``.
             #: The subject and the object are handled inline, not in a
-            #: loop over the two: this loop is most of featurisation.
+            #: loop over the two, and a term is tested with
+            #: ``__class__ is`` rather than ``isinstance``: this loop is
+            #: most of featurisation.
             index: Dict[object, int] = {}
-            for l, tp in enumerate(query.triples):
-                s, o, p = tp.s, tp.o, tp.p
-                if isinstance(s, Variable):
+            l = 0
+            for tp in triples:
+                s = tp.s
+                if s.__class__ is Variable:
                     i = index.setdefault(s.name, len(index))
                 else:
                     i = index.get(s)
                     if i is None:
                         i = index[s] = len(index)
-                        node_starts.append(first_node + i * node_width)
-                        node_ids.append(s)
-                if isinstance(o, Variable):
+                        add_node_start(first_node + i * node_width)
+                        add_node_id(s)
+                o = tp.o
+                if o.__class__ is Variable:
                     j = index.setdefault(o.name, len(index))
                 else:
                     j = index.get(o)
                     if j is None:
                         j = index[o] = len(index)
-                        node_starts.append(first_node + j * node_width)
-                        node_ids.append(o)
-                cells.append(base + (i * max_nodes + j) * max_edges + l)
-                if not isinstance(p, Variable):
-                    edge_starts.append(first_edge + l * edge_width)
-                    edge_ids.append(p)
+                        add_node_start(first_node + j * node_width)
+                        add_node_id(o)
+                add_cell(base + i * node_stride + j * max_edges + l)
+                p = tp.p
+                if p.__class__ is not Variable:
+                    add_edge_start(first_edge + l * edge_width)
+                    add_edge_id(p)
+                l += 1
             if len(index) > max_nodes:
                 raise ValueError(
                     f"query has {len(index)} nodes, encoder holds "
                     f"{max_nodes}"
                 )
-            if query.size > max_edges:
+            if l > max_edges:
                 raise ValueError(
-                    f"query has {query.size} edges, encoder holds "
-                    f"{max_edges}"
+                    f"query has {l} edges, encoder holds {max_edges}"
                 )
+            base += width
         block = np.zeros((len(queries), width))
         flat = block.reshape(-1)
-        flat[cells] = 1.0
+        flat[np.fromiter(cells, np.intp, len(cells))] = 1.0
         self.nodes.write_ids(flat, node_starts, node_ids)
         self.predicates.write_ids(flat, edge_starts, edge_ids)
         return block

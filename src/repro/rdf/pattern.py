@@ -15,7 +15,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.rdf.terms import PatternTerm, TriplePattern, Variable, is_bound
+from repro.rdf.terms import (
+    PatternTerm,
+    TriplePattern,
+    Variable,
+    is_bound,
+    term_key,
+)
 
 
 class Topology(enum.Enum):
@@ -27,7 +33,7 @@ class Topology(enum.Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryPattern:
     """An ordered collection of triple patterns forming one query."""
 
@@ -77,16 +83,11 @@ class QueryPattern:
         triples = self.triples
         if len(triples) < 2:
             return False
-        # Terms compare by key: a term id itself, a variable's name.
-        # Equal terms have equal keys, and comparing keys skips the
-        # Python-level Variable.__eq__ (this runs once per estimated
-        # query).
-        centre = triples[0].s
-        if isinstance(centre, Variable):
-            centre = centre.name
+        # Terms compare by key (repro.rdf.terms.term_key): this runs
+        # once per estimated query.
+        centre = term_key(triples[0].s)
         for tp in triples[1:]:
-            s = tp.s
-            if (s.name if isinstance(s, Variable) else s) != centre:
+            if term_key(tp.s) != centre:
                 return False
         return True
 
@@ -95,16 +96,11 @@ class QueryPattern:
         triples = self.triples
         if len(triples) < 2:
             return False
-        link = triples[0].o
-        if isinstance(link, Variable):
-            link = link.name
+        link = term_key(triples[0].o)
         for tp in triples[1:]:
-            s = tp.s
-            if (s.name if isinstance(s, Variable) else s) != link:
+            if term_key(tp.s) != link:
                 return False
-            link = tp.o
-            if isinstance(link, Variable):
-                link = link.name
+            link = term_key(tp.o)
         return True
 
     # ------------------------------------------------------------------

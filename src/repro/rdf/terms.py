@@ -13,12 +13,15 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple, Union
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Variable:
     """An unbound SPARQL variable, e.g. ``?x``.
 
     Variables compare and hash by name, so two patterns mentioning ``?x``
-    share the binding during matching.
+    share the binding during matching.  Terms and patterns are slotted:
+    their attributes are read once or more per estimated query, and a
+    slot reads faster than an instance dict (which unpickling, as the
+    pool workers do, would materialise).
     """
 
     name: str
@@ -41,12 +44,24 @@ PatternTerm = Union[int, Variable]
 Triple = Tuple[int, int, int]
 
 
+def term_key(term: PatternTerm) -> Union[int, str]:
+    """The key *term* compares and hashes by: a term id itself, a
+    variable's name.
+
+    Equal terms have equal keys (variables compare by name), and an id
+    never equals a name.  Comparing or hashing keys skips the
+    Python-level ``Variable.__eq__`` / ``__hash__``, so the topology and
+    decomposition code that runs once per estimated query works on keys.
+    """
+    return term.name if isinstance(term, Variable) else term
+
+
 def is_bound(term: PatternTerm) -> bool:
     """Return True when *term* is a concrete term id, not a variable."""
     return not isinstance(term, Variable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriplePattern:
     """A single SPARQL triple pattern ``(s, p, o)``.
 
