@@ -149,6 +149,11 @@ class QueryPattern:
         inner = " . ".join(repr(tp) for tp in self.triples)
         return f"QueryPattern[{inner}]"
 
+    def __reduce__(self):
+        # Pickles as a constructor call, like the terms it holds
+        # (see repro.rdf.terms.Variable).
+        return (self.__class__, (self.triples,))
+
 
 def star_pattern(
     centre: PatternTerm, pairs: Sequence[Tuple[PatternTerm, PatternTerm]]

@@ -21,7 +21,9 @@ class Variable:
     share the binding during matching.  Terms and patterns are slotted:
     their attributes are read once or more per estimated query, and a
     slot reads faster than an instance dict (which unpickling, as the
-    pool workers do, would materialise).
+    pool workers do, would materialise).  Each pickles as a call of its
+    constructor (``__reduce__``), which is smaller and faster than the
+    state methods a slotted dataclass otherwise generates.
     """
 
     name: str
@@ -35,6 +37,9 @@ class Variable:
 
     def __repr__(self) -> str:
         return f"?{self.name}"
+
+    def __reduce__(self):
+        return (self.__class__, (self.name,))
 
 
 #: A pattern position: either a dictionary-encoded term id or a variable.
@@ -112,6 +117,9 @@ class TriplePattern:
 
     def __repr__(self) -> str:
         return f"({self.s} {self.p} {self.o})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.s, self.p, self.o))
 
 
 def pattern(s: PatternTerm, p: PatternTerm, o: PatternTerm) -> TriplePattern:

@@ -1,8 +1,17 @@
 """Unit tests for terms, variables, and triple patterns."""
 
+import pickle
+
 import pytest
 
-from repro.rdf.terms import TriplePattern, Variable, is_bound, pattern
+from repro.rdf.pattern import QueryPattern
+from repro.rdf.terms import (
+    TriplePattern,
+    Variable,
+    is_bound,
+    pattern,
+    term_key,
+)
 
 
 class TestVariable:
@@ -23,6 +32,27 @@ class TestVariable:
 
     def test_repr(self):
         assert repr(Variable("x")) == "?x"
+
+
+class TestTermKey:
+    def test_equal_terms_have_equal_keys(self):
+        # Distinct objects that share a name are one variable.
+        assert term_key(Variable("x")) == term_key(Variable("?x"))
+        assert term_key(7) == term_key(7)
+
+    def test_distinct_terms_have_distinct_keys(self):
+        assert term_key(Variable("x")) != term_key(Variable("y"))
+        assert term_key(Variable("1")) != term_key(1)
+
+    def test_slotted_patterns_survive_pickling(self):
+        # The pool workers receive queries pickled.
+        query = QueryPattern(
+            [pattern("s", 3, "o"), pattern("o", 4, 9)]
+        )
+        restored = pickle.loads(pickle.dumps(query))
+        assert restored == query
+        assert restored.topology() is query.topology()
+        assert not hasattr(restored.triples[0], "__dict__")
 
 
 class TestTriplePattern:
