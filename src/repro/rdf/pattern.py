@@ -151,7 +151,7 @@ class QueryPattern:
 
     def __reduce__(self):
         # Pickles as a constructor call, like the terms it holds
-        # (see repro.rdf.terms.Variable).
+        # (see the repro.rdf.terms module docstring).
         return (self.__class__, (self.triples,))
 
 

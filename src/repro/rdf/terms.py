@@ -5,6 +5,14 @@ literal is mapped to a small integer id (see :mod:`repro.rdf.dictionary`).
 Inside queries, positions that are not bound to a term are held by
 :class:`Variable` objects.  A :class:`TriplePattern` is a triple whose
 positions may be variables; a fully bound pattern is just a triple.
+
+Variables, triple patterns and query patterns
+(:class:`~repro.rdf.pattern.QueryPattern`) are slotted dataclasses:
+their attributes are read once or more per estimated query, and a slot
+reads faster than an instance dict (which unpickling, as the serving
+pool's workers do, would materialise).  Each pickles as a call of its
+constructor (``__reduce__``), which is smaller and faster than the
+state methods a slotted dataclass otherwise generates.
 """
 
 from __future__ import annotations
@@ -18,12 +26,7 @@ class Variable:
     """An unbound SPARQL variable, e.g. ``?x``.
 
     Variables compare and hash by name, so two patterns mentioning ``?x``
-    share the binding during matching.  Terms and patterns are slotted:
-    their attributes are read once or more per estimated query, and a
-    slot reads faster than an instance dict (which unpickling, as the
-    pool workers do, would materialise).  Each pickles as a call of its
-    constructor (``__reduce__``), which is smaller and faster than the
-    state methods a slotted dataclass otherwise generates.
+    share the binding during matching.
     """
 
     name: str
