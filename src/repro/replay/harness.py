@@ -125,11 +125,7 @@ class ReplayHarness(ServingApp):
             raise HarnessError(
                 "kill worker needs a supervised pool (workers > 1)"
             )
-        workers = [
-            w
-            for w in self.pool._workers
-            if w.process is not None and w.process.is_alive()
-        ]
+        workers = [w for w in self.pool._workers if w.is_alive()]
         if not workers:
             raise HarnessError("no live worker to kill")
         victim = workers[index if index is not None else 0]

@@ -34,97 +34,66 @@ top:
 
 :class:`ServingApp` (:mod:`repro.serve.app`) is the composition root:
 the one place these layers are wired together and torn down.
+
+The names below are exported lazily (PEP 562): each loads its module on
+first access.  A pool worker (:mod:`repro.serve.worker`) imports
+:mod:`repro.serve.faults` and so runs this file; it must not load the
+HTTP, app and scheduler layers it never uses.
 """
 
-from repro.serve.admission import AdmissionError, ShapeManifest
-from repro.serve.app import ServingApp
-from repro.serve.artifacts import (
-    ARTIFACT_SCHEMA_VERSION,
-    ArtifactError,
-    CheckpointArtifact,
-    load_artifact,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.serve.faults import (
-    CORRUPTION_MODES,
-    FaultInjector,
-    FaultSpec,
-    FaultSpecError,
-    InjectedFault,
-    corrupt_checkpoint,
-)
-from repro.serve.http import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    EstimatorHTTPServer,
-    make_server,
-)
-from repro.serve.scheduler import (
-    BatchScheduler,
-    QueueFullError,
-    SchedulerClosedError,
-)
-from repro.serve.service import (
-    DEFAULT_FIT_EPOCHS,
-    DEFAULT_FIT_HIDDEN,
-    DEFAULT_FIT_QUERIES,
-    DEFAULT_FIT_SEED,
-    DEFAULT_FIT_SHAPES,
-    EstimatorService,
-    FitDefaults,
-    ServiceError,
-    default_framework,
-)
-from repro.serve.supervisor import (
-    CircuitBreaker,
-    NoWorkersError,
-    ReloadError,
-    ResilientBackend,
-    ServingRuntime,
-    ServingWorkerError,
-    SupervisedPool,
-    SupervisorError,
-)
+import importlib
 
-__all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
-    "AdmissionError",
-    "ArtifactError",
-    "BatchScheduler",
-    "CORRUPTION_MODES",
-    "CheckpointArtifact",
-    "CircuitBreaker",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DEFAULT_FIT_EPOCHS",
-    "DEFAULT_FIT_HIDDEN",
-    "DEFAULT_FIT_QUERIES",
-    "DEFAULT_FIT_SEED",
-    "DEFAULT_FIT_SHAPES",
-    "EstimatorHTTPServer",
-    "EstimatorService",
-    "FaultInjector",
-    "FaultSpec",
-    "FaultSpecError",
-    "FitDefaults",
-    "InjectedFault",
-    "NoWorkersError",
-    "QueueFullError",
-    "ReloadError",
-    "ResilientBackend",
-    "SchedulerClosedError",
-    "ServiceError",
-    "ServingApp",
-    "ServingRuntime",
-    "ServingWorkerError",
-    "ShapeManifest",
-    "SupervisedPool",
-    "SupervisorError",
-    "corrupt_checkpoint",
-    "default_framework",
-    "load_artifact",
-    "load_checkpoint",
-    "make_server",
-    "save_checkpoint",
-]
+#: exported name -> the submodule of this package that defines it.
+_EXPORTS = {
+    "AdmissionError": "admission",
+    "ShapeManifest": "admission",
+    "ServingApp": "app",
+    "ARTIFACT_SCHEMA_VERSION": "artifacts",
+    "ArtifactError": "artifacts",
+    "CheckpointArtifact": "artifacts",
+    "load_artifact": "artifacts",
+    "load_checkpoint": "artifacts",
+    "save_checkpoint": "artifacts",
+    "CORRUPTION_MODES": "faults",
+    "FaultInjector": "faults",
+    "FaultSpec": "faults",
+    "FaultSpecError": "faults",
+    "InjectedFault": "faults",
+    "corrupt_checkpoint": "faults",
+    "DEFAULT_HOST": "http",
+    "DEFAULT_PORT": "http",
+    "EstimatorHTTPServer": "http",
+    "make_server": "http",
+    "BatchScheduler": "scheduler",
+    "QueueFullError": "scheduler",
+    "SchedulerClosedError": "scheduler",
+    "DEFAULT_FIT_EPOCHS": "service",
+    "DEFAULT_FIT_HIDDEN": "service",
+    "DEFAULT_FIT_QUERIES": "service",
+    "DEFAULT_FIT_SEED": "service",
+    "DEFAULT_FIT_SHAPES": "service",
+    "EstimatorService": "service",
+    "FitDefaults": "service",
+    "ServiceError": "service",
+    "default_framework": "service",
+    "CircuitBreaker": "supervisor",
+    "NoWorkersError": "supervisor",
+    "ReloadError": "supervisor",
+    "ResilientBackend": "supervisor",
+    "ServingRuntime": "supervisor",
+    "ServingWorkerError": "supervisor",
+    "SupervisedPool": "supervisor",
+    "SupervisorError": "supervisor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+

@@ -40,7 +40,7 @@ from repro.serve.supervisor import (
 class ServingApp:
     """A bound, fully wired estimation server and everything it owns.
 
-    Construction loads (or startup-fits) the model, spawns the worker
+    Construction loads (or startup-fits) the model, starts the worker
     pool when ``workers > 1`` and binds the listening socket; nothing
     is served until :meth:`start` or :meth:`serve_forever`.  A failure
     part-way through releases what was already built.

@@ -10,9 +10,13 @@ testable alone:
   workers **killed and restarted with exponential backoff under a
   restart budget**, and the stranded chunk **retried on sibling
   workers** — so a worker crash under load yields zero failed client
-  requests.  A checkpoint swap is **blue-green**: a complete new worker
-  set is spawned against the new checkpoint while the old set keeps
-  serving, then the active set pointer flips between batches.
+  requests.  Each worker is a fresh interpreter started by
+  ``subprocess`` (``python -m repro.serve.worker``) that inherits one
+  end of a socketpair and imports the estimation path only; passing
+  that end through ``pass_fds`` makes the pool POSIX-only.  A
+  checkpoint swap is **blue-green**: a complete new worker set is
+  started against the new checkpoint while the old set keeps serving,
+  then the active set pointer flips between batches.
 - :class:`CircuitBreaker` + :class:`ResilientBackend` — graceful
   degradation: after ``failure_threshold`` consecutive model-path
   failures the breaker opens and traffic routes to a cheap
@@ -41,9 +45,12 @@ above instead of trusting them.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import traceback
@@ -95,94 +102,40 @@ class ReloadError(RuntimeError):
 # Worker process
 # ----------------------------------------------------------------------
 
-def _worker_main(
-    worker_id: int,
-    snapshot_dir: str,
-    checkpoint_dir: str,
-    conn,
-    fault_dict: Optional[dict],
-) -> None:
-    """Attach, handshake, then answer (offset, queries) requests forever.
+#: the directory that holds this ``repro`` package.  A worker is a fresh
+#: interpreter, so it is told where the parent found ``repro`` — a
+#: checkout's ``src`` put on ``sys.path`` by hand, or site-packages.
+_PACKAGE_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
-    Attach mirrors the labeling pool: ``verify=False`` /
-    ``load_dictionary=False`` because the parent verified the snapshot
-    and parsing happens parent-side.  The handshake (``("ready", ...)``
-    or ``("init-error", traceback)``) lets the supervisor distinguish a
-    broken checkpoint from a crashed process.
-    """
-    injector = FaultInjector(FaultSpec.from_dict(fault_dict))
-    try:
-        from repro.core.framework import LMKG
-        from repro.rdf.store import TripleStore
-
-        store = TripleStore.load_snapshot(
-            snapshot_dir,
-            verify=False,
-            read_only=True,
-            load_dictionary=False,
-        )
-        framework = LMKG.load(checkpoint_dir, store)
-    except BaseException:
-        try:
-            conn.send(("init-error", traceback.format_exc()))
-        except OSError:
-            pass
-        return
-    conn.send(("ready", worker_id))
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if message[0] == "stop":
-            return
-        _, offset, queries = message
-        try:
-            injector.on_request(queries)  # may exit/hang/raise
-            values = framework.estimate_batch(queries)
-            payload = (offset, values.tolist(), None)
-        except EstimationError as exc:
-            payload = (offset, None, ("estimation", str(exc)))
-        except BaseException:
-            payload = (offset, None, ("error", traceback.format_exc()))
-        try:
-            conn.send(payload)
-        except OSError:
-            return
-
-
-#: the BLAS thread-count variables a worker is spawned with.
+#: the BLAS thread-count variables a worker is started with.
 BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
     "MKL_NUM_THREADS",
 )
 
-#: serializes the environment edit around a worker's start(): a
-#: restart racing a reload, or two pools, must not undo each other's.
-_SPAWN_ENV_LOCK = threading.Lock()
 
+def _worker_env(workers: int) -> Dict[str, str]:
+    """The environment of a worker of a *workers*-worker pool: this
+    process's, with each unset :data:`BLAS_THREAD_VARS` set to the cores
+    one worker may use, and :data:`_PACKAGE_ROOT` first on
+    ``PYTHONPATH``.
 
-@contextlib.contextmanager
-def _blas_thread_budget(workers: int):
-    """Set each unset :data:`BLAS_THREAD_VARS` to the cores one of
-    *workers* workers may use, for a child started inside the block.
-
-    A spawned worker reads its environment before numpy loads, and
-    BLAS sizes its thread pool from it once: N workers each threading
-    over every core oversubscribe the machine N times.  A value already
-    set in this process wins.
+    BLAS sizes its thread pool once, from the environment, when numpy
+    loads: N workers each threading over every core oversubscribe the
+    machine N times.  A value already set in this process wins.
     """
+    env = dict(os.environ)
     budget = str(max(1, available_cpus() // workers))
-    with _SPAWN_ENV_LOCK:
-        unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
-        for name in unset:
-            os.environ[name] = budget
-        try:
-            yield
-        finally:
-            for name in unset:
-                os.environ.pop(name, None)
+    for name in BLAS_THREAD_VARS:
+        env.setdefault(name, budget)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        _PACKAGE_ROOT + os.pathsep + path if path else _PACKAGE_ROOT
+    )
+    return env
 
 
 # Worker slot states.
@@ -221,15 +174,22 @@ class _Worker:
         self.task = None
         self.last_error: Optional[str] = None
 
+    def is_alive(self) -> bool:
+        """Whether the slot has a process that has not exited."""
+        return self.process is not None and self.process.poll() is None
+
     def kill(self) -> None:
+        """Close the pipe, SIGKILL the process and reap it."""
         if self.conn is not None:
             try:
                 self.conn.close()
             except OSError:
                 pass
             self.conn = None
-        if self.process is not None and self.process.is_alive():
+        if self.is_alive():
             self.process.kill()
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                self.process.wait(timeout=5.0)
         self.process = None
 
 
@@ -258,9 +218,9 @@ class SupervisedPool:
         fault_spec: optional :class:`FaultSpec` shipped to every worker
             (chaos testing).
 
-    Each worker is spawned with :data:`BLAS_THREAD_VARS` set to
+    Each worker is started with :data:`BLAS_THREAD_VARS` set to
     ``available_cpus() // workers`` (at least 1) unless this process
-    already sets them.
+    already sets them; this process's environment is never written.
     """
 
     #: a chunk stranded by worker deaths is retried at most this many
@@ -298,14 +258,6 @@ class SupervisedPool:
         self.restart_budget = restart_budget
         self.backoff_base = backoff_base
         self.fault_spec = fault_spec
-        # Spawn, not fork: restarts and blue-green reloads create
-        # workers from the supervisor thread while scheduler/HTTP
-        # threads are live, and a fork taken then can inherit held
-        # locks (import lock, BLAS internals) and deadlock inside the
-        # checkpoint load — as well as inheriting the listening socket
-        # and sibling pipe fds.  A spawned worker starts from a clean
-        # interpreter with only its own pipe.
-        self._context = multiprocessing.get_context("spawn")
         #: serializes estimate_batch callers and reload's set swap.
         #: Re-entrant so whoever labels answers with a generation can
         #: hold it from reading the label to the end of the dispatch
@@ -339,22 +291,34 @@ class SupervisedPool:
         """Start *worker*'s process on one (checkpoint, snapshot) pair;
         state stays ``_STARTING`` until the handshake is consumed by
         :meth:`_await_handshake`."""
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                worker.id,
-                snapshot_dir,
-                checkpoint_dir,
-                child_conn,
-                self.fault_spec.to_dict() if self.fault_spec else None,
-            ),
-            name=f"repro-serve-worker-{worker.id}",
-            daemon=True,
-        )
-        with _blas_thread_budget(self.workers):
-            process.start()
-        child_conn.close()
+        # A fresh interpreter, not fork: restarts and blue-green reloads
+        # create workers from the supervisor thread while scheduler/HTTP
+        # threads are live, and a fork taken then can inherit held locks
+        # (import lock, BLAS internals) and deadlock inside the
+        # checkpoint load — as well as inheriting the listening socket
+        # and sibling pipe fds.  ``python -m repro.serve.worker``
+        # starts from a clean interpreter that holds only its own pipe
+        # end (``pass_fds``, hence POSIX only) and imports the
+        # estimation path only; no ``multiprocessing`` start method,
+        # and so no resource tracker, is involved.
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        faults = self.fault_spec.to_dict() if self.fault_spec else {}
+        with child_conn:
+            process = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.serve.worker",
+                    str(child_conn.fileno()),
+                    str(worker.id),
+                    snapshot_dir,
+                    checkpoint_dir,
+                    json.dumps(faults),
+                ],
+                stdin=subprocess.DEVNULL,
+                pass_fds=(child_conn.fileno(),),
+                env=_worker_env(self.workers),
+            )
         worker.process = process
         worker.conn = parent_conn
         worker.state = _STARTING
@@ -413,7 +377,8 @@ class SupervisedPool:
                     pass
         for worker in workers:
             if worker.process is not None:
-                worker.process.join(timeout=2.0)
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    worker.process.wait(timeout=2.0)
             worker.kill()
 
     # ------------------------------------------------------------------
@@ -430,10 +395,7 @@ class SupervisedPool:
                 # requests would otherwise stay "ready" until the next
                 # batch tripped over its corpse.
                 for worker in self._workers:
-                    if worker.state == _READY and (
-                        worker.process is None
-                        or not worker.process.is_alive()
-                    ):
+                    if worker.state == _READY and not worker.is_alive():
                         self._declare_dead(
                             worker, "worker process died while idle"
                         )
@@ -648,10 +610,7 @@ class SupervisedPool:
                             "hung",
                             timed_out=True,
                         )
-                    elif (
-                        worker.process is None
-                        or not worker.process.is_alive()
-                    ):
+                    elif not worker.is_alive():
                         requeue(worker, "worker process died")
         if pending_error is not None:
             raise pending_error

@@ -109,6 +109,26 @@ def star_queries(service):
     return [record.query for record in workload]
 
 
+@pytest.fixture(scope="session")
+def child_pids():
+    """``child_pids(pid=this process)`` -> the pids of *pid*'s child
+    processes, zombies included, read from ``/proc`` (an empty set
+    where there is none)."""
+    return _child_pids
+
+
+def _child_pids(pid=None):
+    found = set()
+    tasks = Path(f"/proc/{pid or os.getpid()}/task")
+    for task in tasks.iterdir() if tasks.is_dir() else ():
+        try:
+            text = (task / "children").read_text()
+        except FileNotFoundError:  # the thread ended meanwhile
+            continue
+        found.update(int(child) for child in text.split())
+    return found
+
+
 @pytest.fixture()
 def gated_app(snapshot_dir, checkpoint_dir):
     """``gated_app(first_only=..., **policy)`` -> ``(app, gate, entered)``:

@@ -6,7 +6,6 @@ its `close()` must leave nothing behind.
 """
 
 import json
-import multiprocessing
 import re
 import threading
 import urllib.request
@@ -43,10 +42,10 @@ def observe(url):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("startup_fit", [False, True])
 def test_same_server_as_the_cli_and_nothing_left_behind(
-    snapshot_dir, checkpoint_dir, cli_serve, workers, startup_fit
+    snapshot_dir, checkpoint_dir, cli_serve, child_pids, workers, startup_fit
 ):
     threads_before = set(threading.enumerate())
-    children_before = set(multiprocessing.active_children())
+    children_before = child_pids()
     process, url = cli_serve(
         "--workers",
         str(workers),
@@ -78,4 +77,4 @@ def test_same_server_as_the_cli_and_nothing_left_behind(
         if thread.name.startswith("repro-")
     ]
     assert not leaked
-    assert set(multiprocessing.active_children()) <= children_before
+    assert child_pids() <= children_before

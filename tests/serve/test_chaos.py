@@ -131,11 +131,7 @@ class TestKillStorm:
             delay = 0.05
             while not stop.wait(delay):
                 delay = 0.4
-                victims = [
-                    w
-                    for w in pool._workers
-                    if w.process is not None and w.process.is_alive()
-                ]
+                victims = [w for w in pool._workers if w.is_alive()]
                 if victims:
                     os.kill(victims[0].process.pid, signal.SIGKILL)
                     kills.append(victims[0].id)
@@ -228,11 +224,7 @@ class TestReloadUnderLoad:
             delay = 0.1
             while not stop.wait(delay):
                 delay = 1.0
-                victims = [
-                    w
-                    for w in pool._workers
-                    if w.process is not None and w.process.is_alive()
-                ]
+                victims = [w for w in pool._workers if w.is_alive()]
                 if victims:
                     os.kill(victims[0].process.pid, signal.SIGKILL)
 

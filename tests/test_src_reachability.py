@@ -37,6 +37,9 @@ ALLOWED = {
     # base class's own call of log_message.
     "do_GET": "http.server dispatches GET to it by string",
     "log_message": "http.server's request logger, overridden to be quiet",
+    # Called by the import system for a name a module lacks (PEP 562):
+    # repro.serve exports its names lazily.
+    "__getattr__": "repro.serve's lazy exports, called by the import system",
 }
 
 
