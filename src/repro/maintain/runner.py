@@ -23,7 +23,8 @@ touched models from the previous generation's float64 masters
 checkpoint, fresh snapshot, and watermark, saved in that order so a
 crash leaves the previous generation intact and discoverable.  With a
 ``reload_url`` the runner then POSTs the new generation's paths to the
-serving layer's ``/admin/reload`` for a zero-downtime blue-green swap.
+serving layer's ``/admin/reload``, which loads it into the live pool
+workers beside the pair they serve and flips them between batches.
 """
 
 from __future__ import annotations
@@ -414,7 +415,8 @@ class MaintenanceRunner:
     def _trigger_reload(
         self, url: str, report: MaintenanceReport
     ) -> dict:
-        """POST the new generation to ``/admin/reload`` (blue-green)."""
+        """POST the new generation to ``/admin/reload`` (load, then
+        flip)."""
         body = json.dumps(
             {
                 "checkpoint": report.checkpoint_dir,

@@ -18,7 +18,8 @@ Grammar: ``at <seconds>s: <action> [args...]``.  Actions:
   default the first live one); the PR 6 supervisor must restart it and
   retry its in-flight chunks on siblings.
 - ``reload [checkpoint [snapshot]]`` — ``POST /admin/reload`` (the
-  blue-green swap) with optional explicit artifact paths.
+  workers load the pair, then flip) with optional explicit artifact
+  paths.
 - ``mutate N`` — add N vocabulary-preserving triples to the live store
   copy the maintenance runner sees, creating a real delta.
 - ``maintain [full]`` — run the PR 9 incremental

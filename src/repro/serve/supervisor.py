@@ -13,10 +13,12 @@ testable alone:
   requests.  Each worker is a fresh interpreter started by
   ``subprocess`` (``python -m repro.serve.worker``) that inherits one
   end of a socketpair and imports the estimation path only; passing
-  that end through ``pass_fds`` makes the pool POSIX-only.  A
-  checkpoint swap is **blue-green**: a complete new worker set is
-  started against the new checkpoint while the old set keeps serving,
-  then the active set pointer flips between batches.
+  that end through ``pass_fds`` makes the pool POSIX-only.  There is
+  one worker set for the pool's life, and one load path: a worker is
+  told to load a (snapshot, checkpoint) pair beside the one it serves,
+  then to flip to it — at start-up, after a restart, and for a
+  checkpoint swap, which loads the new pair into the live workers and
+  flips them all between batches.
 - :class:`CircuitBreaker` + :class:`ResilientBackend` — graceful
   degradation: after ``failure_threshold`` consecutive model-path
   failures the breaker opens and traffic routes to a cheap
@@ -234,7 +236,7 @@ class SupervisedPool:
     RESTART_BUDGET = 16
     #: ceiling of the exponential restart backoff.
     BACKOFF_MAX_S = 5.0
-    #: how long a whole worker set may take to attach and handshake.
+    #: how long a worker may take to load a (snapshot, checkpoint) pair.
     STARTUP_TIMEOUT_S = 120.0
 
     def __init__(
@@ -258,7 +260,7 @@ class SupervisedPool:
         self.restart_budget = restart_budget
         self.backoff_base = backoff_base
         self.fault_spec = fault_spec
-        #: serializes estimate_batch callers and reload's set swap.
+        #: serializes estimate_batch callers and reload's load and flip.
         #: Re-entrant so whoever labels answers with a generation can
         #: hold it from reading the label to the end of the dispatch
         #: (:meth:`ResilientBackend.serialize_with`).
@@ -271,9 +273,13 @@ class SupervisedPool:
         self._deaths = 0
         self._timeouts = 0
         self._chunk_retries = 0
-        self._workers = self._spawn_set(
-            self.checkpoint_dir, self.snapshot_dir
-        )
+        self._workers = [_Worker(i) for i in range(workers)]
+        try:
+            self._start(self._workers)
+        except BaseException:
+            for worker in self._workers:
+                worker.kill()
+            raise
         self._supervisor = threading.Thread(
             target=self._supervise,
             name="repro-pool-supervisor",
@@ -282,25 +288,22 @@ class SupervisedPool:
         self._supervisor.start()
 
     # ------------------------------------------------------------------
-    # Worker set lifecycle
+    # Worker lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn_worker(
-        self, worker: _Worker, checkpoint_dir: str, snapshot_dir: str
-    ) -> None:
-        """Start *worker*'s process on one (checkpoint, snapshot) pair;
-        state stays ``_STARTING`` until the handshake is consumed by
-        :meth:`_await_handshake`."""
-        # A fresh interpreter, not fork: restarts and blue-green reloads
-        # create workers from the supervisor thread while scheduler/HTTP
-        # threads are live, and a fork taken then can inherit held locks
-        # (import lock, BLAS internals) and deadlock inside the
-        # checkpoint load — as well as inheriting the listening socket
-        # and sibling pipe fds.  ``python -m repro.serve.worker``
-        # starts from a clean interpreter that holds only its own pipe
-        # end (``pass_fds``, hence POSIX only) and imports the
-        # estimation path only; no ``multiprocessing`` start method,
-        # and so no resource tracker, is involved.
+    def _spawn_worker(self, worker: _Worker) -> None:
+        """Start *worker*'s process; it holds no pair until
+        :meth:`_load` and a flip give it one."""
+        # A fresh interpreter, not fork: restarts create workers from
+        # the supervisor thread while scheduler/HTTP threads are live,
+        # and a fork taken then can inherit held locks (import lock,
+        # BLAS internals) and deadlock inside the checkpoint load — as
+        # well as inheriting the listening socket and sibling pipe fds.
+        # ``python -m repro.serve.worker`` starts from a clean
+        # interpreter that holds only its own pipe end (``pass_fds``,
+        # hence POSIX only) and imports the estimation path only; no
+        # ``multiprocessing`` start method, and so no resource tracker,
+        # is involved.
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         faults = self.fault_spec.to_dict() if self.fault_spec else {}
         with child_conn:
@@ -310,9 +313,6 @@ class SupervisedPool:
                     "-m",
                     "repro.serve.worker",
                     str(child_conn.fileno()),
-                    str(worker.id),
-                    snapshot_dir,
-                    checkpoint_dir,
                     json.dumps(faults),
                 ],
                 stdin=subprocess.DEVNULL,
@@ -321,65 +321,67 @@ class SupervisedPool:
             )
         worker.process = process
         worker.conn = parent_conn
-        worker.state = _STARTING
 
-    def _await_handshake(
-        self, worker: _Worker, timeout: float
-    ) -> Optional[str]:
-        """Consume the ready/init-error handshake; returns the error
-        traceback (None on success)."""
-        try:
-            if not worker.conn.poll(timeout):
-                return "worker did not complete startup handshake"
-            kind, detail = worker.conn.recv()
-        except (EOFError, OSError):
-            return "worker died during startup"
-        if kind == "ready":
-            return None
-        return str(detail)
+    def _load(
+        self, workers: List[_Worker], snapshot_dir: str, checkpoint_dir: str
+    ) -> None:
+        """Have every one of *workers* load one (snapshot, checkpoint)
+        pair beside the pair it serves, in parallel; raises
+        :class:`SupervisorError` if any of them did not load it.
 
-    def _spawn_set(
-        self, checkpoint_dir: str, snapshot_dir: str
-    ) -> List[_Worker]:
-        """Spawn and handshake a complete worker set (startup/reload).
-
-        All-or-nothing: any attach failure kills the partial set and
-        raises, so a reload against a broken checkpoint leaves the
-        serving set untouched.
+        A worker that died, or did not reply within
+        :data:`STARTUP_TIMEOUT_S`, is killed here (a late reply would
+        put its pipe out of step); one that replied with a load error
+        keeps serving its old pair.
         """
-        workers = [_Worker(i) for i in range(self.workers)]
-        try:
-            for worker in workers:
-                self._spawn_worker(worker, checkpoint_dir, snapshot_dir)
-            deadline = time.monotonic() + self.STARTUP_TIMEOUT_S
-            for worker in workers:
-                error = self._await_handshake(
-                    worker, max(0.1, deadline - time.monotonic())
-                )
-                if error is not None:
-                    raise SupervisorError(
-                        f"serving worker {worker.id} failed to start "
-                        f"against {checkpoint_dir}:\n{error}"
-                    )
-                worker.state = _READY
-        except BaseException:
-            for worker in workers:
+        for worker in workers:
+            with contextlib.suppress(OSError):  # the recv below says why
+                worker.conn.send(("load", snapshot_dir, checkpoint_dir))
+        deadline = time.monotonic() + self.STARTUP_TIMEOUT_S
+        errors: Dict[_Worker, str] = {}
+        for worker in workers:
+            try:
+                if not worker.conn.poll(max(0.0, deadline - time.monotonic())):
+                    raise TimeoutError("worker did not load in time")
+                reply = worker.conn.recv()
+            except (EOFError, OSError) as exc:
                 worker.kill()
-            raise
-        return workers
+                errors[worker] = str(exc) or "worker died while loading"
+                continue
+            if reply[0] != "loaded":
+                errors[worker] = str(reply[1])
+        for worker, error in errors.items():
+            raise SupervisorError(
+                f"serving worker {worker.id} failed to load "
+                f"{checkpoint_dir}:\n{error}"
+            )
 
-    def _stop_set(self, workers: List[_Worker]) -> None:
+    def _start(self, workers: List[_Worker]) -> None:
+        """Start *workers*' processes, load the pool's pair into them
+        and mark them ready; raises if any of them fails.
+
+        The pair is read under ``_state_cv``, and the workers become
+        ready only if it is still the pool's pair: a reload that
+        flipped while they loaded did not load them, so they load the
+        new pair themselves.
+        """
         for worker in workers:
-            if worker.conn is not None:
-                try:
-                    worker.conn.send(("stop",))
-                except OSError:
-                    pass
-        for worker in workers:
-            if worker.process is not None:
-                with contextlib.suppress(subprocess.TimeoutExpired):
-                    worker.process.wait(timeout=2.0)
-            worker.kill()
+            self._spawn_worker(worker)
+        pair = None
+        while True:
+            with self._state_cv:
+                if self._closed:
+                    raise SupervisorError("the pool is closed")
+                if pair == (self.snapshot_dir, self.checkpoint_dir):
+                    for worker in workers:
+                        worker.state = _READY
+                        worker.last_error = None
+                    self._state_cv.notify_all()
+                    return
+                pair = (self.snapshot_dir, self.checkpoint_dir)
+            self._load(workers, *pair)
+            for worker in workers:
+                worker.conn.send(("flip",))
 
     # ------------------------------------------------------------------
     # Supervision (restart thread)
@@ -412,44 +414,14 @@ class SupervisedPool:
                     self._restarts_used += 1
                     worker.restarts += 1
                     worker.state = _STARTING
-                # The pair the serving set was started on: reload moves
-                # both only at its flip, so a restart during a reload's
-                # spawn still attaches the old set's store.
-                checkpoint_dir = self.checkpoint_dir
-                snapshot_dir = self.snapshot_dir
             for worker in due:
                 if worker.state != _STARTING:
                     continue
                 try:
-                    self._spawn_worker(
-                        worker, checkpoint_dir, snapshot_dir
-                    )
-                    error = self._await_handshake(worker, 60.0)
+                    self._start([worker])
                 except BaseException:
-                    error = traceback.format_exc()
-                with self._state_cv:
-                    if self._closed or not any(
-                        w is worker for w in self._workers
-                    ):
-                        # reload() flipped the set, or close() ran,
-                        # while this worker restarted: its set was
-                        # stopped before it had a process to stop, so
-                        # nothing else would ever stop it.
-                        worker.kill()
-                        worker.state = _DEAD
-                    elif error is None:
-                        worker.state = _READY
-                        worker.last_error = None
-                    else:
-                        worker.kill()
-                        worker.consecutive_failures += 1
-                        worker.not_before = (
-                            time.monotonic()
-                            + self._backoff(worker.consecutive_failures)
-                        )
-                        worker.state = _DEAD
-                        worker.last_error = error
-                    self._state_cv.notify_all()
+                    with self._state_cv:
+                        self._mark_dead(worker, traceback.format_exc())
             with self._state_cv:
                 if self._closed:
                     return
@@ -461,24 +433,28 @@ class SupervisedPool:
             self.BACKOFF_MAX_S,
         )
 
-    def _declare_dead(
-        self, worker: _Worker, reason: str, timed_out: bool = False
-    ) -> None:
-        """Kill + mark a worker dead (state lock held by caller);
-        *timed_out* counts it as a hung worker."""
+    def _mark_dead(self, worker: _Worker, reason: str) -> None:
+        """Kill a worker and mark it dead until its backoff ends (state
+        lock held by caller)."""
         worker.kill()
         worker.consecutive_failures += 1
         worker.not_before = time.monotonic() + self._backoff(
             worker.consecutive_failures
         )
-        worker.deadline = math.inf
-        worker.task = None
         worker.state = _DEAD
         worker.last_error = reason
-        self._deaths += 1
-        if timed_out:
-            self._timeouts += 1
         self._state_cv.notify_all()
+
+    def _declare_dead(
+        self, worker: _Worker, reason: str, timed_out: bool = False
+    ) -> None:
+        """:meth:`_mark_dead` a serving worker that died or hung
+        (*timed_out*), and count it."""
+        worker.deadline = math.inf
+        worker.task = None
+        self._deaths += 1
+        self._timeouts += timed_out
+        self._mark_dead(worker, reason)
 
     # ------------------------------------------------------------------
     # Estimation (dispatch loop)
@@ -617,7 +593,7 @@ class SupervisedPool:
         return values
 
     # ------------------------------------------------------------------
-    # Hot reload (blue-green worker set swap)
+    # Hot reload (load beside, then flip)
     # ------------------------------------------------------------------
 
     def reload(
@@ -626,46 +602,68 @@ class SupervisedPool:
         snapshot_dir: Union[str, Path, None] = None,
         on_flip: Optional[Callable[[], None]] = None,
     ) -> int:
-        """Swap every worker onto *checkpoint_dir* with zero downtime.
+        """Swap every worker onto *checkpoint_dir* without a failed read.
 
-        A complete new set is spawned and handshaked while the old set
-        keeps serving; the active-set pointer then flips between
-        batches (under the dispatch lock), and the old set is stopped.
-        Any new-worker failure aborts the swap with the old set
-        untouched.  Returns the new worker-set generation.
+        Under the dispatch lock, so no chunk is in flight on any pipe
+        (requests queue for the milliseconds a load takes), every ready
+        worker loads the new pair beside the one it serves.  Once all
+        have loaded, the pool flips: its pair moves, the generation is
+        bumped and every worker drops its old pair.  A worker that
+        restarts meanwhile comes back on the serving pair and is loaded
+        with the others, or, if it comes back after the flip, loads the
+        new pair itself.  Any load error or worker death aborts the
+        reload with :class:`SupervisorError`: the old pair keeps
+        serving everywhere, and a pair that was loaded but not flipped
+        never answers.  Returns the new worker-set generation.
 
-        *on_flip* runs at the flip, still under the dispatch lock and
-        before the old set is stopped (tenths of a second): whatever
-        labels answers with a generation must move there, because
-        every batch dispatched from then on is computed by the new set.
+        *on_flip* runs at the flip, still under the dispatch lock:
+        whatever labels answers with a generation must move there,
+        because every batch dispatched from then on is computed by the
+        new pair.
 
-        *snapshot_dir* additionally re-attaches the new set to a
+        *snapshot_dir* additionally re-attaches the workers to a
         different snapshot — the maintenance path, which publishes a
         fresh snapshot with every checkpoint generation because a
         fine-tuned checkpoint only gate-checks against the graph it
-        was fine-tuned on.  The pool's (checkpoint, snapshot) pair moves
-        at the flip, so an old-set worker restarted before it attaches
-        the old pair.
+        was fine-tuned on.  The pool's (checkpoint, snapshot) pair
+        moves at the flip, so a worker restarted before it loads the
+        old pair.
         """
         checkpoint_dir = str(checkpoint_dir)
-        snapshot_dir = (
-            str(snapshot_dir)
-            if snapshot_dir is not None
-            else self.snapshot_dir
-        )
-        new_workers = self._spawn_set(checkpoint_dir, snapshot_dir)
+        snapshot_dir = str(snapshot_dir or self.snapshot_dir)
         with self.dispatch_lock:
-            with self._state_cv:
-                old_workers = self._workers
-                self._workers = new_workers
-                self.checkpoint_dir = checkpoint_dir
-                self.snapshot_dir = snapshot_dir
-                self._set_generation += 1
-                generation = self._set_generation
-                self._state_cv.notify_all()
+            loaded = set()  # the processes that loaded the new pair
+            while True:
+                with self._state_cv:
+                    ready = [w for w in self._workers if w.state == _READY]
+                    todo = [w for w in ready if w.process not in loaded]
+                    if not todo:
+                        self.checkpoint_dir = checkpoint_dir
+                        self.snapshot_dir = snapshot_dir
+                        self._set_generation += 1
+                        generation = self._set_generation
+                        for worker in ready:
+                            # A dead worker is found as any other is.
+                            with contextlib.suppress(OSError):
+                                worker.conn.send(("flip",))
+                        break
+                    for worker in todo:
+                        worker.state = _BUSY  # the supervisor leaves it be
+                try:
+                    self._load(todo, snapshot_dir, checkpoint_dir)
+                finally:
+                    with self._state_cv:
+                        for worker in todo:
+                            if worker.process is None:  # killed by _load
+                                self._declare_dead(
+                                    worker, "worker died while loading"
+                                )
+                            else:
+                                worker.state = _READY
+                                loaded.add(worker.process)
+                        self._state_cv.notify_all()
             if on_flip is not None:
                 on_flip()
-        self._stop_set(old_workers)
         return generation
 
     # ------------------------------------------------------------------
@@ -703,10 +701,17 @@ class SupervisedPool:
             if self._closed:
                 return
             self._closed = True
-            workers = self._workers
             self._state_cv.notify_all()
         self._supervisor.join(timeout=5.0)
-        self._stop_set(workers)
+        for worker in self._workers:
+            if worker.conn is not None:
+                with contextlib.suppress(OSError):
+                    worker.conn.send(("stop",))
+        for worker in self._workers:
+            if worker.process is not None:
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    worker.process.wait(timeout=2.0)
+            worker.kill()
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -1028,7 +1033,7 @@ class ServingRuntime:
         Gate order: artifact schema/checksum check and a full parent
         load first (typed :class:`~repro.serve.artifacts.ArtifactError`
         / :class:`~repro.core.framework.CheckpointError` rejection with
-        the old framework untouched), then the worker-set/backend swap.
+        the old framework untouched), then the pool/backend swap.
         In-flight batches drain against the old framework; requests
         submitted after this method returns are answered by the new
         generation.
@@ -1038,7 +1043,7 @@ class ServingRuntime:
         a fine-tuned checkpoint with the snapshot it was tuned against.
         The new snapshot is verified and the checkpoint gate-checked
         against it before anything is swapped; on any failure the old
-        snapshot, framework, and worker set keep serving.  The
+        snapshot, framework, and worker pair keep serving.  The
         degradation fallback keeps its construction-time store — it
         stays available mid-swap, at worst one generation stale until
         the process restarts or the caller rebuilds it.
@@ -1083,9 +1088,9 @@ class ServingRuntime:
                 self.reloads += 1
 
             if self.pool is not None:
-                # The pool runs flip() when its set pointer moves, not
-                # after the old set is stopped: an answer's generation
-                # must name the checkpoint that computed it.
+                # The pool runs flip() under its dispatch lock, when
+                # its workers flip: an answer's generation must name
+                # the checkpoint that computed it.
                 self.pool.reload(
                     path, snapshot_dir=snapshot_dir, on_flip=flip
                 )

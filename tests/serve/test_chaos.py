@@ -271,8 +271,8 @@ class TestReloadUnderLoad:
     ):
         """Reload under load onto a checkpoint whose answer differs:
         every response carries the value its generation label names —
-        also while the old worker set is still being stopped, when the
-        new set already answers."""
+        also for requests sent while the workers load the new pair,
+        which wait out the load and are answered after the flip."""
         import dataclasses
 
         from repro.serve import default_framework
@@ -291,18 +291,16 @@ class TestReloadUnderLoad:
                 ),
                 other,
             )
-            stop_set = app.pool._stop_set
-            while_stopping = []
+            load = app.pool._load
+            probes = []
 
-            def probing_stop(workers):
-                if not stop.is_set():  # the reload's, not close()'s
-                    probe = _Client(addr, requests=5)
-                    probe.run()
-                    assert not probe.errors
-                    while_stopping.extend(probe.outcomes)
-                stop_set(workers)
+            def probing_load(workers, *pair):
+                if threading.current_thread() is not app.pool._supervisor:
+                    probes.append(_Client(addr, requests=5))
+                    probes[-1].start()  # the reload holds the pool
+                return load(workers, *pair)
 
-            app.pool._stop_set = probing_stop
+            app.pool._load = probing_load
 
             class _Looping(_Client):
                 def run(self):
@@ -318,13 +316,15 @@ class TestReloadUnderLoad:
             time.sleep(0.2)  # and keep it up past the reload
             stop.set()
             outcomes, errors = _join(threads)
+            while_loading, probe_errors = _join(probes)
+            assert not probe_errors, probe_errors
         finally:
             stop.set()
             app.close()
 
         assert not errors, errors[:5]
         answers = {}
-        for status, payload in outcomes + while_stopping:
+        for status, payload in outcomes + while_loading:
             assert status == 200 and not payload["degraded"], payload
             answers.setdefault(payload["generation"], set()).add(
                 float(f"{payload['estimates'][0]:.6g}")
@@ -332,8 +332,8 @@ class TestReloadUnderLoad:
         assert set(answers) == {g0, g1}
         assert all(len(values) == 1 for values in answers.values()), answers
         assert answers[g0] != answers[g1]
-        assert while_stopping
-        assert all(p["generation"] == g1 for _, p in while_stopping)
+        assert while_loading
+        assert all(p["generation"] == g1 for _, p in while_loading)
 
     def test_corrupt_reload_mid_service_is_rejected_and_harmless(
         self, stack, v2_checkpoint, tmp_path

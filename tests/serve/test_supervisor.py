@@ -3,6 +3,7 @@
 import os
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -332,7 +333,7 @@ class TestSupervisedPool:
     ):
         with pytest.raises(SupervisorError):
             pool.reload(tmp_path / "does-not-exist")
-        # the old set is untouched and still serving
+        # every worker still serves the old pair
         values = pool.estimate_batch(star_queries[:4])
         assert values.shape == (4,)
 
@@ -446,66 +447,193 @@ class TestReloadRestartPair:
     def test_restart_during_reload_attaches_the_serving_pair(
         self, snapshot_dir, checkpoint_dir, generation_two, star_queries
     ):
-        """A serving-set worker that dies while reload() spawns the next
-        set restarts on the serving (checkpoint, snapshot) pair — not
-        the old checkpoint against the next snapshot, which fails the
-        store fingerprint check and burns restart budget."""
+        """A worker that restarts while reload() loads the next pair
+        into its sibling restarts on the serving (checkpoint, snapshot)
+        pair — not the old checkpoint against the next snapshot, which
+        fails the store fingerprint check and burns restart budget —
+        and reload() then loads the next pair into it too."""
         next_snapshot, next_checkpoint = generation_two
-        restarted = {}
-        with SupervisedPool(
-            snapshot_dir, checkpoint_dir, workers=1, backoff_base=0.01
-        ) as pool:
-            victim = pool._workers[0]
-            spawn_set = pool._spawn_set
-
-            def spawn_set_after_a_restart(*args):
-                os.kill(victim.process.pid, signal.SIGKILL)
-                assert _wait(
-                    lambda: victim.restarts >= 1
-                    and victim.state != "starting"
-                ), pool.stats()
-                restarted.update(
-                    state=victim.state, error=victim.last_error
-                )
-                return spawn_set(*args)
-
-            pool._spawn_set = spawn_set_after_a_restart
-            pool.reload(next_checkpoint, snapshot_dir=next_snapshot)
-            values = pool.estimate_batch(star_queries[:4])
-        assert restarted == {"state": "ready", "error": None}
-        assert np.isfinite(values).all()
-
-    def test_restart_finishing_after_the_flip_does_not_outlive_its_set(
-        self, snapshot_dir, checkpoint_dir
-    ):
-        """A restart whose spawn straddles reload()'s flip: the old
-        set is stopped before the restarted worker has a process, so
-        the supervisor must stop it instead of marking it ready."""
-        import threading
-
+        restarted, reload_loads = {}, []
         entered, gate = threading.Event(), threading.Event()
         with SupervisedPool(
-            snapshot_dir, checkpoint_dir, workers=1, backoff_base=0.01
+            snapshot_dir, checkpoint_dir, workers=2, backoff_base=0.01
         ) as pool:
-            spawn_worker = pool._spawn_worker
+            victim = pool._workers[0]
+            spawn_worker, load = pool._spawn_worker, pool._load
 
-            def gated_spawn_worker(*args):
+            def gated_spawn_worker(worker):
                 if threading.current_thread() is pool._supervisor:
                     entered.set()
                     assert gate.wait(60.0)
-                return spawn_worker(*args)
+                return spawn_worker(worker)
+
+            def load_after_a_restart(workers, *pair):
+                if threading.current_thread() is not pool._supervisor:
+                    gate.set()
+                    assert _wait(
+                        lambda: victim.restarts >= 1
+                        and victim.state != "starting"
+                    ), pool.stats()
+                    restarted.setdefault("state", victim.state)
+                    restarted.setdefault("error", victim.last_error)
+                    reload_loads.append([w.id for w in workers])
+                return load(workers, *pair)
 
             pool._spawn_worker = gated_spawn_worker
-            orphan = pool._workers[0]
-            os.kill(orphan.process.pid, signal.SIGKILL)
+            pool._load = load_after_a_restart
+            os.kill(victim.process.pid, signal.SIGKILL)
             assert entered.wait(30.0), pool.stats()
-            pool.reload(checkpoint_dir)
-            assert all(w is not orphan for w in pool._workers)
+            pool.reload(next_checkpoint, snapshot_dir=next_snapshot)
+            values = pool.estimate_batch(star_queries[:4])
+        assert restarted == {"state": "ready", "error": None}
+        assert reload_loads == [[1], [0]]  # the sibling, then the victim
+        assert np.isfinite(values).all()
+
+    def test_restart_finishing_after_the_flip_does_not_outlive_the_old_pair(
+        self, snapshot_dir, checkpoint_dir, generation_two, star_queries
+    ):
+        """A restart whose load straddles reload()'s flip loaded the
+        pair the pool no longer serves: the supervisor loads the new
+        pair into it before it marks it ready."""
+        next_snapshot, next_checkpoint = generation_two
+        entered, gate = threading.Event(), threading.Event()
+        restart_loads = []
+        with SupervisedPool(
+            snapshot_dir, checkpoint_dir, workers=1, backoff_base=0.01
+        ) as pool:
+            load = pool._load
+
+            def gated_load(workers, *pair):
+                if threading.current_thread() is pool._supervisor:
+                    restart_loads.append(tuple(map(str, pair)))
+                    entered.set()
+                    assert gate.wait(60.0)
+                return load(workers, *pair)
+
+            pool._load = gated_load
+            victim = pool._workers[0]
+            os.kill(victim.process.pid, signal.SIGKILL)
+            assert entered.wait(30.0), pool.stats()
+            pool.reload(next_checkpoint, snapshot_dir=next_snapshot)
             gate.set()
-            assert _wait(lambda: orphan.state != "starting"), pool.stats()
-            process = orphan.process
-            assert orphan.state != "ready"
-            assert process is None or not process.is_alive()
+            assert _wait(lambda: victim.state != "starting"), pool.stats()
+            assert victim.state == "ready", victim.last_error
+            values = pool.estimate_batch(star_queries[:4])
+        assert restart_loads == [
+            (str(snapshot_dir), str(checkpoint_dir)),
+            (str(next_snapshot), str(next_checkpoint)),
+        ]
+        assert np.isfinite(values).all()
+
+
+@pytest.fixture(scope="module")
+def differing(service, fit_defaults, tmp_path_factory, star_queries):
+    """``(other_checkpoint, queries, old, new)``: a checkpoint fitted on
+    the session snapshot with another seed, the star queries on which
+    its answers differ from the session checkpoint's, and both
+    checkpoints' answers to them."""
+    import dataclasses
+
+    from repro.serve import default_framework
+    from repro.serve.artifacts import save_checkpoint
+
+    other = tmp_path_factory.mktemp("other") / "checkpoint"
+    framework = default_framework(
+        service.store, dataclasses.replace(fit_defaults, seed=1)
+    )
+    save_checkpoint(framework, other)
+    old = service.framework.estimate_batch(star_queries)
+    new = framework.estimate_batch(star_queries)
+    keep = ~np.isclose(old, new, rtol=1e-3)
+    assert keep.sum() >= 4, "the two checkpoints answer alike"
+    queries = [q for q, k in zip(star_queries, keep) if k]
+    return other, queries, old[keep], new[keep]
+
+
+def _killing_the_last_loader(pool):
+    """Hook *pool*'s load step: the first load reload() starts SIGKILLs
+    the last worker it loads into before it sends the pair."""
+    load = pool._load
+
+    def kill_then_load(workers, *pair):
+        if threading.current_thread() is not pool._supervisor:
+            pool._load = load
+            os.kill(workers[-1].process.pid, signal.SIGKILL)
+        return load(workers, *pair)
+
+    pool._load = kill_then_load
+
+
+class TestReloadIntoLiveWorkers:
+    def test_a_worker_killed_while_loading_aborts_the_reload(
+        self, snapshot_dir, checkpoint_dir, differing
+    ):
+        other, queries, old, _ = differing
+        with SupervisedPool(
+            snapshot_dir, checkpoint_dir, workers=2, backoff_base=0.05
+        ) as pool:
+            generation = pool.stats()["worker_set_generation"]
+            _killing_the_last_loader(pool)
+            with pytest.raises(SupervisorError):
+                pool.reload(other)
+            assert pool.stats()["worker_set_generation"] == generation
+            # The sibling loaded the pair but never flipped to it: it
+            # answers alone while the killed slot restarts, then both do.
+            answers = [pool.estimate_batch(queries) for _ in range(3)]
+            assert _wait(
+                lambda: all(
+                    w["state"] == "ready" for w in pool.stats()["workers"]
+                )
+            ), pool.stats()
+            answers.append(pool.estimate_batch(queries))
+        for values in answers:
+            np.testing.assert_allclose(values, old, rtol=1e-6)
+
+    def test_a_slot_dead_at_reload_comes_back_on_the_new_pair(
+        self, snapshot_dir, checkpoint_dir, differing
+    ):
+        other, queries, _, new = differing
+        with SupervisedPool(
+            snapshot_dir, checkpoint_dir, workers=2, backoff_base=1.0
+        ) as pool:
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            assert _wait(
+                lambda: pool.stats()["workers"][0]["state"] == "dead"
+            ), pool.stats()
+            pool.reload(other)
+            assert _wait(
+                lambda: all(
+                    w["state"] == "ready" for w in pool.stats()["workers"]
+                )
+            ), pool.stats()
+            # Two ready workers: the first half goes to the restarted slot.
+            values = pool.estimate_batch(queries)
+        np.testing.assert_allclose(values, new, rtol=1e-6)
+
+    def test_after_an_aborted_reload_the_next_one_flips_its_own_pair(
+        self, snapshot_dir, checkpoint_dir, differing, tmp_path
+    ):
+        import shutil
+
+        other, queries, old, _ = differing
+        again = tmp_path / "again"
+        shutil.copytree(checkpoint_dir, again)
+        with SupervisedPool(
+            snapshot_dir, checkpoint_dir, workers=2, backoff_base=0.05
+        ) as pool:
+            generation = pool.stats()["worker_set_generation"]
+            _killing_the_last_loader(pool)
+            with pytest.raises(SupervisorError):
+                pool.reload(other)
+            assert _wait(
+                lambda: all(
+                    w["state"] == "ready" for w in pool.stats()["workers"]
+                )
+            ), pool.stats()
+            assert pool.reload(again) == generation + 1
+            answers = [pool.estimate_batch(queries) for _ in range(3)]
+        for values in answers:
+            np.testing.assert_allclose(values, old, rtol=1e-6)
 
 
 def _environ(pid):

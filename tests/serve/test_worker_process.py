@@ -81,7 +81,7 @@ def test_a_pools_process_tree_is_its_workers(
 
         pool.reload(checkpoint_dir)
         reloaded = tree_is_the_workers()
-        assert not reloaded & started
+        assert reloaded == started  # a reload starts no process
 
         victim = pool._workers[0].process.pid
         os.kill(victim, signal.SIGKILL)
@@ -105,11 +105,12 @@ from repro.serve import worker
 snapshot, checkpoint, request = sys.argv[1:]
 ours, theirs = Pipe()
 thread = threading.Thread(
-    target=worker.serve,
-    args=(0, snapshot, checkpoint, theirs, worker.FaultInjector()),
+    target=worker.serve, args=(theirs, worker.FaultInjector())
 )
 thread.start()
+ours.send(("load", snapshot, checkpoint))
 handshake = ours.recv()
+ours.send(("flip",))
 
 
 def loaded():
@@ -157,7 +158,7 @@ def test_a_worker_imports_the_estimation_path_only(
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["handshake"] == ["ready", 0]
+    assert report["handshake"] == ["loaded"]
     loaded = set(report["at_ready"])
     assert {"repro.core.framework", "repro.rdf.store"} <= loaded
     assert {m for m in loaded if m.startswith("repro.serve")} == {
