@@ -1,8 +1,8 @@
 """Fine-tune only the touched models from their checkpoint masters.
 
 The refit-avoidance half of the maintenance loop: the framework is
-loaded from its last checkpoint (bit-exact float64 masters, PR 5's
-restore path) against the *live* store with the triple-count gate
+loaded from its last checkpoint (its float64 master weights restored
+bit-exactly) against the *live* store with the triple-count gate
 relaxed (``LMKG.load(..., allow_stale_store=True)``), and only the
 models whose grouping keys the planner marked stale train a few more
 epochs — LMKG-S on the relabelled queries of its group, LMKG-U on

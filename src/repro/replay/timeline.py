@@ -15,14 +15,14 @@ called, typically in a thread racing an open-loop replay::
 Grammar: ``at <seconds>s: <action> [args...]``.  Actions:
 
 - ``kill worker [N]`` — SIGKILL a supervised worker process (the Nth,
-  default the first live one); the PR 6 supervisor must restart it and
+  default the first live one); the pool's supervisor must restart it and
   retry its in-flight chunks on siblings.
 - ``reload [checkpoint [snapshot]]`` — ``POST /admin/reload`` (the
   workers load the pair, then flip) with optional explicit artifact
   paths.
 - ``mutate N`` — add N vocabulary-preserving triples to the live store
   copy the maintenance runner sees, creating a real delta.
-- ``maintain [full]`` — run the PR 9 incremental
+- ``maintain [full]`` — run the incremental
   :class:`~repro.maintain.runner.MaintenanceRunner` and hand the
   published generation to the server's ``/admin/reload``.
 - ``corrupt next checkpoint [mode]`` — arm corruption: the *next*

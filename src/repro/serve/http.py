@@ -24,7 +24,9 @@ concurrent requests into batched ``estimate_batch`` calls.  Routes:
   :class:`~repro.serve.supervisor.ServingRuntime.reload`).  A checkpoint
   that fails the artifact gate is a 409 with the typed ``reason``
   (``corrupt`` / ``checksum`` / ``incompatible`` / ...) and the old
-  checkpoint keeps serving.
+  checkpoint keeps serving; so does a swap the worker pool aborts
+  because a worker died or failed while loading the new checkpoint
+  (``reason: "worker_load_failed"``).
 - ``GET /healthz`` — liveness, the served graph/model summary, and the
   fault-tolerance surface: checkpoint generation + schema
   version, per-worker liveness/restart counts, circuit-breaker state,
@@ -64,7 +66,7 @@ from repro.serve.scheduler import (
     SchedulerClosedError,
 )
 from repro.serve.service import EstimatorService, ServiceError
-from repro.serve.supervisor import ReloadError, ServingRuntime
+from repro.serve.supervisor import ReloadError, ServingRuntime, SupervisorError
 
 #: where ``repro serve`` listens unless told otherwise.
 DEFAULT_HOST = "127.0.0.1"
@@ -467,6 +469,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ReloadError as exc:
             self._send_json(
                 409, {"error": str(exc), "reason": "no_checkpoint"}
+            )
+            return
+        except SupervisorError as exc:
+            # A pool worker died or failed in the load step: the pool
+            # aborted the swap and the old pair keeps serving.
+            self._send_json(
+                409, {"error": str(exc), "reason": "worker_load_failed"}
             )
             return
         except Exception as exc:  # noqa: BLE001 — a handler must answer

@@ -18,7 +18,12 @@ testable alone:
   told to load a (snapshot, checkpoint) pair beside the one it serves,
   then to flip to it — at start-up, after a restart, and for a
   checkpoint swap, which loads the new pair into the live workers and
-  flips them all between batches.
+  flips them all between batches.  Every decision about a worker slot
+  — its phase, restarts, backoff, the restart budget, which pair it
+  must load, the generation — is a transition of the pure
+  :class:`~repro.serve.lifecycle.Lifecycle` record the pool subclasses;
+  the pool itself only spawns, loads, flips, sends, kills and reaps,
+  and records what happened through the record under one lock.
 - :class:`CircuitBreaker` + :class:`ResilientBackend` — graceful
   degradation: after ``failure_threshold`` consecutive model-path
   failures the breaker opens and traffic routes to a cheap
@@ -32,11 +37,12 @@ testable alone:
   (:mod:`repro.serve.artifacts`), loads it, and atomically swaps it in
   while in-flight batches drain against the old framework (new arrivals
   queue behind the scheduler as usual).  The swapped-in framework
-  carries fresh parameter version counters, so the PR 5 fused float32
-  inference caches rebuild on first use — there is no way to serve a
-  stale cache across a reload.  Every response carries the checkpoint
-  generation that computed it, and ``/healthz`` reports generation,
-  schema version, per-worker liveness/restarts, and breaker state.
+  carries fresh parameter version counters, so the fused float32
+  inference caches, which are keyed on those counters, rebuild on
+  first use — there is no way to serve a stale cache across a
+  reload.  Every response carries the checkpoint generation that
+  computed it, and ``/healthz`` reports generation, schema version,
+  per-worker liveness/restarts, and breaker state.
 
 Chaos-testability is a design input: :class:`FaultInjector` hooks sit
 in the worker request loop and the in-process backend, so the test
@@ -78,6 +84,7 @@ from repro.rdf.pattern import QueryPattern
 from repro.serve.admission import ShapeManifest
 from repro.serve.artifacts import CheckpointArtifact, load_checkpoint
 from repro.serve.faults import FaultInjector, FaultSpec
+from repro.serve.lifecycle import BUSY, DEAD, FAILED, READY, Lifecycle, Slot
 
 
 class SupervisorError(RuntimeError):
@@ -140,41 +147,17 @@ def _worker_env(workers: int) -> Dict[str, str]:
     return env
 
 
-# Worker slot states.
-_STARTING = "starting"
-_READY = "ready"
-_BUSY = "busy"
-_DEAD = "dead"      # awaiting restart (backoff/budget permitting)
-_FAILED = "failed"  # permanently out (restart budget exhausted)
-
-
-class _Worker:
-    """One supervised worker slot (process + pipe + lifecycle state)."""
-
-    __slots__ = (
-        "id",
-        "process",
-        "conn",
-        "state",
-        "restarts",
-        "consecutive_failures",
-        "not_before",
-        "deadline",
-        "task",
-        "last_error",
-    )
+class _Worker(Slot):
+    """One supervised worker slot: its process and pipe, the chunk it
+    is answering, and its :class:`~repro.serve.lifecycle.Slot` fields."""
 
     def __init__(self, worker_id: int) -> None:
+        super().__init__()
         self.id = worker_id
         self.process = None
         self.conn = None
-        self.state = _STARTING
-        self.restarts = 0
-        self.consecutive_failures = 0
-        self.not_before = 0.0
         self.deadline = math.inf
         self.task = None
-        self.last_error: Optional[str] = None
 
     def is_alive(self) -> bool:
         """Whether the slot has a process that has not exited."""
@@ -195,12 +178,14 @@ class _Worker:
         self.process = None
 
 
-class SupervisedPool:
+class SupervisedPool(Lifecycle):
     """N supervised estimation workers over one shared snapshot.
 
     The drop-in ``estimate_batch`` backend for the scheduler, built to
     keep answering through worker crashes, hangs, and checkpoint
-    swaps.
+    swaps.  Every slot phase change, restart, backoff and pair check is
+    a :class:`~repro.serve.lifecycle.Lifecycle` transition, recorded
+    under ``_state_cv``; this class does the I/O around them.
 
     Args:
         snapshot_dir: read-only memory-mapped snapshot every worker
@@ -234,8 +219,6 @@ class SupervisedPool:
     #: it).
     REQUEST_TIMEOUT = 30.0
     RESTART_BUDGET = 16
-    #: ceiling of the exponential restart backoff.
-    BACKOFF_MAX_S = 5.0
     #: how long a worker may take to load a (snapshot, checkpoint) pair.
     STARTUP_TIMEOUT_S = 120.0
 
@@ -253,27 +236,23 @@ class SupervisedPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if request_timeout <= 0:
             raise ValueError("request_timeout must be > 0")
+        super().__init__(
+            [_Worker(i) for i in range(workers)],
+            (str(snapshot_dir), str(checkpoint_dir)),
+            restart_budget,
+            backoff_base,
+        )
         self.workers = workers
-        self.snapshot_dir = str(snapshot_dir)
-        self.checkpoint_dir = str(checkpoint_dir)
         self.request_timeout = request_timeout
-        self.restart_budget = restart_budget
-        self.backoff_base = backoff_base
         self.fault_spec = fault_spec
         #: serializes estimate_batch callers and reload's load and flip.
         #: Re-entrant so whoever labels answers with a generation can
         #: hold it from reading the label to the end of the dispatch
         #: (:meth:`ResilientBackend.serialize_with`).
         self.dispatch_lock = threading.RLock()
-        #: guards worker slot state; supervisor thread waits on it.
+        #: guards the lifecycle record; supervisor thread waits on it.
         self._state_cv = threading.Condition()
-        self._closed = False
-        self._set_generation = 1
-        self._restarts_used = 0
-        self._deaths = 0
-        self._timeouts = 0
         self._chunk_retries = 0
-        self._workers = [_Worker(i) for i in range(workers)]
         try:
             self._start(self._workers)
         except BaseException:
@@ -288,7 +267,7 @@ class SupervisedPool:
         self._supervisor.start()
 
     # ------------------------------------------------------------------
-    # Worker lifecycle
+    # Worker lifecycle I/O
     # ------------------------------------------------------------------
 
     def _spawn_worker(self, worker: _Worker) -> None:
@@ -332,13 +311,14 @@ class SupervisedPool:
         A worker that died, or did not reply within
         :data:`STARTUP_TIMEOUT_S`, is killed here (a late reply would
         put its pipe out of step); one that replied with a load error
-        keeps serving its old pair.
+        keeps serving its old pair.  Every reply is read before the
+        first failure is raised.
         """
         for worker in workers:
             with contextlib.suppress(OSError):  # the recv below says why
                 worker.conn.send(("load", snapshot_dir, checkpoint_dir))
         deadline = time.monotonic() + self.STARTUP_TIMEOUT_S
-        errors: Dict[_Worker, str] = {}
+        failures = []
         for worker in workers:
             try:
                 if not worker.conn.poll(max(0.0, deadline - time.monotonic())):
@@ -346,42 +326,39 @@ class SupervisedPool:
                 reply = worker.conn.recv()
             except (EOFError, OSError) as exc:
                 worker.kill()
-                errors[worker] = str(exc) or "worker died while loading"
-                continue
+                reply = ("died", str(exc) or "worker died while loading")
             if reply[0] != "loaded":
-                errors[worker] = str(reply[1])
-        for worker, error in errors.items():
-            raise SupervisorError(
-                f"serving worker {worker.id} failed to load "
-                f"{checkpoint_dir}:\n{error}"
-            )
+                failures.append(
+                    f"serving worker {worker.id} failed to load "
+                    f"{checkpoint_dir}:\n{reply[1]}"
+                )
+        if failures:
+            raise SupervisorError(failures[0])
 
     def _start(self, workers: List[_Worker]) -> None:
-        """Start *workers*' processes, load the pool's pair into them
-        and mark them ready; raises if any of them fails.
-
-        The pair is read under ``_state_cv``, and the workers become
-        ready only if it is still the pool's pair: a reload that
-        flipped while they loaded did not load them, so they load the
-        new pair themselves.
-        """
+        """Start *workers*' processes, then load a pair into them and
+        flip to it until :meth:`started` finds them on the pool's pair
+        and marks them ready; raises if any of them fails."""
         for worker in workers:
             self._spawn_worker(worker)
         pair = None
         while True:
             with self._state_cv:
-                if self._closed:
-                    raise SupervisorError("the pool is closed")
-                if pair == (self.snapshot_dir, self.checkpoint_dir):
-                    for worker in workers:
-                        worker.state = _READY
-                        worker.last_error = None
-                    self._state_cv.notify_all()
-                    return
-                pair = (self.snapshot_dir, self.checkpoint_dir)
+                pair = self.started(workers, pair)
+                self._state_cv.notify_all()
+            if pair is None:
+                return
             self._load(workers, *pair)
             for worker in workers:
                 worker.conn.send(("flip",))
+
+    def _kill(
+        self, worker: _Worker, reason: str, timed_out: bool = False
+    ) -> None:
+        """Kill *worker* and record its death (``_state_cv`` held)."""
+        worker.kill()
+        self.died(worker, time.monotonic(), reason, timed_out)
+        self._state_cv.notify_all()
 
     # ------------------------------------------------------------------
     # Supervision (restart thread)
@@ -391,70 +368,22 @@ class SupervisedPool:
         """Restart dead workers as their backoff deadlines arrive."""
         while True:
             with self._state_cv:
-                if self._closed:
+                self._state_cv.wait(0.05)
+                if self.closed:
                     return
                 # Liveness-check idle workers: a worker killed between
                 # requests would otherwise stay "ready" until the next
                 # batch tripped over its corpse.
                 for worker in self._workers:
-                    if worker.state == _READY and not worker.is_alive():
-                        self._declare_dead(
-                            worker, "worker process died while idle"
-                        )
-                now = time.monotonic()
-                due = [
-                    w
-                    for w in self._workers
-                    if w.state == _DEAD and w.not_before <= now
-                ]
-                for worker in due:
-                    if self._restarts_used >= self.restart_budget:
-                        worker.state = _FAILED
-                        continue
-                    self._restarts_used += 1
-                    worker.restarts += 1
-                    worker.state = _STARTING
+                    if worker.state == READY and not worker.is_alive():
+                        self._kill(worker, "worker process died while idle")
+                due = self.tick(time.monotonic())
             for worker in due:
-                if worker.state != _STARTING:
-                    continue
                 try:
                     self._start([worker])
                 except BaseException:
                     with self._state_cv:
-                        self._mark_dead(worker, traceback.format_exc())
-            with self._state_cv:
-                if self._closed:
-                    return
-                self._state_cv.wait(0.05)
-
-    def _backoff(self, consecutive_failures: int) -> float:
-        return min(
-            self.backoff_base * (2 ** max(consecutive_failures - 1, 0)),
-            self.BACKOFF_MAX_S,
-        )
-
-    def _mark_dead(self, worker: _Worker, reason: str) -> None:
-        """Kill a worker and mark it dead until its backoff ends (state
-        lock held by caller)."""
-        worker.kill()
-        worker.consecutive_failures += 1
-        worker.not_before = time.monotonic() + self._backoff(
-            worker.consecutive_failures
-        )
-        worker.state = _DEAD
-        worker.last_error = reason
-        self._state_cv.notify_all()
-
-    def _declare_dead(
-        self, worker: _Worker, reason: str, timed_out: bool = False
-    ) -> None:
-        """:meth:`_mark_dead` a serving worker that died or hung
-        (*timed_out*), and count it."""
-        worker.deadline = math.inf
-        worker.task = None
-        self._deaths += 1
-        self._timeouts += timed_out
-        self._mark_dead(worker, reason)
+                        self._kill(worker, traceback.format_exc())
 
     # ------------------------------------------------------------------
     # Estimation (dispatch loop)
@@ -494,7 +423,7 @@ class SupervisedPool:
             nonlocal pending_error
             offset, chunk, retries = worker.task
             outstanding.pop(offset, None)
-            self._declare_dead(worker, reason, timed_out)
+            self._kill(worker, reason, timed_out)
             self._chunk_retries += 1
             if retries + 1 > self.MAX_CHUNK_RETRIES:
                 pending_error = pending_error or SupervisorError(
@@ -510,14 +439,14 @@ class SupervisedPool:
                 for worker in workers:
                     if not tasks or pending_error is not None:
                         break
-                    if worker.state != _READY:
+                    if worker.state != READY:
                         continue
                     task = tasks.popleft()
                     worker.task = task
                     worker.deadline = (
                         time.monotonic() + self.request_timeout
                     )
-                    worker.state = _BUSY
+                    self.taken(worker)
                     try:
                         worker.conn.send(
                             ("estimate", task[0], task[1])
@@ -532,7 +461,7 @@ class SupervisedPool:
                     # Nothing in flight and nothing assignable: either
                     # every slot is permanently failed, or restarts are
                     # pending — wait for the supervisor.
-                    if all(w.state == _FAILED for w in workers):
+                    if all(w.state == FAILED for w in workers):
                         raise NoWorkersError(
                             "all serving workers are dead and the "
                             f"restart budget ({self.restart_budget}) "
@@ -556,10 +485,7 @@ class SupervisedPool:
                             requeue(worker, "worker process crashed")
                             continue
                         outstanding.pop(offset, None)
-                        worker.task = None
-                        worker.deadline = math.inf
-                        worker.consecutive_failures = 0
-                        worker.state = _READY
+                        self.answered(worker)
                         self._state_cv.notify_all()
                         if error is not None:
                             kind, text = error
@@ -606,15 +532,16 @@ class SupervisedPool:
 
         Under the dispatch lock, so no chunk is in flight on any pipe
         (requests queue for the milliseconds a load takes), every ready
-        worker loads the new pair beside the one it serves.  Once all
-        have loaded, the pool flips: its pair moves, the generation is
-        bumped and every worker drops its old pair.  A worker that
-        restarts meanwhile comes back on the serving pair and is loaded
-        with the others, or, if it comes back after the flip, loads the
-        new pair itself.  Any load error or worker death aborts the
-        reload with :class:`SupervisorError`: the old pair keeps
-        serving everywhere, and a pair that was loaded but not flipped
-        never answers.  Returns the new worker-set generation.
+        worker is taken busy and loads the new pair beside the one it
+        serves.  Once no worker is left ready on the old pair, the pool
+        flips: its pair moves, the generation is bumped and every
+        loaded worker drops its old pair.  A worker that restarts
+        meanwhile comes back on the serving pair and is loaded with the
+        others, or, if it comes back after the flip, loads the new pair
+        itself.  Any load error or worker death aborts the reload with
+        :class:`SupervisorError`: the old pair keeps serving everywhere,
+        and a pair that was loaded but not flipped never answers.
+        Returns the new worker-set generation.
 
         *on_flip* runs at the flip, still under the dispatch lock:
         whatever labels answers with a generation must move there,
@@ -629,42 +556,35 @@ class SupervisedPool:
         moves at the flip, so a worker restarted before it loads the
         old pair.
         """
-        checkpoint_dir = str(checkpoint_dir)
-        snapshot_dir = str(snapshot_dir or self.snapshot_dir)
+        pair = (str(snapshot_dir or self.pair[0]), str(checkpoint_dir))
+        # No dispatcher runs, or waits for a ready worker, while this
+        # holds the dispatch lock: the busy workers are this reload's.
         with self.dispatch_lock:
-            loaded = set()  # the processes that loaded the new pair
-            while True:
-                with self._state_cv:
-                    ready = [w for w in self._workers if w.state == _READY]
-                    todo = [w for w in ready if w.process not in loaded]
-                    if not todo:
-                        self.checkpoint_dir = checkpoint_dir
-                        self.snapshot_dir = snapshot_dir
-                        self._set_generation += 1
-                        generation = self._set_generation
-                        for worker in ready:
-                            # A dead worker is found as any other is.
-                            with contextlib.suppress(OSError):
-                                worker.conn.send(("flip",))
-                        break
-                    for worker in todo:
-                        worker.state = _BUSY  # the supervisor leaves it be
-                try:
-                    self._load(todo, snapshot_dir, checkpoint_dir)
-                finally:
+            try:
+                while True:
                     with self._state_cv:
-                        for worker in todo:
-                            if worker.process is None:  # killed by _load
-                                self._declare_dead(
-                                    worker, "worker died while loading"
-                                )
-                            else:
-                                worker.state = _READY
-                                loaded.add(worker.process)
-                        self._state_cv.notify_all()
+                        todo = [w for w in self._workers if w.state == READY]
+                        self.taken(*todo)
+                        if not todo:  # flip under this same lock hold
+                            for worker in self.flipped(pair):
+                                # A dead worker is found as any other is.
+                                with contextlib.suppress(OSError):
+                                    worker.conn.send(("flip",))
+                            break
+                    self._load(todo, *pair)
+            except BaseException:
+                # Aborted: each worker this reload holds answers on its
+                # old pair again, unless _load killed it.
+                with self._state_cv:
+                    for worker in self._workers:
+                        if worker.state == BUSY and worker.process is None:
+                            self._kill(worker, "worker died while loading")
+                        elif worker.state == BUSY:
+                            self.answered(worker)
+                raise
             if on_flip is not None:
                 on_flip()
-        return generation
+            return self.generation
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -677,7 +597,7 @@ class SupervisedPool:
                     {
                         "id": w.id,
                         "state": w.state,
-                        "alive": w.state in (_READY, _BUSY, _STARTING),
+                        "alive": w.state not in (DEAD, FAILED),
                         "restarts": w.restarts,
                         "last_error": (
                             w.last_error.splitlines()[-1]
@@ -687,20 +607,20 @@ class SupervisedPool:
                     }
                     for w in self._workers
                 ],
-                "worker_set_generation": self._set_generation,
-                "restarts_used": self._restarts_used,
+                "worker_set_generation": self.generation,
+                "restarts_used": self.restarts_used,
                 "restart_budget": self.restart_budget,
-                "deaths": self._deaths,
-                "timeouts": self._timeouts,
+                "deaths": self.deaths,
+                "timeouts": self.timeouts,
                 "chunk_retries": self._chunk_retries,
                 "request_timeout_s": self.request_timeout,
             }
 
     def close(self) -> None:
         with self._state_cv:
-            if self._closed:
+            if self.closed:
                 return
-            self._closed = True
+            self.closed = True
             self._state_cv.notify_all()
         self._supervisor.join(timeout=5.0)
         for worker in self._workers:

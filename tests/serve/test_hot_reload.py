@@ -1,10 +1,14 @@
 """Zero-downtime checkpoint hot-reload through POST /admin/reload."""
 
 import json
+import os
 import shutil
+import signal
+import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.serve import (
@@ -177,6 +181,73 @@ class TestReloadEndpoint:
         assert payload["reason"] == "checkpoint_error"
         assert "no term dictionary" in payload["error"]
         assert runtime.generation == generation
+
+
+@pytest.fixture(scope="module")
+def other_checkpoint(service, fit_defaults, tmp_path_factory):
+    """A checkpoint fitted on the served graph with another seed."""
+    import dataclasses
+
+    from repro.serve import default_framework
+
+    path = tmp_path_factory.mktemp("reload-other") / "checkpoint"
+    framework = default_framework(
+        service.store, dataclasses.replace(fit_defaults, seed=1)
+    )
+    save_checkpoint(framework, path)
+    return path
+
+
+class TestPoolAbortedReload:
+    def test_a_reload_the_pool_aborts_is_a_409(
+        self, snapshot_dir, v2_checkpoint, other_checkpoint, service,
+        star_queries,
+    ):
+        """A serving worker SIGKILLed in the reload's load step aborts
+        the reload: a typed 409, not a 5xx, and the old checkpoint
+        keeps answering under the old generation."""
+        from repro.rdf.parser import format_sparql
+        from repro.serve.artifacts import load_checkpoint
+
+        other, _ = load_checkpoint(other_checkpoint, service.store)
+        old = service.framework.estimate_batch(star_queries)
+        keep = ~np.isclose(
+            old, other.estimate_batch(star_queries), rtol=1e-3
+        )
+        assert keep.sum() >= 4, "the two checkpoints answer alike"
+        texts = [
+            format_sparql(query, service.store.dictionary)
+            for query, differs in zip(star_queries, keep)
+            if differs
+        ]
+        app = ServingApp(snapshot_dir, v2_checkpoint, port=0, workers=2)
+        app.start()
+        try:
+            pool, generation = app.pool, app.runtime.generation
+            load = pool._load
+
+            def kill_then_load(workers, *pair):
+                if threading.current_thread() is not pool._supervisor:
+                    pool._load = load
+                    os.kill(workers[-1].process.pid, signal.SIGKILL)
+                return load(workers, *pair)
+
+            pool._load = kill_then_load
+            status, payload = post(
+                f"{app.url}/admin/reload",
+                {"checkpoint": str(other_checkpoint)},
+            )
+            reloaded_generation = app.runtime.generation
+            _, answer = post(f"{app.url}/estimate", {"queries": texts})
+        finally:
+            app.close()
+        assert status == 409, payload
+        assert payload["reason"] == "worker_load_failed"
+        assert reloaded_generation == generation
+        assert answer["generation"] == generation
+        np.testing.assert_allclose(
+            answer["estimates"], old[keep], rtol=1e-6
+        )
 
 
 class TestRuntimeNoPath:
